@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or validation problem, 2 data error (parsing,
 rank), 3 infeasible request. All results go to stdout; diagnostics and
 warnings go to stderr. JSON output is byte-identical for identical
-configurations including the seed, regardless of --threads.
+configurations including the seed. --threads is accepted and validated but
+has no effect on work or output.
 """
 
 from __future__ import annotations
@@ -72,16 +73,13 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(1)
 
 
-def _resolve_threads(text: str) -> int:
-    # BLAS already parallelizes the inner products, so extra Python-level
-    # workers rarely help; "auto" stays single-threaded. Results are
-    # bitwise identical for every setting.
-    if text == "auto":
-        return 1
-    n = int(text)
-    if n < 1:
-        raise _usage_error("--threads must be >= 1")
-    return n
+def _threads_arg(text: str) -> str:
+    # Kept so existing command lines still parse. BLAS already spreads the
+    # fold over every core, and draws depend only on the seed, so the value
+    # is checked and then ignored.
+    if text != "auto" and int(text) < 1:
+        raise argparse.ArgumentTypeError("--threads must be >= 1")
+    return text
 
 
 def _load_vector(path: str, expected: int, what: str) -> np.ndarray:
@@ -222,7 +220,6 @@ def _cmd_k(args) -> int:
         error_model=em,
         n_samples=args.mc_samples,
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
     )
     _emit(_payload_from_estimate(args, est, design), args)
     return 0
@@ -240,7 +237,6 @@ def _cmd_k1(args) -> int:
         error_model=em,
         n_samples=args.mc_samples,
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
     )
     payload = _payload_from_estimate(args, est, design)
     payload["predictor"] = args.predictor
@@ -316,7 +312,6 @@ def _cmd_intervals(args) -> int:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
             n_samples=args.mc_samples, seed=args.seed,
-            threads=_resolve_threads(args.threads),
         )
     target = None
     if args.mu:
@@ -368,7 +363,6 @@ def _cmd_spar(args) -> int:
 def _cmd_coverage(args) -> int:
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
-    threads = _resolve_threads(args.threads)
     if args.k_source == "scheffe":
         est: ConstantEstimate | float = scheffe_constant(args.alpha, design.d, em)
     elif args.k_source == "naive":
@@ -382,7 +376,7 @@ def _cmd_coverage(args) -> int:
     else:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
-            n_samples=args.mc_samples, seed=args.seed, threads=threads,
+            n_samples=args.mc_samples, seed=args.seed,
         )
     selector: str | tuple = "spar"
     if args.selector.startswith("spar1:"):
@@ -453,7 +447,7 @@ def _cmd_family(args) -> int:
         a_grid = [float(t) for t in args.a_grid.split(",")] if args.a_grid else None
         rows = exchangeable_ratio_table(
             p_list, alpha=args.alpha, n_samples=args.mc_samples,
-            seed=args.seed, a_grid=a_grid, threads=_resolve_threads(args.threads),
+            seed=args.seed, a_grid=a_grid,
         )
         table = [
             {"p": r.p, "best_a": r.best_a, "K": r.k,
@@ -500,7 +494,8 @@ def _add_common(sub, design=True, mc=True):
     sub.add_argument("--df", default="inf",
                      help="error degrees of freedom, integer or 'inf'")
     sub.add_argument("--output", choices=("json", "csv", "text"), default="json")
-    sub.add_argument("--threads", default="auto")
+    sub.add_argument("--threads", default="auto", type=_threads_arg,
+                     help="accepted for compatibility; has no effect")
     if design:
         sub.add_argument("--design", help="design matrix file (CSV or whitespace)")
         sub.add_argument("--header", action="store_true",

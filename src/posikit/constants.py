@@ -20,7 +20,6 @@ and its asymptotic limit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ from .design import CanonicalDesign, DirectionSet, ModelUniverse, direction_stre
 from .errors import InfeasibleError
 
 _DIRECTION_CHUNK = 512
-_BLOCKED_MODE_BUDGET = 16_000_000  # direction-matrix entries we are willing to hold
 
 MONTE_CARLO = "monte_carlo"
 CLOSED_FORM = "closed_form"
@@ -131,16 +129,6 @@ def _fold_chunk_max(z: np.ndarray, chunk: np.ndarray, best: np.ndarray,
     np.maximum(best, lo, out=best)
 
 
-def _pick_mode(direction_count_hint: int | None, d: int, mode: str) -> str:
-    if mode in ("stream", "blocked"):
-        return mode
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
-    if direction_count_hint is None:
-        return "stream"
-    return "blocked" if direction_count_hint * d <= _BLOCKED_MODE_BUDGET else "stream"
-
-
 def _nominal_pair_count(universe: ModelUniverse, p: int) -> int | None:
     """Cheap upper bound on the number of (j, M) pairs, ignoring rank filtering."""
     if universe.explicit_masks is not None:
@@ -169,85 +157,39 @@ def max_abs_t_draws(
     n_samples: int = 100_000,
     seed: int = 0,
     threads: int = 1,
-    mode: str = "auto",
 ) -> np.ndarray:
     """N Monte Carlo draws of max_l |l' Z| / sigma_hat over the direction set.
 
     Draw i is a pure function of (seed, i): Gaussian vectors and sigma-hat
-    variates come from a counter-based generator in fixed-size blocks, so the
-    result is bitwise identical for any thread count and either evaluation
-    mode. Directions are streamed once against a running per-draw maximum
-    ("stream" mode), or materialized once and applied block-by-block over
-    draws ("blocked" mode, picked automatically when the set is small enough
-    to hold).
+    variates come from a counter-based generator in fixed-size blocks, so a
+    run's draws are a prefix of any longer run's. All n x d Gaussian draws
+    are held at once; the directions are streamed once, in chunks, against a
+    running per-draw maximum. ``threads`` is accepted for compatibility and
+    has no effect on work or output.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     d = directions.design.d
-    hint = _nominal_pair_count(directions.universe, directions.design.p)
-    picked = _pick_mode(hint, d, mode)
-    nblocks = _rng.block_count(n_samples)
-
-    if picked == "blocked":
-        pieces = list(directions.chunks(_DIRECTION_CHUNK))
-        if not pieces:
-            raise InfeasibleError("direction set is empty")
-        L = np.concatenate(pieces, axis=0)
-
-        def run_block(b: int) -> tuple[int, np.ndarray]:
-            z, sigma = _rng.gaussian_block(
-                seed, _rng.PURPOSE_MAX_T, b, n_samples, d, error_model.df
-            )
-            best = np.zeros(z.shape[0])
-            buf = np.empty((z.shape[0], min(_DIRECTION_CHUNK, L.shape[0])))
-            for lo in range(0, L.shape[0], _DIRECTION_CHUNK):
-                _fold_chunk_max(z, L[lo:lo + _DIRECTION_CHUNK], best, buf)
-            return b, best / sigma
-
-        out = np.empty(n_samples)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for b, vals in pool.map(run_block, range(nblocks)):
-                    out[_rng.block_slice(b, n_samples)] = vals
-        else:
-            for b in range(nblocks):
-                b_, vals = run_block(b)
-                out[_rng.block_slice(b_, n_samples)] = vals
-        return out
-
-    # Stream mode: draws fully materialized, directions pass through once.
-    zs = []
-    sigmas = []
-    for b in range(nblocks):
-        z, sigma = _rng.gaussian_block(
-            seed, _rng.PURPOSE_MAX_T, b, n_samples, d, error_model.df
-        )
-        zs.append(z)
-        sigmas.append(sigma)
-    Z = np.concatenate(zs, axis=0)
-    sigma = np.concatenate(sigmas)
-
-    def run_subset(subset: DirectionSet) -> np.ndarray:
-        best = np.full(n_samples, -1.0)
-        buf = np.empty((_rng.BLOCK, _DIRECTION_CHUNK))
-        for chunk in subset.chunks(_DIRECTION_CHUNK):
-            for lo in range(0, n_samples, _rng.BLOCK):
-                zb = Z[lo:lo + _rng.BLOCK]
-                _fold_chunk_max(zb, chunk, best[lo:lo + _rng.BLOCK], buf)
-        return best
-
-    if threads > 1 and directions.dedup is None:
-        subsets = directions.partition(threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_subset, subsets))
-        best = partials[0]
-        for part in partials[1:]:
-            np.maximum(best, part, out=best)
-    else:
-        best = run_subset(directions)
+    blocks = [
+        _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n_samples, d, error_model.df)
+        for b in range(_rng.block_count(n_samples))
+    ]
+    # numpy multiplies by a single row or column with a matrix-vector kernel
+    # whose rounding depends on the other operand's size. A spare zero draw
+    # and a zero direction keep every product matrix-matrix, so draw i does
+    # not depend on n.
+    Z = np.concatenate([z for z, _ in blocks] + [np.zeros((1, d))], axis=0)
+    sigma = np.concatenate([s for _, s in blocks])
+    best = np.full(n_samples + 1, -1.0)
+    buf = np.empty((_rng.BLOCK, _DIRECTION_CHUNK))
+    for chunk in directions.chunks(_DIRECTION_CHUNK):
+        if chunk.shape[0] == 1:
+            chunk = np.vstack([chunk, np.zeros((1, d))])
+        for lo in range(0, n_samples, _rng.BLOCK):
+            _fold_chunk_max(Z[lo:lo + _rng.BLOCK], chunk, best[lo:lo + _rng.BLOCK], buf)
     if best.max() < 0:
         raise InfeasibleError("direction set is empty")
-    return best / sigma
+    return best[:n_samples] / sigma
 
 
 def _estimate_from_draws(
@@ -286,20 +228,20 @@ def posi_constant(
     seed: int = 0,
     threads: int = 1,
     dedup: str | None = None,
-    mode: str = "auto",
 ) -> ConstantEstimate:
     """Monte Carlo estimate of the simultaneous max-|t| constant K.
 
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
-    every full-rank model in the universe.
+    every full-rank model in the universe. ``threads`` has no effect on work
+    or output.
     """
     _validate_alpha(alpha)
     if universe is None:
         universe = ModelUniverse.all()
     conservative_quantile_index(alpha, n_samples)
     directions = direction_stream(design, universe, dedup=dedup)
-    draws = max_abs_t_draws(directions, error_model, n_samples, seed, threads, mode)
+    draws = max_abs_t_draws(directions, error_model, n_samples, seed)
     return _estimate_from_draws(
         draws, alpha, error_model, seed, directions.count, "posi", universe
     )
@@ -315,11 +257,11 @@ def posi1_constant(
     seed: int = 0,
     threads: int = 1,
     dedup: str | None = None,
-    mode: str = "auto",
 ) -> ConstantEstimate:
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
+    ``threads`` has no effect on work or output.
     """
     _validate_alpha(alpha)
     if universe is None:
@@ -331,7 +273,7 @@ def posi1_constant(
     directions = DirectionSet(design, restricted, dedup=dedup, predictor=predictor)
     if directions.count == 0:
         raise InfeasibleError(f"no model in the universe contains predictor {predictor}")
-    draws = max_abs_t_draws(directions, error_model, n_samples, seed, threads, mode)
+    draws = max_abs_t_draws(directions, error_model, n_samples, seed)
     return _estimate_from_draws(
         draws, alpha, error_model, seed, directions.count, "posi1", restricted
     )

@@ -202,18 +202,7 @@ class ModelUniverse:
 
     def contains(self, model: ModelId) -> bool:
         """Constraint membership; does not look at the design's rank."""
-        size = model.size
-        if self.max_size is not None and size > self.max_size:
-            return False
-        if self.min_size is not None and size < self.min_size:
-            return False
-        if self.forced_mask & ~model.mask:
-            return False
-        if self.nested and model.mask != (1 << size) - 1:
-            return False
-        if self.explicit_masks is not None and model.mask not in self.explicit_masks:
-            return False
-        return True
+        return self._admits_model_mask(model.mask, model.size)
 
     def _admits_model_mask(self, mask: int, size: int) -> bool:
         if self.max_size is not None and size > self.max_size:
@@ -296,7 +285,10 @@ class ModelUniverse:
                 groups = term[len("models="):].split(";")
                 models = [ModelId(int(t) for t in g.split(",") if t.strip())
                           for g in groups if g.strip()]
-                universe = universe & cls.explicit(models)
+                # No groups is the empty set, which spec_string writes for two
+                # disjoint explicit universes intersected.
+                masks = frozenset(m.mask for m in models)
+                universe = universe & cls(explicit_masks=masks)
             else:
                 raise ValueError(f"unrecognized universe term {term!r}")
         return universe
@@ -634,13 +626,7 @@ class Direction:
     raw_norm: float
 
 
-def _dfs_rank_nodes(
-    X: np.ndarray,
-    col_norms: np.ndarray,
-    tau: float,
-    universe: ModelUniverse,
-    roots: Sequence[int] | None,
-):
+def _dfs_rank_nodes(design: CanonicalDesign, universe: ModelUniverse):
     """Yield (j0, model_mask, residual, norm) emission records.
 
     The traversal visits each subset S at most once (extensions ascend), keeps
@@ -649,7 +635,10 @@ def _dfs_rank_nodes(
     Rank-deficient candidates are reported with norm = -1 so callers can count
     degenerate skips; they are never descended into.
     """
+    X = design.values
     d, p = X.shape
+    tau = design.rank_tolerance
+    col_norms = np.linalg.norm(X, axis=0)
 
     def recurse(s_mask: int, size: int, max_idx: int, Q: np.ndarray):
         emit_idx = []
@@ -690,27 +679,7 @@ def _dfs_rank_nodes(
                     s_mask | (1 << j0), size + 1, j0 + 1, np.hstack([Q, q[:, None]])
                 )
 
-    Q0 = np.empty((d, 0))
-    if roots is None:
-        yield from recurse(0, 0, 0, Q0)
-        return
-    # Depth-1 split: subtree r covers the pair (r, {r}) and every node whose
-    # smallest element is r. Used to partition work across threads.
-    root_set = sorted(roots)
-    for r0 in root_set:
-        new_mask = 1 << r0
-        if universe._admits_model_mask(new_mask, 1):
-            x = X[:, r0]
-            nrm = float(np.linalg.norm(x))
-            if nrm > tau * col_norms[r0]:
-                yield (r0, new_mask, x.copy(), nrm)
-            else:
-                yield (r0, new_mask, None, -1.0)
-        if 1 < d and universe._may_descend(new_mask, 1, r0 + 1):
-            x = X[:, r0]
-            nrm = np.linalg.norm(x)
-            if nrm > tau * col_norms[r0]:
-                yield from recurse(new_mask, 1, r0 + 1, (x / nrm)[:, None])
+    yield from recurse(0, 0, 0, np.empty((d, 0)))
 
 
 def enumerate_models(
@@ -721,46 +690,12 @@ def enumerate_models(
     Rank-deficient candidate subsets are silently skipped. Raises
     InfeasibleError if nothing survives the filtering.
     """
-    X = design.values
-    d, p = X.shape
-    tau = design.rank_tolerance
-    col_norms = np.linalg.norm(X, axis=0)
-
-    def recurse(s_mask: int, size: int, max_idx: int, Q: np.ndarray):
-        cand = [
-            j0
-            for j0 in range(max_idx, p)
-            if not (s_mask >> j0 & 1)
-            and (
-                universe._admits_model_mask(s_mask | (1 << j0), size + 1)
-                or (size + 1 < d
-                    and universe._may_descend(s_mask | (1 << j0), size + 1, j0 + 1))
-            )
-        ]
-        if not cand:
-            return
-        C = X[:, cand]
-        if Q.shape[1]:
-            R = C - Q @ (Q.T @ C)
-            R -= Q @ (Q.T @ R)
-        else:
-            R = C.copy()
-        norms = np.linalg.norm(R, axis=0)
-        for k, j0 in enumerate(cand):
-            if norms[k] <= tau * col_norms[j0]:
-                continue
-            new_mask = s_mask | (1 << j0)
-            if universe._admits_model_mask(new_mask, size + 1):
-                yield ModelId.from_mask(new_mask)
-            if size + 1 < d and universe._may_descend(new_mask, size + 1, j0 + 1):
-                q = R[:, k] / norms[k]
-                yield from recurse(new_mask, size + 1, j0 + 1,
-                                   np.hstack([Q, q[:, None]]))
-
     count = 0
-    for model in recurse(0, 0, 0, np.empty((d, 0))):
-        count += 1
-        yield model
+    for j0, mask, _, norm in _dfs_rank_nodes(design, universe):
+        # Each model is reported once: as the pair whose j is its largest member.
+        if norm >= 0 and mask >> (j0 + 1) == 0:
+            count += 1
+            yield ModelId.from_mask(mask)
     if count == 0:
         raise InfeasibleError("model universe is empty after rank filtering")
 
@@ -787,12 +722,13 @@ class DirectionSet:
     """Re-iterable set of adjusted-predictor directions for (design, universe).
 
     With ``dedup=None`` iteration streams directions straight out of the DFS,
-    each pair (j, M) exactly once, duplicates included; this is the mode used
-    for large runs. With ``dedup="up_to_sign"`` the set is materialized once
-    and duplicate directions (equal up to sign within the tolerance) are
-    collapsed; retained vectors are canonicalized representatives on a fixed
-    quantization grid, so two numerically-equal sets built along different
-    arithmetic paths dedup to bitwise-identical vectors.
+    each pair (j, M) exactly once, duplicates included; the Monte Carlo fold
+    consumes this stream in chunks and never holds the whole set. With
+    ``dedup="up_to_sign"`` the set is materialized once and duplicate
+    directions (equal up to sign on the 2^-20 hashing grid) are collapsed;
+    retained vectors are canonicalized representatives on that grid, so two
+    numerically-equal sets built along different arithmetic paths dedup to
+    bitwise-identical vectors.
     """
 
     def __init__(
@@ -800,9 +736,7 @@ class DirectionSet:
         design: CanonicalDesign,
         universe: ModelUniverse | None = None,
         dedup: str | None = None,
-        dedup_tolerance: float = 1e-8,
         predictor: int | None = None,
-        _roots: Sequence[int] | None = None,
     ):
         if universe is None:
             universe = ModelUniverse.all()
@@ -810,30 +744,19 @@ class DirectionSet:
             raise ValueError(f"unknown dedup mode {dedup!r}")
         if dedup == "none":
             dedup = None
-        if dedup_tolerance > _DEDUP_GRID:
-            raise ValueError(
-                f"dedup tolerance above the hashing grid {_DEDUP_GRID:g} is not supported"
-            )
         self.design = design
         self.universe = universe
         self.dedup = dedup
-        self.dedup_tolerance = dedup_tolerance
         self.predictor = predictor
-        self._roots = list(_roots) if _roots is not None else None
         self.degenerate_skips = 0
         self.emitted_count: int | None = None
         self._materialized: list[Direction] | None = None
 
     def _raw_iter(self) -> Iterator[Direction]:
-        design = self.design
-        X = design.values
-        col_norms = np.linalg.norm(X, axis=0)
         skips = 0
         emitted = 0
         want = self.predictor
-        for j0, mask, res, norm in _dfs_rank_nodes(
-            X, col_norms, design.rank_tolerance, self.universe, self._roots
-        ):
+        for j0, mask, res, norm in _dfs_rank_nodes(self.design, self.universe):
             if want is not None and j0 + 1 != want:
                 continue
             if norm < 0:
@@ -902,40 +825,11 @@ class DirectionSet:
         if buf:
             yield np.stack(buf)
 
-    def partition(self, parts: int) -> list["DirectionSet"]:
-        """Split the DFS forest at depth 1 into independent sub-streams.
-
-        Only meaningful without dedup; sub-streams jointly cover every pair
-        (j, M) exactly once, so an elementwise-max reduction over them matches
-        the sequential stream.
-        """
-        if self.dedup is not None:
-            raise ValueError("cannot partition a deduplicated direction set")
-        p = self.design.p
-        roots = self._roots if self._roots is not None else list(range(p))
-        parts = max(1, min(parts, len(roots)))
-        groups: list[list[int]] = [[] for _ in range(parts)]
-        for i, r in enumerate(roots):
-            groups[i % parts].append(r)
-        return [
-            DirectionSet(
-                self.design,
-                self.universe,
-                dedup=None,
-                dedup_tolerance=self.dedup_tolerance,
-                predictor=self.predictor,
-                _roots=g,
-            )
-            for g in groups
-            if g
-        ]
-
 
 def direction_stream(
     design: CanonicalDesign,
     universe: ModelUniverse | None = None,
     dedup: str | None = None,
-    dedup_tolerance: float = 1e-8,
 ) -> DirectionSet:
     """Directions of all admissible (predictor, model) pairs of the universe."""
-    return DirectionSet(design, universe, dedup=dedup, dedup_tolerance=dedup_tolerance)
+    return DirectionSet(design, universe, dedup=dedup)

@@ -122,7 +122,6 @@ def exchangeable_ratio_table(
     n_samples: int = 50_000,
     seed: int = 0,
     a_grid=None,
-    threads: int = 1,
 ) -> list[RatioRow]:
     """sup over the a-grid of K(X_p(a)) / sqrt(2 log p), per p."""
     rows = []
@@ -135,7 +134,6 @@ def exchangeable_ratio_table(
                 alpha=alpha,
                 n_samples=n_samples,
                 seed=seed,
-                threads=threads,
             )
             if best is None or est.k > best[1]:
                 best = (a, est.k, est.mc_standard_error)

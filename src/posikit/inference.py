@@ -242,14 +242,17 @@ Selector = Callable[[CanonicalDesign, np.ndarray, float], ModelId]
 
 
 def make_spar_selector(universe: ModelUniverse | None = None) -> Selector:
-    cache: dict[int, list] = {}
+    # Directions of the last design seen. The design object itself is kept
+    # and compared by identity: an id() can be reused once its object dies.
+    last_design: CanonicalDesign | None = None
+    last_directions: list = []
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
-        key = id(design)
-        if key not in cache:
-            cache.clear()
-            cache[key] = direction_stream(design, universe).materialize()
-        model, _, _ = _argmax_over_directions(cache[key], y, sigma_hat)
+        nonlocal last_design, last_directions
+        if design is not last_design:
+            last_directions = direction_stream(design, universe).materialize()
+            last_design = design
+        model, _, _ = _argmax_over_directions(last_directions, y, sigma_hat)
         return model
 
     return select

@@ -19,6 +19,7 @@ X_p(a); the criterion now asserts that growth.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -347,13 +348,17 @@ def test_criterion_13_determinism(tmp_path):
         ["k1", "--design", str(design_path), "--predictor", "2",
          "--mc-samples", "20000", "--seed", "5"],
     ]
+    # The child must import the same posikit as this process, installed or not.
+    src_dir = os.path.dirname(os.path.dirname(pk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")])))
     ok = True
     for argv in commands:
         outputs = set()
         for threads in ("1", "2", "6"):
             proc = subprocess.run(
                 [sys.executable, "-m", "posikit.cli", *argv, "--threads", threads],
-                capture_output=True, check=True,
+                capture_output=True, check=True, env=env,
             )
             outputs.add(proc.stdout)
         ok &= len(outputs) == 1

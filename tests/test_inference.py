@@ -347,6 +347,24 @@ def test_spar_tie_break_deterministic():
     assert stat == 1.0
 
 
+def test_spar_selector_follows_the_design_it_is_given():
+    select = make_spar_selector()
+    rng = np.random.default_rng(16)
+    pair = [random_canonical(4, seed=14), random_canonical(4, seed=15)]
+    for i in range(6):
+        cd = pair[i % 2]
+        y = rng.standard_normal(cd.d)
+        assert select(cd, y, 1.0) == spar_select(cd, y, 1.0)[0]
+    # Designs built and dropped in turn: CPython hands a freed object's id()
+    # to the next one, so a cache keyed on id() would answer for the old one.
+    for seed in range(20, 30):
+        values = np.random.default_rng(seed).standard_normal((4, 4))
+        cd = CanonicalDesign.from_canonical(values)
+        y = rng.standard_normal(4)
+        assert select(cd, y, 1.0) == spar_select(cd, y, 1.0)[0]
+        del cd
+
+
 # ---------------------------------------------------------------------------
 # coverage experiments
 # ---------------------------------------------------------------------------
