@@ -47,6 +47,13 @@ from .inference import (
 )
 
 _STREAM_WARN_P = 16
+# Measured rates for the cost warning, from a traced benchmark run
+# (perfbench/run.py --workload calibrate --seed 104 --trace 1) on a 2-core
+# Intel Xeon KVM guest with OpenBLAS on 2 threads:
+# design.directions_per_s.all = 54 178 (lattice walk, all-subsets universe)
+# and constants.fold_ns_per_dir_draw = 4.44 (Monte Carlo fold).
+_WALK_S_PER_DIRECTION = 1.0 / 54_178
+_FOLD_S_PER_DIR_DRAW = 4.44e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +89,9 @@ def _threads_arg(text: str) -> str:
     return text
 
 
-def _load_vector(path: str, expected: int, what: str) -> np.ndarray:
+def _load_vector(path: str, design: CanonicalDesign, what: str) -> np.ndarray:
+    """Read a length-n vector file and reduce it to canonical coordinates."""
+    expected = design.basis.shape[0]
     values = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -101,7 +110,10 @@ def _load_vector(path: str, expected: int, what: str) -> np.ndarray:
         raise DataError(f"cannot read {what} file {path!r}: {exc}") from exc
     if len(values) != expected:
         raise DataError(f"{what} file has {len(values)} values, expected {expected}")
-    return np.asarray(values)
+    vector = np.asarray(values)
+    if not np.all(np.isfinite(vector)):
+        raise DataError(f"{what} file contains non-finite values")
+    return design.reduce_response(vector)
 
 
 def _load_canonical(args) -> tuple[CanonicalDesign, ModelUniverse]:
@@ -122,8 +134,8 @@ def _load_canonical(args) -> tuple[CanonicalDesign, ModelUniverse]:
 def _warn_large_stream(design: CanonicalDesign, universe: ModelUniverse, n_samples: int):
     hint = _nominal_pair_count(universe, design.p)
     if design.p > _STREAM_WARN_P and hint is not None and hint > (1 << 20):
-        gen_s = hint * 2e-6
-        mc_s = hint * max(n_samples, 1) * 2.0 / 5e9
+        gen_s = hint * _WALK_S_PER_DIRECTION
+        mc_s = hint * n_samples * _FOLD_S_PER_DIR_DRAW
         print(
             f"warning: p={design.p} with this universe streams about {hint} "
             f"directions; projected time ~{gen_s + mc_s:.0f}s "
@@ -244,20 +256,11 @@ def _cmd_k1(args) -> int:
     return 0
 
 
-def _cmd_scheffe(args) -> int:
+def _cmd_closed_form(args) -> int:
     em = _parse_df(args.df)
     d = _dimension_for(args)
-    est = scheffe_constant(args.alpha, d, em)
-    payload = _payload_from_estimate(args, est)
-    payload["d"] = d
-    _emit(payload, args)
-    return 0
-
-
-def _cmd_orth(args) -> int:
-    em = _parse_df(args.df)
-    d = _dimension_for(args)
-    est = orth_constant(args.alpha, d, em)
+    constant = scheffe_constant if args.command == "scheffe" else orth_constant
+    est = constant(args.alpha, d, em)
     payload = _payload_from_estimate(args, est)
     payload["d"] = d
     _emit(payload, args)
@@ -302,9 +305,7 @@ def _cmd_bound(args) -> int:
 def _cmd_intervals(args) -> int:
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
-    y = design.reduce_response(
-        _load_vector(args.response, design.basis.shape[0], "response")
-    )
+    y = _load_vector(args.response, design, "response")
     model = ModelId(int(t) for t in args.model.split(","))
     if args.k_source == "scheffe":
         est = scheffe_constant(args.alpha, design.d, em)
@@ -313,11 +314,7 @@ def _cmd_intervals(args) -> int:
             design, universe, alpha=args.alpha, error_model=em,
             n_samples=args.mc_samples, seed=args.seed,
         )
-    target = None
-    if args.mu:
-        target = TargetSpec.from_mean(
-            design, _load_vector(args.mu, design.basis.shape[0], "mu")
-        )
+    target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     report = posi_intervals(design, y, args.sigma_hat, em, model, est, target)
     payload = _payload_from_estimate(args, est, design)
     payload["model"] = list(model.members)
@@ -341,9 +338,7 @@ def _cmd_intervals(args) -> int:
 
 def _cmd_spar(args) -> int:
     design, universe = _load_canonical(args)
-    y = design.reduce_response(
-        _load_vector(args.response, design.basis.shape[0], "response")
-    )
+    y = _load_vector(args.response, design, "response")
     if args.predictor is not None:
         model, stat = spar1_select(design, y, args.sigma_hat, universe, args.predictor)
     else:
@@ -383,11 +378,7 @@ def _cmd_coverage(args) -> int:
         selector = ("spar1", int(args.selector.split(":", 1)[1]))
     elif args.selector != "spar":
         raise _usage_error(f"unknown --selector {args.selector!r}")
-    target = None
-    if args.mu:
-        target = TargetSpec.from_mean(
-            design, _load_vector(args.mu, design.basis.shape[0], "mu")
-        )
+    target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     result = coverage_experiment(
         design, universe, selector, args.alpha, em, est,
         replications=args.replications, seed=args.seed, target=target,
@@ -527,12 +518,12 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("scheffe", help="Scheffe constant (closed form)")
     _add_common(sub, mc=False)
     sub.add_argument("--d", type=int)
-    sub.set_defaults(handler=_cmd_scheffe)
+    sub.set_defaults(handler=_cmd_closed_form)
 
     sub = commands.add_parser("orth", help="orthogonal-design constant (closed form)")
     _add_common(sub, mc=False)
     sub.add_argument("--d", type=int)
-    sub.set_defaults(handler=_cmd_orth)
+    sub.set_defaults(handler=_cmd_closed_form)
 
     sub = commands.add_parser("bound", help="sphere-cap union upper bound")
     _add_common(sub, mc=False)

@@ -182,7 +182,7 @@ def max_abs_t_draws(
     sigma = np.concatenate([s for _, s in blocks])
     best = np.full(n_samples + 1, -1.0)
     buf = np.empty((_rng.BLOCK, _DIRECTION_CHUNK))
-    for chunk in directions.chunks(_DIRECTION_CHUNK):
+    for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
         if chunk.shape[0] == 1:
             chunk = np.vstack([chunk, np.zeros((1, d))])
         for lo in range(0, n_samples, _rng.BLOCK):
@@ -256,7 +256,6 @@ def posi1_constant(
     n_samples: int = 100_000,
     seed: int = 0,
     threads: int = 1,
-    dedup: str | None = None,
 ) -> ConstantEstimate:
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
@@ -270,7 +269,7 @@ def posi1_constant(
         raise ValueError(f"predictor {predictor} out of range 1..{design.p}")
     conservative_quantile_index(alpha, n_samples)
     restricted = universe & ModelUniverse.forcing(predictor)
-    directions = DirectionSet(design, restricted, dedup=dedup, predictor=predictor)
+    directions = DirectionSet(design, restricted, predictor=predictor)
     if directions.count == 0:
         raise InfeasibleError(f"no model in the universe contains predictor {predictor}")
     draws = max_abs_t_draws(directions, error_model, n_samples, seed)

@@ -514,9 +514,6 @@ class CanonicalDesign:
             raise ValueError(f"predictor index {j} out of range 1..{self.p}")
         return self.values[:, j - 1]
 
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=0)
-
     def reduce_response(self, y: np.ndarray) -> np.ndarray:
         """Map an n-vector into canonical coordinates via the stored basis."""
         y = np.asarray(y, dtype=float)
@@ -740,10 +737,8 @@ class DirectionSet:
     ):
         if universe is None:
             universe = ModelUniverse.all()
-        if dedup not in (None, "none", "up_to_sign"):
+        if dedup not in (None, "up_to_sign"):
             raise ValueError(f"unknown dedup mode {dedup!r}")
-        if dedup == "none":
-            dedup = None
         self.design = design
         self.universe = universe
         self.dedup = dedup
@@ -814,16 +809,19 @@ class DirectionSet:
             return np.empty((0, self.design.d))
         return np.stack([direction.vector for direction in dirs])
 
-    def chunks(self, size: int) -> Iterator[np.ndarray]:
-        """Stream (k, d) blocks of direction vectors without full materialization."""
+    def chunks(self, size: int) -> Iterator[tuple[np.ndarray, list[tuple[int, int]]]]:
+        """Stream (k, d) blocks of direction vectors without full materialization,
+        each with the rows' (model mask, predictor) keys."""
         buf: list[np.ndarray] = []
+        keys: list[tuple[int, int]] = []
         for direction in self:
             buf.append(direction.vector)
+            keys.append((direction.model.mask, direction.predictor))
             if len(buf) == size:
-                yield np.stack(buf)
-                buf = []
+                yield np.stack(buf), keys
+                buf, keys = [], []
         if buf:
-            yield np.stack(buf)
+            yield np.stack(buf), keys
 
 
 def direction_stream(

@@ -187,22 +187,7 @@ def fast_worst_posi1_stat(p: int, c: float, z: np.ndarray) -> float:
     if z.shape != (p,):
         raise ValueError(f"draw must have length p={p}")
     _check_worst(p, c)
-    zp = float(z[p - 1])
-    rest = np.sort(z[: p - 1])
-    prefix = np.concatenate([[0.0], np.cumsum(rest)])
-    total = prefix[-1]
-    on_zp, on_rest = _worst_coefficients(p, c)
-    best = 0.0
-    for m in range(1, p + 1):
-        k = p - m
-        bottom = prefix[k]
-        top = total - prefix[p - 1 - k]
-        base = on_zp[m - 1] * zp
-        cand = max(abs(base + on_rest[m - 1] * bottom),
-                   abs(base + on_rest[m - 1] * top))
-        if cand > best:
-            best = cand
-    return best
+    return float(_fast_worst_posi1_batch(p, c, z[None, :])[0])
 
 
 def _fast_worst_posi1_batch(p: int, c: float, z_block: np.ndarray) -> np.ndarray:

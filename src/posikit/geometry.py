@@ -153,7 +153,7 @@ def orthogonality_census(
 def polytope_contains(polytope: PolytopeSpec, z: np.ndarray) -> bool:
     """True iff |l' z| <= k for every direction; short-circuits on violation."""
     z = np.asarray(z, dtype=float)
-    for chunk in polytope.directions.chunks(512):
+    for chunk, _ in polytope.directions.chunks(512):
         if np.abs(chunk @ z).max() > polytope.k:
             return False
     return True

@@ -16,8 +16,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import _rng
-from .constants import ConstantEstimate, ErrorModel
-from .design import CanonicalDesign, DirectionSet, ModelId, ModelUniverse, direction_stream
+from .constants import _DIRECTION_CHUNK, ConstantEstimate, ErrorModel
+from .design import (CanonicalDesign, DirectionSet, ModelId, ModelUniverse,
+                     direction_stream, enumerate_models)
 from .errors import InfeasibleError
 
 
@@ -193,19 +194,35 @@ def posi_intervals(
 
 
 def _argmax_over_directions(
-    directions: Iterable, y: np.ndarray, sigma_hat: float
+    chunks: Iterable, y: np.ndarray, sigma_hat: float
 ) -> tuple[ModelId, int, float]:
-    """Max |l' y| / sigma_hat with deterministic tie-breaking (mask, then j)."""
-    best: tuple[float, int, int] | None = None
-    for direction in directions:
-        stat = abs(float(np.dot(direction.vector, y))) / sigma_hat
-        key = (-stat, direction.model.mask, direction.predictor)
-        if best is None or key < best:
-            best = key
+    """Max |l' y| / sigma_hat over the (vectors, keys) chunks of a direction
+    set, with deterministic tie-breaking: the smallest (mask, j) key wins."""
+    if not sigma_hat > 0:
+        raise ValueError("sigma_hat must be positive")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("response must be finite")
+    best: tuple[float, tuple[int, int]] | None = None
+    for vectors, keys in chunks:
+        # vecdot rounds each row as np.dot(row, y) does; vectors @ y does not.
+        stats = np.abs(np.vecdot(vectors, y)) / sigma_hat
+        stat = float(stats.max())
+        candidate = (-stat, min(keys[i] for i in np.flatnonzero(stats == stat)))
+        if best is None or candidate < best:
+            best = candidate
     if best is None:
         raise InfeasibleError("no directions to select over")
-    stat, mask, j = -best[0], best[1], best[2]
+    stat, (mask, j) = -best[0], best[1]
     return ModelId.from_mask(mask), j, stat
+
+
+def _spar1_directions(
+    design: CanonicalDesign, universe: ModelUniverse | None, predictor: int
+) -> DirectionSet:
+    if universe is None:
+        universe = ModelUniverse.all()
+    restricted = universe & ModelUniverse.forcing(predictor)
+    return DirectionSet(design, restricted, predictor=predictor)
 
 
 def spar_select(
@@ -216,8 +233,8 @@ def spar_select(
 ) -> tuple[ModelId, float]:
     """Significance-hunting selection: the model holding the largest |t| over
     all (j, M) pairs. Attains the simultaneous max-|t| bound by construction."""
-    directions = direction_stream(design, universe)
-    model, _, stat = _argmax_over_directions(directions, y, sigma_hat)
+    chunks = direction_stream(design, universe).chunks(_DIRECTION_CHUNK)
+    model, _, stat = _argmax_over_directions(chunks, y, sigma_hat)
     return model, stat
 
 
@@ -230,42 +247,52 @@ def spar1_select(
 ) -> tuple[ModelId, float]:
     """Best-adjustment selection for one primary predictor: maximizes its |t|
     over the models that contain it."""
-    if universe is None:
-        universe = ModelUniverse.all()
-    restricted = universe & ModelUniverse.forcing(predictor)
-    directions = DirectionSet(design, restricted, predictor=predictor)
-    model, _, stat = _argmax_over_directions(directions, y, sigma_hat)
+    chunks = _spar1_directions(design, universe, predictor).chunks(_DIRECTION_CHUNK)
+    model, _, stat = _argmax_over_directions(chunks, y, sigma_hat)
     return model, stat
 
 
 Selector = Callable[[CanonicalDesign, np.ndarray, float], ModelId]
 
 
-def make_spar_selector(universe: ModelUniverse | None = None) -> Selector:
-    # Directions of the last design seen. The design object itself is kept
-    # and compared by identity: an id() can be reused once its object dies.
-    last_design: CanonicalDesign | None = None
-    last_directions: list = []
+def _last_design(build: Callable[[CanonicalDesign], list]) -> Callable:
+    """build(design), recomputed only when another design comes in. The design
+    object is kept and compared by identity: an id() can be reused once its
+    object dies."""
+    last_design, last_value = None, []
+
+    def get(design: CanonicalDesign) -> list:
+        nonlocal last_design, last_value
+        if design is not last_design:
+            last_value, last_design = build(design), design
+        return last_value
+
+    return get
+
+
+def _direction_selector(
+    directions: Callable[[CanonicalDesign], DirectionSet]
+) -> Selector:
+    """Argmax selector over directions(design), walked once per design."""
+    chunks = _last_design(
+        lambda design: list(directions(design).chunks(_DIRECTION_CHUNK)))
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
-        nonlocal last_design, last_directions
-        if design is not last_design:
-            last_directions = direction_stream(design, universe).materialize()
-            last_design = design
-        model, _, _ = _argmax_over_directions(last_directions, y, sigma_hat)
-        return model
+        return _argmax_over_directions(chunks(design), y, sigma_hat)[0]
 
     return select
+
+
+def make_spar_selector(universe: ModelUniverse | None = None) -> Selector:
+    return _direction_selector(lambda design: direction_stream(design, universe))
 
 
 def make_spar1_selector(
     predictor: int, universe: ModelUniverse | None = None
 ) -> Selector:
-    def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
-        model, _ = spar1_select(design, y, sigma_hat, universe, predictor)
-        return model
-
-    return select
+    return _direction_selector(
+        lambda design: _spar1_directions(design, universe, predictor)
+    )
 
 
 def make_stepwise_selector(
@@ -309,15 +336,16 @@ def make_stepwise_selector(
 
 def make_best_r2_selector(size: int, universe: ModelUniverse | None = None) -> Selector:
     """Largest-R^2 model of a fixed size (exhaustive; deterministic ties)."""
+    u = universe if universe is not None else ModelUniverse.all()
+    u = u & ModelUniverse.of_max_size(size)
+    # The design's models of this size, enumerated once per design.
+    models = _last_design(
+        lambda design: [m for m in enumerate_models(design, u) if m.size == size]
+    )
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
-        from .design import enumerate_models
-
-        u = universe if universe is not None else ModelUniverse.all()
         best_key, best_model = None, None
-        for model in enumerate_models(design, u & ModelUniverse.of_max_size(size)):
-            if model.size != size:
-                continue
+        for model in models(design):
             A = design.submatrix(model)
             coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
             fitted = A @ coef
@@ -368,15 +396,12 @@ def coverage_experiment(
         raise ValueError("replications must be >= 1")
     if universe is None:
         universe = ModelUniverse.all()
-    if isinstance(selector, str):
-        if selector != "spar":
-            raise ValueError(f"unknown selector {selector!r}")
+    if selector == "spar":
         select = make_spar_selector(universe)
-    elif isinstance(selector, tuple):
-        kind, j = selector
-        if kind != "spar1":
-            raise ValueError(f"unknown selector {selector!r}")
-        select = make_spar1_selector(int(j), universe)
+    elif isinstance(selector, tuple) and len(selector) == 2 and selector[0] == "spar1":
+        select = make_spar1_selector(int(selector[1]), universe)
+    elif isinstance(selector, (str, tuple)):
+        raise ValueError(f"unknown selector {selector!r}")
     else:
         select = selector
 

@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from posikit import ModelUniverse, enumerate_models, canonicalize, load_design
-from posikit.cli import run
+from posikit import (
+    CanonicalDesign,
+    ModelUniverse,
+    canonicalize,
+    enumerate_models,
+    load_design,
+)
+from posikit import cli
+from posikit.cli import _warn_large_stream, run
 
 BASE_KEYS = {"K", "alpha", "df", "mc_samples", "mc_standard_error", "seed",
              "d", "p", "direction_count", "universe", "tool_version"}
@@ -191,3 +198,47 @@ def test_text_output(files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "K:" in out
+
+
+@pytest.mark.parametrize("sigma_hat", ["-1", "0", "nan"])
+@pytest.mark.parametrize("predictor", [[], ["--predictor", "2"]],
+                         ids=["spar", "spar1"])
+def test_spar_rejects_nonpositive_sigma_hat(files, capsys, sigma_hat, predictor):
+    code = run(["spar", "--design", files["generic3"], "--response",
+                files["response"], "--sigma-hat", sigma_hat] + predictor)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "sigma_hat must be positive" in captured.err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_response_or_mean_is_a_data_error(files, capsys, tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(["0.5"] * 11 + [bad]) + "\n")
+    common = ["--design", files["generic3"], "--sigma-hat", "1.0"]
+    assert run(["spar", "--response", str(path)] + common) == 2
+    intervals = ["intervals", "--model", "1,2", "--mc-samples", "1000"] + common
+    assert run(intervals + ["--response", str(path)]) == 2
+    assert run(intervals + ["--response", files["response"], "--mu", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("non-finite") == 3
+
+
+def test_large_stream_warning_uses_measured_rates(capsys):
+    # 17 columns: 17 * 2^16 pairs, over the 2^20 threshold. Only the nominal
+    # count is computed; no walk runs.
+    n_samples = 1000
+    _warn_large_stream(CanonicalDesign.from_canonical(np.eye(17)),
+                       ModelUniverse.all(), n_samples)
+    pairs = 17 * 2 ** 16
+    walk_s = pairs * cli._WALK_S_PER_DIRECTION
+    fold_s = pairs * n_samples * cli._FOLD_S_PER_DIR_DRAW
+    err = capsys.readouterr().err
+    assert f"about {pairs} directions" in err
+    total = walk_s + fold_s
+    assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err
+    _warn_large_stream(CanonicalDesign.from_canonical(np.eye(16)),
+                       ModelUniverse.all(), n_samples)
+    assert capsys.readouterr().err == ""

@@ -348,21 +348,67 @@ def test_spar_tie_break_deterministic():
 
 
 def test_spar_selector_follows_the_design_it_is_given():
-    select = make_spar_selector()
-    rng = np.random.default_rng(16)
-    pair = [random_canonical(4, seed=14), random_canonical(4, seed=15)]
-    for i in range(6):
-        cd = pair[i % 2]
-        y = rng.standard_normal(cd.d)
-        assert select(cd, y, 1.0) == spar_select(cd, y, 1.0)[0]
-    # Designs built and dropped in turn: CPython hands a freed object's id()
-    # to the next one, so a cache keyed on id() would answer for the old one.
-    for seed in range(20, 30):
-        values = np.random.default_rng(seed).standard_normal((4, 4))
-        cd = CanonicalDesign.from_canonical(values)
-        y = rng.standard_normal(4)
-        assert select(cd, y, 1.0) == spar_select(cd, y, 1.0)[0]
-        del cd
+    # Each named selector against a one-shot reference that caches nothing.
+    cases = [
+        (make_spar_selector, lambda cd, y: spar_select(cd, y, 1.0)[0]),
+        (lambda: make_spar1_selector(2),
+         lambda cd, y: spar1_select(cd, y, 1.0, predictor=2)[0]),
+        (lambda: make_best_r2_selector(2),
+         lambda cd, y: make_best_r2_selector(2)(cd, y, 1.0)),
+    ]
+    for make, reference in cases:
+        select = make()
+        rng = np.random.default_rng(16)
+        pair = [random_canonical(4, seed=14), random_canonical(4, seed=15)]
+        for i in range(6):
+            cd = pair[i % 2]
+            y = rng.standard_normal(cd.d)
+            assert select(cd, y, 1.0) == reference(cd, y)
+        # Designs built and dropped in turn: CPython hands a freed object's id()
+        # to the next one, so a cache keyed on id() would answer for the old one.
+        for seed in range(20, 30):
+            values = np.random.default_rng(seed).standard_normal((4, 4))
+            cd = CanonicalDesign.from_canonical(values)
+            y = rng.standard_normal(4)
+            assert select(cd, y, 1.0) == reference(cd, y)
+            del cd
+
+
+def test_named_selectors_walk_once_per_design(monkeypatch):
+    import posikit.design
+
+    walks = []
+    walker = posikit.design._dfs_rank_nodes
+
+    def counting(design, universe):
+        walks.append(design)
+        return walker(design, universe)
+
+    monkeypatch.setattr(posikit.design, "_dfs_rank_nodes", counting)
+    rng = np.random.default_rng(18)
+    pair = [random_canonical(5, seed=18), random_canonical(5, seed=19)]
+    for select in (make_spar_selector(), make_spar1_selector(3),
+                   make_best_r2_selector(2)):
+        walks.clear()
+        for cd in pair:
+            for _ in range(4):
+                select(cd, rng.standard_normal(cd.d), 1.0)
+        assert len(walks) == 2 and walks[0] is pair[0] and walks[1] is pair[1]
+
+
+@pytest.mark.parametrize("sigma_hat", [0.0, -1.0, float("nan")])
+def test_selection_rejects_nonpositive_sigma_hat(sigma_hat):
+    cd = random_canonical(3, seed=20)
+    y = np.random.default_rng(20).standard_normal(cd.d)
+    calls = [
+        lambda: spar_select(cd, y, sigma_hat),
+        lambda: spar1_select(cd, y, sigma_hat, predictor=2),
+        lambda: make_spar_selector()(cd, y, sigma_hat),
+        lambda: make_spar1_selector(2)(cd, y, sigma_hat),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="sigma_hat must be positive"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +439,18 @@ def test_coverage_naive_fails_under_selection():
 
 
 def test_coverage_guarantee_for_assorted_selectors():
-    cd = random_canonical(3, seed=15)
-    est = posi_constant(cd, n_samples=50_000, seed=5)
-    selectors = [
-        make_spar_selector(),
-        make_spar1_selector(2),
-        make_stepwise_selector(),
-        make_best_r2_selector(2),
-    ]
-    for selector in selectors:
-        res = coverage_experiment(cd, None, selector, 0.05, KNOWN, est, 1_500, seed=7)
-        assert res.coverage >= 0.95 - 3 * res.binomial_se, selector
+    for cd in (random_canonical(3, seed=15), random_canonical(6, seed=15)):
+        est = posi_constant(cd, n_samples=50_000, seed=5)
+        selectors = [
+            make_spar_selector(),
+            make_spar1_selector(2),
+            make_stepwise_selector(),
+            make_best_r2_selector(2),
+        ]
+        for selector in selectors:
+            res = coverage_experiment(cd, None, selector, 0.05, KNOWN, est, 1_500,
+                                      seed=7)
+            assert res.coverage >= 0.95 - 3 * res.binomial_se, (cd.p, selector)
 
 
 def test_coverage_finite_df_draws_fresh_sigma():

@@ -1,5 +1,6 @@
 """Property tests: the lattice walker against brute-force subset enumeration,
-universe membership and spec round-trips, and prefix-stable Monte Carlo draws."""
+universe membership and spec round-trips, selection against a brute-force
+argmax, and prefix-stable Monte Carlo draws."""
 
 import itertools
 import math
@@ -19,9 +20,14 @@ from posikit import (
     canonicalize,
     direction_stream,
     enumerate_models,
+    make_spar1_selector,
+    make_spar_selector,
     max_abs_t_draws,
+    spar1_select,
+    spar_select,
 )
 from posikit import _rng
+from posikit.inference import _argmax_over_directions
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -148,6 +154,82 @@ def test_walker_matches_brute_force(case):
 def test_spec_string_round_trips(case):
     cd, _, universe = case
     assert ModelUniverse.from_spec(universe.spec_string(), p=cd.p) == universe
+
+
+# ---------------------------------------------------------------------------
+# Selection against a brute-force np.dot loop over the stream
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def orthogonal_designs(draw) -> CanonicalDesign:
+    """Each column a signed power-of-two multiple of a unit vector. Columns on
+    the same axis make the design rank deficient; either way directions
+    coincide up to sign, so |t| ties are exact."""
+    p = draw(st.integers(1, 6))
+    d = draw(st.integers(1, p))
+    values = np.zeros((d, p))
+    for j in range(p):
+        values[draw(st.integers(0, d - 1)), j] = draw(
+            st.sampled_from([-2.0, -1.0, 0.5, 1.0, 4.0]))
+    return CanonicalDesign.from_canonical(values)
+
+
+@st.composite
+def selection_cases(draw):
+    cd = draw(designs() | orthogonal_designs())
+    universe = build_universe(draw(universe_parts(cd.p)))
+    if draw(st.booleans()):
+        # small integers tie often, on orthogonal designs exactly
+        y = np.array(draw(st.lists(st.integers(-2, 2), min_size=cd.d,
+                                   max_size=cd.d)), dtype=float)
+    else:
+        y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(cd.d)
+    sigma_hat = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 100.0))
+    return cd, universe, y, sigma_hat, draw(st.integers(1, cd.p))
+
+
+def brute_force_argmax(directions, y, sigma_hat):
+    """(model, stat) of the largest |l' y| / sigma_hat; ties to the smallest
+    (mask, j). None for an empty direction set."""
+    best = None
+    for direction in directions:
+        stat = abs(float(np.dot(direction.vector, y))) / sigma_hat
+        key = (-stat, direction.model.mask, direction.predictor)
+        if best is None or key < best:
+            best = key
+    return None if best is None else (ModelId.from_mask(best[1]), -best[0])
+
+
+@PROPERTY_SETTINGS
+@given(selection_cases(), st.sampled_from([1, 2, 3, 7]))
+def test_selection_matches_brute_force_argmax(case, chunk):
+    cd, universe, y, sigma_hat, j = case
+    restricted = universe & ModelUniverse.forcing(j)
+    spar = brute_force_argmax(direction_stream(cd, universe), y, sigma_hat)
+    spar1 = brute_force_argmax(
+        [d for d in direction_stream(cd, restricted) if d.predictor == j], y, sigma_hat)
+    checks = [
+        (spar, lambda: spar_select(cd, y, sigma_hat, universe),
+         make_spar_selector(universe)),
+        (spar1, lambda: spar1_select(cd, y, sigma_hat, universe, j),
+         make_spar1_selector(j, universe)),
+    ]
+    for want, one_shot, select in checks:
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                one_shot()
+            with pytest.raises(InfeasibleError):
+                select(cd, y, sigma_hat)
+            continue
+        assert one_shot() == want
+        for _ in range(2):  # the second call is served from the selector's cache
+            assert select(cd, y, sigma_hat) == want[0]
+    # Small chunks carry the running best across chunk boundaries.
+    if spar is not None:
+        model, _, stat = _argmax_over_directions(
+            direction_stream(cd, universe).chunks(chunk), y, sigma_hat)
+        assert (model, stat) == spar
 
 
 # ---------------------------------------------------------------------------
