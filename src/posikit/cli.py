@@ -50,10 +50,13 @@ _STREAM_WARN_P = 16
 # Measured rates for the cost warning, from a traced benchmark run
 # (perfbench/run.py --workload calibrate --seed 104 --trace 1) on a 2-core
 # Intel Xeon KVM guest with OpenBLAS on 2 threads:
-# design.directions_per_s.all = 54 178 (lattice walk, all-subsets universe)
-# and constants.fold_ns_per_dir_draw = 4.44 (Monte Carlo fold).
-_WALK_S_PER_DIRECTION = 1.0 / 54_178
-_FOLD_S_PER_DIR_DRAW = 4.44e-9
+# design.directions_per_s.all = 91 894 (lattice walk, all-subsets universe),
+# 24 837 pairs per second in the walk spans of its k1.p11.predictor3 job (a
+# posi1 walk visits one lattice node per pair of its predictor), and
+# constants.fold_ns_per_dir_draw = 1.93 (Monte Carlo fold).
+_WALK_S_PER_DIRECTION = 1.0 / 91_894
+_WALK_S_PER_PREDICTOR_PAIR = 1.0 / 24_837
+_FOLD_S_PER_DIR_DRAW = 1.93e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,10 +134,13 @@ def _load_canonical(args) -> tuple[CanonicalDesign, ModelUniverse]:
     return design, universe
 
 
-def _warn_large_stream(design: CanonicalDesign, universe: ModelUniverse, n_samples: int):
-    hint = _nominal_pair_count(universe, design.p)
+def _warn_large_stream(design: CanonicalDesign, universe: ModelUniverse,
+                       n_samples: int, predictor: int | None = None):
+    hint = _nominal_pair_count(universe, design.p, predictor)
     if design.p > _STREAM_WARN_P and hint is not None and hint > (1 << 20):
-        gen_s = hint * _WALK_S_PER_DIRECTION
+        per_pair = (_WALK_S_PER_DIRECTION if predictor is None
+                    else _WALK_S_PER_PREDICTOR_PAIR)
+        gen_s = hint * per_pair
         mc_s = hint * n_samples * _FOLD_S_PER_DIR_DRAW
         print(
             f"warning: p={design.p} with this universe streams about {hint} "
@@ -240,7 +246,7 @@ def _cmd_k(args) -> int:
 def _cmd_k1(args) -> int:
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
-    _warn_large_stream(design, universe, args.mc_samples)
+    _warn_large_stream(design, universe, args.mc_samples, args.predictor)
     est = posi1_constant(
         design,
         universe,

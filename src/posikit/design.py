@@ -623,19 +623,23 @@ class Direction:
     raw_norm: float
 
 
-def _dfs_rank_nodes(design: CanonicalDesign, universe: ModelUniverse):
+def _dfs_rank_nodes(design: CanonicalDesign, universe: ModelUniverse,
+                    predictor: int | None = None):
     """Yield (j0, model_mask, residual, norm) emission records.
 
     The traversal visits each subset S at most once (extensions ascend), keeps
     an orthonormal basis of span(X_S), and realizes each admissible pair
     (j, M) as the single event "at node S = M \\ {j}, orthogonalize column j".
     Rank-deficient candidates are reported with norm = -1 so callers can count
-    degenerate skips; they are never descended into.
+    degenerate skips; they are never descended into. With a 1-based
+    ``predictor`` only that predictor's pairs are emitted, and nodes that
+    already hold it are not visited, since none of its pairs lies below them.
     """
     X = design.values
     d, p = X.shape
     tau = design.rank_tolerance
     col_norms = np.linalg.norm(X, axis=0)
+    only = -1 if predictor is None else predictor - 1
 
     def recurse(s_mask: int, size: int, max_idx: int, Q: np.ndarray):
         emit_idx = []
@@ -644,9 +648,10 @@ def _dfs_rank_nodes(design: CanonicalDesign, universe: ModelUniverse):
             if s_mask >> j0 & 1:
                 continue
             new_mask = s_mask | (1 << j0)
-            emit = universe._admits_model_mask(new_mask, size + 1)
+            emit = only in (-1, j0) and universe._admits_model_mask(new_mask, size + 1)
             descend = (
-                j0 + 1 > max_idx
+                j0 != only
+                and j0 + 1 > max_idx
                 and size + 1 < d
                 and universe._may_descend(new_mask, size + 1, j0 + 1)
             )
@@ -747,38 +752,38 @@ class DirectionSet:
         self.emitted_count: int | None = None
         self._materialized: list[Direction] | None = None
 
-    def _raw_iter(self) -> Iterator[Direction]:
+    def _records(self) -> Iterator[tuple[int, int, np.ndarray, float]]:
+        """(model mask, predictor, unit vector, norm) of each emitted pair,
+        straight from the walk; the skip and emission counts are set once
+        the walk is exhausted."""
         skips = 0
         emitted = 0
-        want = self.predictor
-        for j0, mask, res, norm in _dfs_rank_nodes(self.design, self.universe):
-            if want is not None and j0 + 1 != want:
-                continue
+        for j0, mask, res, norm in _dfs_rank_nodes(
+            self.design, self.universe, self.predictor
+        ):
             if norm < 0:
                 skips += 1
                 continue
             emitted += 1
-            yield Direction(res / norm, j0 + 1, ModelId.from_mask(mask), norm)
+            yield mask, j0 + 1, res / norm, norm
         self.degenerate_skips = skips
         self.emitted_count = emitted
+
+    def _raw_iter(self) -> Iterator[Direction]:
+        for mask, j, vector, norm in self._records():
+            yield Direction(vector, j, ModelId.from_mask(mask), norm)
 
     def _materialize_dedup(self) -> list[Direction]:
         if self._materialized is None:
             seen: dict[tuple[int, ...], None] = {}
             kept: list[Direction] = []
-            for direction in self._raw_iter():
-                _, key = _sign_canonical_key(direction.vector)
+            for mask, j, vector, norm in self._records():
+                _, key = _sign_canonical_key(vector)
                 if key in seen:
                     continue
                 seen[key] = None
-                kept.append(
-                    Direction(
-                        _key_representative(key),
-                        direction.predictor,
-                        direction.model,
-                        direction.raw_norm,
-                    )
-                )
+                model = ModelId.from_mask(mask)
+                kept.append(Direction(_key_representative(key), j, model, norm))
             self._materialized = kept
         return self._materialized
 
@@ -793,7 +798,7 @@ class DirectionSet:
         if self.dedup == "up_to_sign":
             return len(self._materialize_dedup())
         if self.emitted_count is None:
-            for _ in self._raw_iter():
+            for _ in self._records():
                 pass
         return int(self.emitted_count)
 
@@ -811,17 +816,25 @@ class DirectionSet:
 
     def chunks(self, size: int) -> Iterator[tuple[np.ndarray, list[tuple[int, int]]]]:
         """Stream (k, d) blocks of direction vectors without full materialization,
-        each with the rows' (model mask, predictor) keys."""
-        buf: list[np.ndarray] = []
+        each with the rows' (model mask, predictor) keys. Every block is a
+        fresh array, so callers may keep them."""
+        if self.dedup == "up_to_sign":
+            records = (
+                (direction.model.mask, direction.predictor, direction.vector, None)
+                for direction in self._materialize_dedup()
+            )
+        else:
+            records = self._records()
+        buf = np.empty((size, self.design.d))
         keys: list[tuple[int, int]] = []
-        for direction in self:
-            buf.append(direction.vector)
-            keys.append((direction.model.mask, direction.predictor))
-            if len(buf) == size:
-                yield np.stack(buf), keys
-                buf, keys = [], []
-        if buf:
-            yield np.stack(buf), keys
+        for mask, j, vector, _ in records:
+            buf[len(keys)] = vector
+            keys.append((mask, j))
+            if len(keys) == size:
+                yield buf, keys
+                buf, keys = np.empty((size, self.design.d)), []
+        if keys:
+            yield buf[: len(keys)], keys
 
 
 def direction_stream(

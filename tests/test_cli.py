@@ -6,6 +6,7 @@ import pytest
 
 from posikit import (
     CanonicalDesign,
+    InfeasibleError,
     ModelUniverse,
     canonicalize,
     enumerate_models,
@@ -226,7 +227,7 @@ def test_non_finite_response_or_mean_is_a_data_error(files, capsys, tmp_path, ba
     assert captured.err.count("non-finite") == 3
 
 
-def test_large_stream_warning_uses_measured_rates(capsys):
+def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch):
     # 17 columns: 17 * 2^16 pairs, over the 2^20 threshold. Only the nominal
     # count is computed; no walk runs.
     n_samples = 1000
@@ -242,3 +243,23 @@ def test_large_stream_warning_uses_measured_rates(capsys):
     _warn_large_stream(CanonicalDesign.from_canonical(np.eye(16)),
                        ModelUniverse.all(), n_samples)
     assert capsys.readouterr().err == ""
+    # k1 walks once over the models that contain the predictor, one pair
+    # each: 2^(p-1), over the threshold from p = 22 on. The constant itself
+    # is stubbed out, so no walk runs.
+    def no_constant(*args, **kwargs):
+        raise InfeasibleError("stub")
+
+    monkeypatch.setattr(cli, "posi1_constant", no_constant)
+    for p in (17, 22):
+        design = tmp_path / f"I{p}.csv"
+        np.savetxt(design, np.eye(p), delimiter=",")
+        assert run(["k1", "--design", str(design), "--predictor", "2",
+                    "--mc-samples", str(n_samples)]) == 3
+    err = capsys.readouterr().err
+    pairs = 2 ** 21
+    walk_s = pairs * cli._WALK_S_PER_PREDICTOR_PAIR
+    fold_s = pairs * n_samples * cli._FOLD_S_PER_DIR_DRAW
+    assert err.count("warning") == 1
+    assert f"p=22 with this universe streams about {pairs} directions" in err
+    total = walk_s + fold_s
+    assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err

@@ -6,6 +6,7 @@ from scipy import stats
 
 from posikit import (
     CanonicalDesign,
+    DirectionSet,
     ErrorModel,
     InfeasibleError,
     ModelUniverse,
@@ -125,6 +126,60 @@ def test_posi1_predictor_not_in_universe():
     u = ModelUniverse.explicit([[1], [1, 2]])
     with pytest.raises(InfeasibleError):
         posi1_constant(cd, u, predictor=3, n_samples=2_000, seed=0)
+
+
+def test_posi1_walks_once_over_the_predictors_pairs(monkeypatch):
+    import posikit.design
+
+    walks, emitted = [], []
+    walker = posikit.design._dfs_rank_nodes
+
+    def counting(design, universe, predictor=None):
+        walks.append(predictor)
+        for record in walker(design, universe, predictor):
+            emitted.append(record[0] + 1)
+            yield record
+
+    monkeypatch.setattr(posikit.design, "_dfs_rank_nodes", counting)
+    cd = random_canonical(5, seed=4)
+    est = posi1_constant(cd, predictor=3, n_samples=2_000, seed=0)
+    assert walks == [3]
+    assert set(emitted) == {3}
+    assert est.direction_count == len(emitted) == 2 ** 4
+    # The walker keeps to the predictor without a universe that forces it.
+    unforced = DirectionSet(cd, predictor=3)
+    assert {direction.predictor for direction in unforced} == {3}
+    assert unforced.count == 2 ** 4
+    walks.clear()
+    u = ModelUniverse.explicit([[1], [1, 2]])
+    with pytest.raises(InfeasibleError) as info:
+        posi1_constant(cd, u, predictor=3, n_samples=2_000, seed=0)
+    assert str(info.value) == "no model in the universe contains predictor 3"
+    assert walks == [3]
+
+
+# K and its standard error on a seeded 10 x 6 design, as float.hex(). Any
+# change to the draws or the fold that moves a bit shows here. Recorded with
+# numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another BLAS may round the last
+# bits differently.
+GOLDEN = {
+    ("posi", math.inf): ("0x1.8bfa7e57e229fp+1", "0x1.67d3bc59b79bdp-6"),
+    ("posi", 20): ("0x1.b69596b007037p+1", "0x1.fdf88f16f74dfp-6"),
+    ("posi1", math.inf): ("0x1.5aa2084fcb0e9p+1", "0x1.6fbd043857bdfp-6"),
+    ("posi1", 20): ("0x1.7f5131478c694p+1", "0x1.eac012babb5ccp-6"),
+}
+
+
+@pytest.mark.parametrize("name, df", list(GOLDEN))
+def test_golden_constants(name, df):
+    X = np.random.default_rng(2013).standard_normal((10, 6))
+    cd = canonicalize(DesignMatrix(X, tuple(f"x{j}" for j in range(1, 7))))
+    em = ErrorModel(df)
+    if name == "posi":
+        est = posi_constant(cd, error_model=em, n_samples=5000, seed=7)
+    else:
+        est = posi1_constant(cd, predictor=2, error_model=em, n_samples=5000, seed=7)
+    assert (est.k.hex(), est.mc_standard_error.hex()) == GOLDEN[name, df]
 
 
 def test_alpha_monotonicity_same_seed():

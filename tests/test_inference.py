@@ -380,9 +380,9 @@ def test_named_selectors_walk_once_per_design(monkeypatch):
     walks = []
     walker = posikit.design._dfs_rank_nodes
 
-    def counting(design, universe):
+    def counting(design, universe, predictor=None):
         walks.append(design)
-        return walker(design, universe)
+        return walker(design, universe, predictor)
 
     monkeypatch.setattr(posikit.design, "_dfs_rank_nodes", counting)
     rng = np.random.default_rng(18)

@@ -1,6 +1,7 @@
 """Property tests: the lattice walker against brute-force subset enumeration,
 universe membership and spec round-trips, selection against a brute-force
-argmax, and prefix-stable Monte Carlo draws."""
+argmax, prefix-stable Monte Carlo draws, and draws that do not depend on the
+fold's tile width."""
 
 import itertools
 import math
@@ -26,7 +27,7 @@ from posikit import (
     spar1_select,
     spar_select,
 )
-from posikit import _rng
+from posikit import _rng, constants
 from posikit.inference import _argmax_over_directions
 
 PROPERTY_SETTINGS = settings(
@@ -267,3 +268,35 @@ def test_max_abs_t_draws_are_prefix_stable(seed, df, n, extra, spec):
     short = max_abs_t_draws(direction_stream(PREFIX_DESIGN, universe), em, n, seed)
     long = max_abs_t_draws(direction_stream(PREFIX_DESIGN, universe), em, n + extra, seed)
     assert np.array_equal(short, long[:n])
+
+
+FOLD_DRAWS = constants._FOLD_DRAWS
+# Tile edges of the default fold and of tiles 2, 3 and 7 wide, 16-column
+# group edges, and the generator's block edges.
+TILE_EDGE_NS = sorted({1, 2, 3, 4, 6, 7, 8, 15, 16, 17, 33, FOLD_DRAWS - 1, FOLD_DRAWS,
+                       FOLD_DRAWS + 1, 2 * FOLD_DRAWS + 1, _rng.BLOCK - 1,
+                       _rng.BLOCK + 1})
+
+
+@PROPERTY_SETTINGS
+@given(cd=designs(), seed=st.integers(0, 2**32 - 1),
+       df=st.sampled_from([math.inf, 1, 5]), n=st.sampled_from(TILE_EDGE_NS))
+def test_fold_tile_width_does_not_change_draws(cd, seed, df, n):
+    em = ErrorModel(df)
+    draws = {}
+    for tile in (2, 3, 7, FOLD_DRAWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constants, "_FOLD_DRAWS", tile)
+            draws[tile] = max_abs_t_draws(direction_stream(cd), em, n, seed)
+    for tile in (2, 3, 7):
+        assert np.array_equal(draws[tile], draws[FOLD_DRAWS]), tile
+    blocks = [_rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n, cd.d, df)
+              for b in range(_rng.block_count(n))]
+    Z = np.concatenate([z for z, _ in blocks])
+    sigma = np.concatenate([s for _, s in blocks])
+    L = direction_stream(cd).matrix()
+    brute = np.abs(Z @ L.T).max(axis=1) / sigma
+    # Relative to |z_i| / sigma_i, the scale of draw i: a one-direction set
+    # can cancel |l'z| far below it, and the rounding with it.
+    scale = np.maximum(brute, np.linalg.norm(Z, axis=1) / sigma)
+    assert np.all(np.abs(draws[FOLD_DRAWS] - brute) <= 1e-13 * scale)
