@@ -50,13 +50,13 @@ _STREAM_WARN_P = 16
 # Measured rates for the cost warning, from a traced benchmark run
 # (perfbench/run.py --workload calibrate --seed 104 --trace 1) on a 2-core
 # Intel Xeon KVM guest with OpenBLAS on 2 threads:
-# design.directions_per_s.all = 91 894 (lattice walk, all-subsets universe),
-# 24 837 pairs per second in the walk spans of its k1.p11.predictor3 job (a
-# posi1 walk visits one lattice node per pair of its predictor), and
-# constants.fold_ns_per_dir_draw = 1.93 (Monte Carlo fold).
-_WALK_S_PER_DIRECTION = 1.0 / 91_894
-_WALK_S_PER_PREDICTOR_PAIR = 1.0 / 24_837
-_FOLD_S_PER_DIR_DRAW = 1.93e-9
+# design.directions_per_s.all = 518 373 (enumeration, all-subsets universe),
+# 72 747 pairs per second in the enumeration spans of its k1.p11.predictor3
+# job (a posi1 enumeration factorizes one model per pair of its predictor),
+# and constants.fold_ns_per_dir_draw = 1.92 (Monte Carlo fold).
+_WALK_S_PER_DIRECTION = 1.0 / 518_373
+_WALK_S_PER_PREDICTOR_PAIR = 1.0 / 72_747
+_FOLD_S_PER_DIR_DRAW = 1.92e-9
 
 
 class _Parser(argparse.ArgumentParser):

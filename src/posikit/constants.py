@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, stats
 
 from . import _rng
 from .design import CanonicalDesign, DirectionSet, ModelUniverse, direction_stream
@@ -321,6 +320,8 @@ def scheffe_constant(
 ) -> ConstantEstimate:
     """sqrt(d F_{d,r,1-alpha}); protects all linear combinations in the
     d-dimensional column space and upper-bounds every simultaneous constant."""
+    from scipy import stats
+
     _validate_alpha(alpha)
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -341,10 +342,6 @@ def scheffe_constant(
     )
 
 
-def _orth_coverage_known(k: float, d: int) -> float:
-    return (2.0 * stats.norm.cdf(k) - 1.0) ** d
-
-
 def orth_constant(
     alpha: float, d: int, error_model: ErrorModel = ErrorModel.known_sigma()
 ) -> ConstantEstimate:
@@ -355,18 +352,23 @@ def orth_constant(
     1 - alpha with the expectation taken by adaptive quadrature over the
     density of sigma_hat = sqrt(chi2_r / r).
     """
+    from scipy import integrate, optimize, special
+
     _validate_alpha(alpha)
     if d < 1:
         raise ValueError("d must be >= 1")
     if error_model.sigma_known:
-        k = float(stats.norm.ppf(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / d))))
+        k = float(special.ndtri(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / d))))
     else:
         r = error_model.df
-        sigma_dist = stats.chi(r, scale=1.0 / math.sqrt(r))
+        # Density of sigma_hat = chi_r / sqrt(r): exp(log_norm) s^(r-1) e^(-r s^2 / 2).
+        log_norm = (0.5 * r * math.log(r) - (0.5 * r - 1.0) * math.log(2.0)
+                    - special.gammaln(0.5 * r))
 
         def coverage(k: float) -> float:
             val, _ = integrate.quad(
-                lambda s: _orth_coverage_known(k * s, d) * sigma_dist.pdf(s),
+                lambda s: (2.0 * special.ndtr(k * s) - 1.0) ** d
+                * math.exp(log_norm + special.xlogy(r - 1.0, s) - 0.5 * r * s * s),
                 0.0,
                 np.inf,
                 epsabs=1e-12,
@@ -375,7 +377,7 @@ def orth_constant(
             )
             return val
 
-        hi = math.sqrt(d * stats.f.ppf(1.0 - alpha, d, r)) + 1.0
+        hi = math.sqrt(d * special.fdtri(d, r, 1.0 - alpha)) + 1.0
         k = float(
             optimize.brentq(lambda x: coverage(x) - (1.0 - alpha), 1e-8, hi, xtol=1e-10)
         )
@@ -401,6 +403,8 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
     and alpha/2 on the radius (the 1 - alpha/2 chi quantile), returning their
     product. Always conservative for any direction set of the given size.
     """
+    from scipy import optimize, stats
+
     _validate_alpha(alpha)
     if direction_count < 1:
         raise ValueError("direction_count must be >= 1")

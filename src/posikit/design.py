@@ -5,13 +5,16 @@ A design enters as an n x p matrix, is reduced to d x p canonical coordinates
 adjusted predictor: the residual of column j regressed on the other columns of
 M. The normalized adjusted predictors are the unit "directions" over which all
 simultaneous max-|t| computations run. This module owns that pipeline and its
-performance core: a depth-first traversal of the subset lattice with an
-incrementally maintained orthonormal basis, so each direction costs one
-orthogonalization instead of one least-squares solve per submodel.
+performance core: a level-wise enumeration that takes the models of one size
+in blocks of up to 4 096, factorizes each block with one batched QR call, and
+reads every member's direction off the dual design X_M (X_M'X_M)^-1 = Q R^-T.
+Pairs come out by model size, then lexicographically by members, then by
+predictor.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -191,7 +194,7 @@ class ModelUniverse:
             source=source,
         )
 
-    # -- membership and traversal hooks ------------------------------------
+    # -- membership ----------------------------------------------------------
 
     @property
     def forced_mask(self) -> int:
@@ -202,9 +205,7 @@ class ModelUniverse:
 
     def contains(self, model: ModelId) -> bool:
         """Constraint membership; does not look at the design's rank."""
-        return self._admits_model_mask(model.mask, model.size)
-
-    def _admits_model_mask(self, mask: int, size: int) -> bool:
+        mask, size = model.mask, model.size
         if self.max_size is not None and size > self.max_size:
             return False
         if self.min_size is not None and size < self.min_size:
@@ -215,23 +216,6 @@ class ModelUniverse:
             return False
         if self.explicit_masks is not None and mask not in self.explicit_masks:
             return False
-        return True
-
-    def _may_descend(self, mask: int, size: int, max_index: int) -> bool:
-        """Conservative prune: can any model in the universe still be reached
-        from DFS node ``mask`` whose extensions use indices > max_index plus a
-        single final emission index?"""
-        if self.max_size is not None and size + 1 > self.max_size:
-            return False
-        missing = self.forced_mask & ~mask
-        below = missing & ((1 << max_index) - 1)
-        if below.bit_count() > 1:
-            return False
-        if self.nested and max_index - size > 1:
-            return False
-        if self.explicit_masks is not None:
-            if not any(mask & ~m == 0 for m in self.explicit_masks):
-                return False
         return True
 
     # -- spec strings --------------------------------------------------------
@@ -609,8 +593,12 @@ def vif(design: CanonicalDesign, model: ModelId, j: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subset-lattice DFS
+# Level-wise enumeration of (predictor, model) pairs
 # ---------------------------------------------------------------------------
+
+# Models per block: at d = 20 and 10 members, each of a block's factor arrays
+# (gathered columns, Q, the dual, the directions) takes 6.5 MB.
+_LEVEL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -623,114 +611,232 @@ class Direction:
     raw_norm: float
 
 
-def _dfs_rank_nodes(design: CanonicalDesign, universe: ModelUniverse,
-                    predictor: int | None = None):
-    """Yield (j0, model_mask, residual, norm) emission records.
+@dataclass(frozen=True)
+class LevelBatch:
+    """Emitted pairs of one block of same-size models, in (model, predictor) order.
 
-    The traversal visits each subset S at most once (extensions ascend), keeps
-    an orthonormal basis of span(X_S), and realizes each admissible pair
-    (j, M) as the single event "at node S = M \\ {j}, orthogonalize column j".
-    Rank-deficient candidates are reported with norm = -1 so callers can count
-    degenerate skips; they are never descended into. With a 1-based
-    ``predictor`` only that predictor's pairs are emitted, and nodes that
-    already hold it are not visited, since none of its pairs lies below them.
+    ``masks`` holds the model masks (int64, or Python ints when p > 62),
+    ``predictors`` the 1-based predictors, ``vectors`` the unit directions as
+    rows and ``norms`` the adjusted-predictor norms. ``skips`` counts the
+    block's degenerate pairs, which are not emitted.
     """
-    X = design.values
-    d, p = X.shape
-    tau = design.rank_tolerance
-    col_norms = np.linalg.norm(X, axis=0)
-    only = -1 if predictor is None else predictor - 1
 
-    def recurse(s_mask: int, size: int, max_idx: int, Q: np.ndarray):
-        emit_idx = []
-        descend_idx = []
-        for j0 in range(p):
-            if s_mask >> j0 & 1:
-                continue
-            new_mask = s_mask | (1 << j0)
-            emit = only in (-1, j0) and universe._admits_model_mask(new_mask, size + 1)
-            descend = (
-                j0 != only
-                and j0 + 1 > max_idx
-                and size + 1 < d
-                and universe._may_descend(new_mask, size + 1, j0 + 1)
-            )
-            if emit or descend:
-                emit_idx.append(j0 if emit else -1)
-                descend_idx.append(j0 if descend else -1)
-        if not emit_idx:
-            return
-        cand = [max(e, dsc) for e, dsc in zip(emit_idx, descend_idx)]
-        C = X[:, cand]
-        if Q.shape[1]:
-            R = C - Q @ (Q.T @ C)
-            R -= Q @ (Q.T @ R)
+    masks: np.ndarray
+    predictors: np.ndarray
+    vectors: np.ndarray
+    norms: np.ndarray
+    skips: int = 0
+
+    def keys(self) -> np.ndarray:
+        """(n, 2) array of (model mask, predictor) rows."""
+        return np.column_stack([self.masks, self.predictors])
+
+
+def _model_blocks(universe: ModelUniverse, p: int, max_size: int,
+                  predictor: int | None = None) -> Iterator[np.ndarray]:
+    """The universe's models of at most max_size columns among 1..p, as
+    (B, k) arrays of ascending 0-based members: by size, then
+    lexicographically, at most _LEVEL_BLOCK rows an array. With a predictor,
+    only the models that contain it."""
+    forced = set(universe.forced) | ({predictor} if predictor is not None else set())
+    if any(j > p for j in forced):
+        return
+    forced_idx = np.array(sorted(forced), dtype=np.intp) - 1
+    lo = max(universe.min_size or 1, len(forced))
+    hi = min(universe.max_size or p, max_size)
+    if universe.explicit_masks is not None:
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for mask in universe.explicit_masks:
+            by_size.setdefault(mask.bit_count(), []).append(
+                ModelId.from_mask(mask).members)
+        for k in range(lo, hi + 1):
+            rows = np.array(by_size.get(k, []), dtype=np.intp).reshape(-1, k) - 1
+            keep = (rows < p).all(axis=1)
+            for j in forced_idx:
+                keep &= (rows == j).any(axis=1)
+            if universe.nested:
+                keep &= (rows == np.arange(k)).all(axis=1)
+            rows = rows[keep]
+            rows = rows[np.lexsort(rows.T[::-1])]
+            for start in range(0, rows.shape[0], _LEVEL_BLOCK):
+                yield rows[start:start + _LEVEL_BLOCK]
+        return
+    if universe.nested:
+        for k in range(max(lo, max(forced, default=1)), hi + 1):
+            yield np.arange(k)[None, :]
+        return
+    others = np.setdiff1d(np.arange(p), forced_idx).tolist()
+    for k in range(lo, hi + 1):
+        free = k - forced_idx.size
+        if free == 0:
+            yield forced_idx[None, :]
+            continue
+        combos = itertools.combinations(others, free)
+        while True:
+            flat = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, _LEVEL_BLOCK)),
+                dtype=np.intp)
+            if not flat.size:
+                break
+            rows = flat.reshape(-1, free)
+            if forced_idx.size:
+                rows = np.sort(np.hstack(
+                    [rows, np.broadcast_to(forced_idx, (rows.shape[0], forced_idx.size))]),
+                    axis=1)
+            yield rows
+
+
+def _row_masks(rows: np.ndarray, p: int) -> np.ndarray:
+    if p < 63:
+        return (np.int64(1) << rows).sum(axis=1)
+    return np.array([sum(1 << j for j in row) for row in rows.tolist()], dtype=object)
+
+
+def _moved_last(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row with its member at position t[i] moved to the end."""
+    n, k = rows.shape
+    base = np.arange(k - 1)
+    cols = np.empty((n, k), dtype=np.intp)
+    cols[:, :-1] = base + (base >= t[:, None])
+    cols[:, -1] = t
+    return np.take_along_axis(rows, cols, axis=1)
+
+
+def _pair_factors(XT: np.ndarray, rows: np.ndarray, limits: np.ndarray):
+    """One pair per row of ``rows`` (n, k): the model's members with the
+    pair's predictor last. Returns whether the pair is counted (every
+    ascending prefix of the other members has a residual above its limit),
+    the predictor's adjusted norm and its unit direction. In the QR factors of
+    X_M in this column order, |R_ii| is the residual of member i against the
+    members before it."""
+    Q, R = np.linalg.qr(XT[rows].transpose(0, 2, 1))
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    counted = (diag[:, :-1] > limits[rows[:, :-1]]).all(axis=1)
+    vectors = Q[:, :, -1] * np.sign(R[:, -1, -1])[:, None]
+    return counted, diag[:, -1], vectors
+
+
+def _model_factors(XT: np.ndarray, rows: np.ndarray, limits: np.ndarray):
+    """Every member's pair in each model of ``rows`` (B, k): counted flags and
+    adjusted norms shaped (B, k), unit directions shaped (B, k, d)."""
+    B, k = rows.shape
+    Q, R = np.linalg.qr(XT[rows].transpose(0, 2, 1))
+    ok = np.abs(np.diagonal(R, axis1=1, axis2=2)) > limits[rows]
+    reach = ok.all(axis=1)
+    # When every ascending prefix of M clears its limit, so does every prefix
+    # of each M \ {j} (a residual against fewer columns is no smaller), and
+    # the directions are the normalized columns of the dual design
+    # X_M (X_M'X_M)^-1 = Q R^-T, whose column norms are the reciprocal
+    # adjusted norms.
+    counted = np.repeat(reach[:, None], k, axis=1)
+    norms = np.zeros((B, k))
+    vectors = np.zeros((B, k, XT.shape[1]))
+    dual = np.linalg.solve(R[reach], Q[reach].transpose(0, 2, 1))
+    inverse_norms = np.linalg.norm(dual, axis=2)
+    norms[reach] = 1.0 / inverse_norms
+    vectors[reach] = dual / inverse_norms[..., None]
+    # Otherwise M \ {j} keeps M's first failing prefix unless j lies in it;
+    # those pairs are factorized again, one by one, with j last.
+    bad = np.flatnonzero(~reach)
+    if bad.size:
+        first_failure = np.argmin(ok[bad], axis=1)
+        b, t = np.nonzero(np.arange(k) <= first_failure[:, None])
+        b = bad[b]
+        counted[b, t], norms[b, t], vectors[b, t] = _pair_factors(
+            XT, _moved_last(rows[b], t), limits)
+    return counted, norms, vectors
+
+
+def _level_batches(design: CanonicalDesign, universe: ModelUniverse,
+                   predictor: int | None = None,
+                   largest: bool = False) -> Iterator[LevelBatch]:
+    """Enumerate the universe's (predictor, model) pairs, one block of
+    same-size models at a time: by model size, then lexicographically by
+    members, then by predictor.
+
+    A pair (j, M) is counted iff M is admitted, |M| <= d, and M \\ {j} is
+    reachable: each of its ascending prefixes has a residual above
+    tau * ||x_s|| against the earlier members, with tau the design's rank
+    tolerance. A counted pair is emitted if its adjusted norm is above
+    tau * ||x_j||, and is a degenerate skip otherwise. With a 1-based
+    ``predictor`` only that predictor's pairs are enumerated, and each
+    direction is bitwise the one the full enumeration gives. With ``largest``
+    only each model's pair of its largest member is enumerated, which is
+    emitted exactly when the model is full rank in the sense above; only the
+    model's own ascending QR is computed for it, which rounds the direction
+    differently.
+    """
+    d, p = design.values.shape
+    XT = np.ascontiguousarray(design.values.T)
+    limits = design.rank_tolerance * np.linalg.norm(design.values, axis=0)
+    for rows in _model_blocks(universe, p, min(d, p), predictor):
+        B, k = rows.shape
+        masks = _row_masks(rows, p)
+        if largest:
+            counted, norms, vectors = _pair_factors(XT, rows, limits)
+            members = rows[:, -1]
+        elif predictor is None:
+            counted, norms, vectors = _model_factors(XT, rows, limits)
+            members = rows.ravel()
+            masks = np.repeat(masks, k)
+            counted, norms = counted.ravel(), norms.ravel()
+            vectors = vectors.reshape(B * k, -1)
         else:
-            R = C.copy()
-        norms = np.linalg.norm(R, axis=0)
-        for k, j0 in enumerate(cand):
-            ok = norms[k] > tau * col_norms[j0]
-            if emit_idx[k] >= 0:
-                if ok:
-                    yield (j0, s_mask | (1 << j0), R[:, k], float(norms[k]))
-                else:
-                    yield (j0, s_mask | (1 << j0), None, -1.0)
-            if ok and descend_idx[k] >= 0:
-                q = R[:, k] / norms[k]
-                yield from recurse(
-                    s_mask | (1 << j0), size + 1, j0 + 1, np.hstack([Q, q[:, None]])
-                )
+            at = (np.arange(B), np.argmax(rows == predictor - 1, axis=1))
+            counted, norms, vectors = (a[at] for a in _model_factors(XT, rows, limits))
+            members = rows[at]
+        emitted = counted & (norms > limits[members])
+        yield LevelBatch(masks[emitted], members[emitted] + 1, vectors[emitted],
+                         norms[emitted], int(counted.sum() - emitted.sum()))
 
-    yield from recurse(0, 0, 0, np.empty((d, 0)))
+
+def _joined(batches: list[LevelBatch], d: int) -> LevelBatch:
+    if not batches:
+        return LevelBatch(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                          np.empty((0, d)), np.empty(0))
+    return LevelBatch(*(np.concatenate([getattr(b, name) for b in batches])
+                        for name in ("masks", "predictors", "vectors", "norms")),
+                      skips=sum(b.skips for b in batches))
 
 
 def enumerate_models(
     design: CanonicalDesign, universe: ModelUniverse
 ) -> Iterator[ModelId]:
-    """Yield every full-rank model admitted by the universe, exactly once.
+    """Yield every full-rank model admitted by the universe, exactly once, by
+    size and then lexicographically.
 
     Rank-deficient candidate subsets are silently skipped. Raises
     InfeasibleError if nothing survives the filtering.
     """
     count = 0
-    for j0, mask, _, norm in _dfs_rank_nodes(design, universe):
-        # Each model is reported once: as the pair whose j is its largest member.
-        if norm >= 0 and mask >> (j0 + 1) == 0:
+    for batch in _level_batches(design, universe, largest=True):
+        for mask in batch.masks.tolist():
             count += 1
             yield ModelId.from_mask(mask)
     if count == 0:
         raise InfeasibleError("model universe is empty after rank filtering")
 
 
-def _sign_canonical_key(v: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Sign-flip a unit vector deterministically and quantize it to the grid."""
-    vmax = float(np.max(np.abs(v)))
-    flip = 1.0
-    for x in v:
-        if abs(x) >= 0.5 * vmax:
-            flip = -1.0 if x < 0 else 1.0
-            break
-    w = v * flip
-    key = np.round(w * (1 << _DEDUP_GRID_BITS)).astype(np.int64)
-    return w, tuple(int(k) for k in key)
-
-
-def _key_representative(key: tuple[int, ...]) -> np.ndarray:
-    w = np.asarray(key, dtype=float) * _DEDUP_GRID
-    return w / np.linalg.norm(w)
+def _sign_canonical_keys(vectors: np.ndarray) -> np.ndarray:
+    """Sign-flip unit rows deterministically (the first entry of at least half
+    the largest magnitude is made positive) and quantize them to the grid."""
+    magnitudes = np.abs(vectors)
+    lead = np.argmax(magnitudes >= 0.5 * magnitudes.max(axis=1, keepdims=True), axis=1)
+    flip = np.where(vectors[np.arange(len(vectors)), lead] < 0, -1.0, 1.0)
+    return np.round(vectors * flip[:, None] * (1 << _DEDUP_GRID_BITS)).astype(np.int64)
 
 
 class DirectionSet:
     """Re-iterable set of adjusted-predictor directions for (design, universe).
 
-    With ``dedup=None`` iteration streams directions straight out of the DFS,
-    each pair (j, M) exactly once, duplicates included; the Monte Carlo fold
-    consumes this stream in chunks and never holds the whole set. With
-    ``dedup="up_to_sign"`` the set is materialized once and duplicate
-    directions (equal up to sign on the 2^-20 hashing grid) are collapsed;
-    retained vectors are canonicalized representatives on that grid, so two
-    numerically-equal sets built along different arithmetic paths dedup to
-    bitwise-identical vectors.
+    With ``dedup=None`` iteration streams directions straight out of the
+    level-wise enumeration, each pair (j, M) exactly once, duplicates
+    included; the Monte Carlo fold consumes this stream in chunks and never
+    holds the whole set. With ``dedup="up_to_sign"`` the set is materialized
+    once and duplicate directions (equal up to sign on the 2^-20 hashing
+    grid) are collapsed to their first occurrence; retained vectors are
+    canonicalized representatives on that grid, so two numerically-equal sets
+    built along different arithmetic paths dedup to bitwise-identical vectors.
     """
 
     def __init__(
@@ -750,91 +856,89 @@ class DirectionSet:
         self.predictor = predictor
         self.degenerate_skips = 0
         self.emitted_count: int | None = None
-        self._materialized: list[Direction] | None = None
+        self._materialized: LevelBatch | None = None
 
-    def _records(self) -> Iterator[tuple[int, int, np.ndarray, float]]:
-        """(model mask, predictor, unit vector, norm) of each emitted pair,
-        straight from the walk; the skip and emission counts are set once
-        the walk is exhausted."""
+    def _walk(self) -> Iterator[LevelBatch]:
+        """The enumeration's level batches; the skip and emission counts are
+        set once it is exhausted."""
         skips = 0
         emitted = 0
-        for j0, mask, res, norm in _dfs_rank_nodes(
-            self.design, self.universe, self.predictor
-        ):
-            if norm < 0:
-                skips += 1
-                continue
-            emitted += 1
-            yield mask, j0 + 1, res / norm, norm
+        for batch in _level_batches(self.design, self.universe, self.predictor):
+            skips += batch.skips
+            emitted += batch.predictors.size
+            yield batch
         self.degenerate_skips = skips
         self.emitted_count = emitted
 
-    def _raw_iter(self) -> Iterator[Direction]:
-        for mask, j, vector, norm in self._records():
-            yield Direction(vector, j, ModelId.from_mask(mask), norm)
-
-    def _materialize_dedup(self) -> list[Direction]:
+    def _materialize_dedup(self) -> LevelBatch:
         if self._materialized is None:
-            seen: dict[tuple[int, ...], None] = {}
-            kept: list[Direction] = []
-            for mask, j, vector, norm in self._records():
-                _, key = _sign_canonical_key(vector)
-                if key in seen:
-                    continue
-                seen[key] = None
-                model = ModelId.from_mask(mask)
-                kept.append(Direction(_key_representative(key), j, model, norm))
-            self._materialized = kept
+            whole = _joined(list(self._walk()), self.design.d)
+            keys = _sign_canonical_keys(whole.vectors)
+            _, first = np.unique(keys, axis=0, return_index=True)
+            first.sort()
+            kept = keys[first] * _DEDUP_GRID
+            kept /= np.linalg.norm(kept, axis=1, keepdims=True)
+            self._materialized = LevelBatch(whole.masks[first], whole.predictors[first],
+                                            kept, whole.norms[first])
         return self._materialized
 
-    def __iter__(self) -> Iterator[Direction]:
+    def batches(self) -> Iterator[LevelBatch]:
+        """The set as level batches (one batch when deduplicated)."""
         if self.dedup == "up_to_sign":
-            return iter(self._materialize_dedup())
-        return self._raw_iter()
+            return iter([self._materialize_dedup()])
+        return self._walk()
+
+    def __iter__(self) -> Iterator[Direction]:
+        for batch in self.batches():
+            for mask, j, vector, norm in zip(batch.masks.tolist(),
+                                             batch.predictors.tolist(),
+                                             batch.vectors, batch.norms.tolist()):
+                yield Direction(vector, j, ModelId.from_mask(mask), norm)
 
     @property
     def count(self) -> int:
         """Number of directions this set yields (after dedup, if enabled)."""
         if self.dedup == "up_to_sign":
-            return len(self._materialize_dedup())
+            return int(self._materialize_dedup().predictors.size)
         if self.emitted_count is None:
-            for _ in self._records():
+            for _ in self._walk():
                 pass
         return int(self.emitted_count)
 
     def materialize(self) -> list[Direction]:
-        if self.dedup == "up_to_sign":
-            return list(self._materialize_dedup())
-        return list(self._raw_iter())
+        return list(self)
+
+    def whole(self) -> LevelBatch:
+        """The whole set as one batch."""
+        return _joined(list(self.batches()), self.design.d)
 
     def matrix(self) -> np.ndarray:
         """All direction vectors stacked as a (count, d) array."""
-        dirs = self.materialize()
-        if not dirs:
-            return np.empty((0, self.design.d))
-        return np.stack([direction.vector for direction in dirs])
+        return self.whole().vectors
 
-    def chunks(self, size: int) -> Iterator[tuple[np.ndarray, list[tuple[int, int]]]]:
-        """Stream (k, d) blocks of direction vectors without full materialization,
-        each with the rows' (model mask, predictor) keys. Every block is a
-        fresh array, so callers may keep them."""
-        if self.dedup == "up_to_sign":
-            records = (
-                (direction.model.mask, direction.predictor, direction.vector, None)
-                for direction in self._materialize_dedup()
-            )
-        else:
-            records = self._records()
-        buf = np.empty((size, self.design.d))
-        keys: list[tuple[int, int]] = []
-        for mask, j, vector, _ in records:
-            buf[len(keys)] = vector
-            keys.append((mask, j))
-            if len(keys) == size:
-                yield buf, keys
-                buf, keys = np.empty((size, self.design.d)), []
-        if keys:
-            yield buf[: len(keys)], keys
+    def chunks(self, size: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Stream (k, d) blocks of direction vectors, each with its rows'
+        (model mask, predictor) keys as a (k, 2) array: blocks of ``size``
+        rows, or the whole set as one block when size is None. Every block is
+        a fresh array, so callers may keep them."""
+        vectors: list[np.ndarray] = []
+        keys: list[np.ndarray] = []
+        held = 0
+        for batch in self.batches():
+            batch_keys = batch.keys()
+            n = batch_keys.shape[0]
+            start = 0
+            while start < n:
+                stop = n if size is None else min(n, start + size - held)
+                vectors.append(batch.vectors[start:stop])
+                keys.append(batch_keys[start:stop])
+                held += stop - start
+                start = stop
+                if held == size:
+                    yield np.concatenate(vectors), np.concatenate(keys)
+                    vectors, keys, held = [], [], 0
+        if held:
+            yield np.concatenate(vectors), np.concatenate(keys)
 
 
 def direction_stream(

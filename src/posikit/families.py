@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 from . import _rng
 from .constants import _mc_standard_error, conservative_quantile_index, posi_constant
@@ -277,6 +276,8 @@ def worst_posi1_table(
 
 def rate_function(r: float) -> float:
     """phi(Phi^{-1}(r)) / sqrt(1 - r) on (0, 1)."""
+    from scipy import stats
+
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
     return float(stats.norm.pdf(stats.norm.ppf(r)) / math.sqrt(1.0 - r))
@@ -284,6 +285,8 @@ def rate_function(r: float) -> float:
 
 def rate_function_max(xtol: float = 1e-10) -> tuple[float, float]:
     """(argmax, max) of the rate function, by golden-section search."""
+    from scipy import optimize
+
     res = optimize.minimize_scalar(
         lambda r: -rate_function(r),
         bracket=(0.5, 0.73, 0.95),

@@ -20,11 +20,9 @@ from .design import (
     Direction,
     DirectionSet,
     ModelId,
-    ModelUniverse,
-    adjusted_predictor,
     direction_stream,
 )
-from .errors import InfeasibleError
+from .errors import DataError, InfeasibleError
 
 
 @dataclass(frozen=True)
@@ -75,32 +73,31 @@ def verify_duality(design: CanonicalDesign, tolerance: float = 1e-8) -> DualityR
     """Check every (j, M) against its dual partner (j, M* = complement + j).
 
     Verifies direction equality up to sign and the norm identity
-    ||x_{j.M}|| * ||x*_{j.M*}|| = 1, reporting the worst deviations.
+    ||x_{j.M}|| * ||x*_{j.M*}|| = 1, reporting the worst deviations. Both
+    direction sets come from the level-wise enumeration; a pair of the design
+    whose partner the dual design does not emit is a DataError.
     """
     if design.d != design.p:
         raise InfeasibleError("duality verification requires d = p")
     p = design.p
-    dual = dual_design(design)
     full_mask = (1 << p) - 1
-    max_mismatch = 0.0
-    max_norm_err = 0.0
-    matched = 0
-    for direction in direction_stream(design, ModelUniverse.all()):
-        j = direction.predictor
-        dual_mask = (full_mask & ~direction.model.mask) | (1 << (j - 1))
-        dual_model = ModelId.from_mask(dual_mask)
-        vec, norm = adjusted_predictor(dual, dual_model, j)
-        unit = vec / norm
-        dist = min(
-            float(np.linalg.norm(unit - direction.vector)),
-            float(np.linalg.norm(unit + direction.vector)),
-        )
-        norm_err = abs(direction.raw_norm * norm - 1.0)
-        max_mismatch = max(max_mismatch, dist)
-        max_norm_err = max(max_norm_err, norm_err)
-        if dist <= tolerance and norm_err <= tolerance:
-            matched += 1
-    return DualityReport(matched, max_mismatch, max_norm_err)
+    primal = direction_stream(design).whole()
+    dual = direction_stream(dual_design(design)).whole()
+    row_of = {key: i for i, key in enumerate(map(tuple, dual.keys().tolist()))}
+    partner = []
+    for mask, j in primal.keys().tolist():
+        dual_mask = (full_mask & ~mask) | (1 << (j - 1))
+        if (dual_mask, j) not in row_of:
+            raise DataError(f"adjusted predictor {j} in {ModelId.from_mask(dual_mask)} "
+                            "of the dual design is numerically degenerate")
+        partner.append(row_of[dual_mask, j])
+    vectors, norms = dual.vectors[partner], dual.norms[partner]
+    dist = np.minimum(np.linalg.norm(vectors - primal.vectors, axis=1),
+                      np.linalg.norm(vectors + primal.vectors, axis=1))
+    norm_err = np.abs(primal.norms * norms - 1.0)
+    matched = int(np.count_nonzero((dist <= tolerance) & (norm_err <= tolerance)))
+    return DualityReport(matched, float(dist.max(initial=0.0)),
+                         float(norm_err.max(initial=0.0)))
 
 
 def directions_match_up_to_sign(

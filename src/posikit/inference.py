@@ -207,7 +207,7 @@ def _argmax_over_directions(
         # vecdot rounds each row as np.dot(row, y) does; vectors @ y does not.
         stats = np.abs(np.vecdot(vectors, y)) / sigma_hat
         stat = float(stats.max())
-        candidate = (-stat, min(keys[i] for i in np.flatnonzero(stats == stat)))
+        candidate = (-stat, min(map(tuple, keys[stats == stat].tolist())))
         if best is None or candidate < best:
             best = candidate
     if best is None:
@@ -273,9 +273,9 @@ def _last_design(build: Callable[[CanonicalDesign], list]) -> Callable:
 def _direction_selector(
     directions: Callable[[CanonicalDesign], DirectionSet]
 ) -> Selector:
-    """Argmax selector over directions(design), walked once per design."""
-    chunks = _last_design(
-        lambda design: list(directions(design).chunks(_DIRECTION_CHUNK)))
+    """Argmax selector over directions(design), walked once per design and
+    held as one block."""
+    chunks = _last_design(lambda design: list(directions(design).chunks()))
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
         return _argmax_over_directions(chunks(design), y, sigma_hat)[0]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -263,3 +266,12 @@ def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch)
     assert f"p=22 with this universe streams about {pairs} directions" in err
     total = walk_s + fold_s
     assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, posikit; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -132,15 +132,15 @@ def test_posi1_walks_once_over_the_predictors_pairs(monkeypatch):
     import posikit.design
 
     walks, emitted = [], []
-    walker = posikit.design._dfs_rank_nodes
+    walker = posikit.design._level_batches
 
-    def counting(design, universe, predictor=None):
+    def counting(design, universe, predictor=None, **kwargs):
         walks.append(predictor)
-        for record in walker(design, universe, predictor):
-            emitted.append(record[0] + 1)
-            yield record
+        for batch in walker(design, universe, predictor, **kwargs):
+            emitted.extend(batch.predictors.tolist())
+            yield batch
 
-    monkeypatch.setattr(posikit.design, "_dfs_rank_nodes", counting)
+    monkeypatch.setattr(posikit.design, "_level_batches", counting)
     cd = random_canonical(5, seed=4)
     est = posi1_constant(cd, predictor=3, n_samples=2_000, seed=0)
     assert walks == [3]
@@ -159,14 +159,14 @@ def test_posi1_walks_once_over_the_predictors_pairs(monkeypatch):
 
 
 # K and its standard error on a seeded 10 x 6 design, as float.hex(). Any
-# change to the draws or the fold that moves a bit shows here. Recorded with
-# numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another BLAS may round the last
-# bits differently.
+# change to the draws, the fold or the rounding of the directions that moves
+# a bit shows here. Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64;
+# another BLAS or LAPACK may round the last bits differently.
 GOLDEN = {
     ("posi", math.inf): ("0x1.8bfa7e57e229fp+1", "0x1.67d3bc59b79bdp-6"),
-    ("posi", 20): ("0x1.b69596b007037p+1", "0x1.fdf88f16f74dfp-6"),
-    ("posi1", math.inf): ("0x1.5aa2084fcb0e9p+1", "0x1.6fbd043857bdfp-6"),
-    ("posi1", 20): ("0x1.7f5131478c694p+1", "0x1.eac012babb5ccp-6"),
+    ("posi", 20): ("0x1.b69596b007036p+1", "0x1.fdf88f16f74d5p-6"),
+    ("posi1", math.inf): ("0x1.5aa2084fcb0eap+1", "0x1.6fbd043857be9p-6"),
+    ("posi1", 20): ("0x1.7f5131478c694p+1", "0x1.eac012babb5cep-6"),
 }
 
 
@@ -275,6 +275,25 @@ def test_orth_finite_df_matches_t_quantile_at_d1():
     for r in (3, 9, 40):
         k = orth_constant(0.05, 1, ErrorModel.with_df(r)).k
         assert k == pytest.approx(stats.t.ppf(0.975, r), abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 4, 11])
+@pytest.mark.parametrize("r", [1, 6, 20])
+def test_orth_finite_df_matches_frozen_distribution_integrand(d, r):
+    # The integrand as first written, with frozen scipy.stats distributions,
+    # under the same quadrature, bracket and root-finding tolerances.
+    from scipy import integrate, optimize
+
+    sigma_dist = stats.chi(r, scale=1.0 / math.sqrt(r))
+
+    def coverage(k):
+        return integrate.quad(
+            lambda s: (2.0 * stats.norm.cdf(k * s) - 1.0) ** d * sigma_dist.pdf(s),
+            0.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
+
+    hi = math.sqrt(d * stats.f.ppf(0.95, d, r)) + 1.0
+    want = optimize.brentq(lambda x: coverage(x) - 0.95, 1e-8, hi, xtol=1e-10)
+    assert abs(orth_constant(0.05, d, ErrorModel.with_df(r)).k - want) <= 1e-12
 
 
 def test_orth_finite_df_exceeds_known_sigma():

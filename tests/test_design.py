@@ -16,6 +16,7 @@ from posikit import (
     direction_stream,
     enumerate_models,
     load_design,
+    spar_select,
     vif,
 )
 
@@ -29,7 +30,7 @@ def random_design(p, n=None, seed=0):
 
 
 def brute_force_directions(X, tol=1e-12):
-    """Per-model least-squares route, independent of the incremental DFS."""
+    """Per-model least-squares route, independent of the level-wise enumerator."""
     p = X.shape[1]
     out = []
     for r in range(1, p + 1):
@@ -432,6 +433,19 @@ def test_direction_count_nested_universe():
     cd = random_design(4, seed=40)
     ds = direction_stream(cd, ModelUniverse.nested_chain())
     assert ds.count == 4 * 5 // 2  # sum of model sizes over the chain
+
+
+def test_models_beyond_62_columns():
+    # Model masks no longer fit an int64 here, so they are held as Python ints.
+    cd = CanonicalDesign.from_canonical(np.diag(np.arange(1.0, 65.0)))
+    singles = ModelUniverse.of_max_size(1)
+    assert direction_stream(cd, singles).count == 64
+    y = np.zeros(64)
+    y[63] = 5.0
+    assert spar_select(cd, y, 1.0, singles) == (ModelId([64]), 5.0)
+    listed = ModelUniverse.explicit([[64], [1, 64]])
+    assert list(enumerate_models(cd, listed)) == [ModelId([64]), ModelId([1, 64])]
+    assert direction_stream(cd, listed, dedup="up_to_sign").count == 2
 
 
 def test_universe_from_file(tmp_path):

@@ -378,13 +378,13 @@ def test_named_selectors_walk_once_per_design(monkeypatch):
     import posikit.design
 
     walks = []
-    walker = posikit.design._dfs_rank_nodes
+    walker = posikit.design._level_batches
 
-    def counting(design, universe, predictor=None):
+    def counting(design, universe, predictor=None, **kwargs):
         walks.append(design)
-        return walker(design, universe, predictor)
+        return walker(design, universe, predictor, **kwargs)
 
-    monkeypatch.setattr(posikit.design, "_dfs_rank_nodes", counting)
+    monkeypatch.setattr(posikit.design, "_level_batches", counting)
     rng = np.random.default_rng(18)
     pair = [random_canonical(5, seed=18), random_canonical(5, seed=19)]
     for select in (make_spar_selector(), make_spar1_selector(3),

@@ -1,7 +1,8 @@
-"""Property tests: the lattice walker against brute-force subset enumeration,
-universe membership and spec round-trips, selection against a brute-force
-argmax, prefix-stable Monte Carlo draws, and draws that do not depend on the
-fold's tile width."""
+"""Property tests: the level-wise enumerator against brute-force subset
+enumeration and against adjusted_predictor pair by pair, universe membership
+and spec round-trips, duality on symmetric designs, selection against a
+brute-force argmax, prefix-stable Monte Carlo draws, and draws that do not
+depend on the fold's tile width."""
 
 import itertools
 import math
@@ -13,11 +14,14 @@ from hypothesis import strategies as st
 
 from posikit import (
     CanonicalDesign,
+    DataError,
     DesignMatrix,
+    DirectionSet,
     ErrorModel,
     InfeasibleError,
     ModelId,
     ModelUniverse,
+    adjusted_predictor,
     canonicalize,
     direction_stream,
     enumerate_models,
@@ -26,6 +30,7 @@ from posikit import (
     max_abs_t_draws,
     spar1_select,
     spar_select,
+    verify_duality,
 )
 from posikit import _rng, constants
 from posikit.inference import _argmax_over_directions
@@ -148,6 +153,102 @@ def test_walker_matches_brute_force(case):
     enumerated = [frozenset(m.members) for m in enumerate_models(cd, universe)]
     assert len(enumerated) == len(set(enumerated))
     assert set(enumerated) == models == {m for _, m in pairs}
+
+
+def reachable(cd, members) -> bool:
+    """Every ascending prefix of members leaves its last column a residual
+    above the rank tolerance against the columns before it."""
+    return all(_adjusted_or_none(cd, members[:i + 1], members[i]) is not None
+               for i in range(len(members)))
+
+
+def _adjusted_or_none(cd, members, j):
+    """adjusted_predictor, or None where it is degenerate. adjusted_predictor
+    checks degeneracy only against other members, so a zero column is
+    checked here."""
+    try:
+        residual, norm = adjusted_predictor(cd, ModelId(members), j)
+    except DataError:
+        return None
+    if norm <= cd.rank_tolerance * np.linalg.norm(cd.column(j)):
+        return None
+    return residual, norm
+
+
+def adjusted_predictor_oracle(cd, admitted, predictor=None):
+    """{(mask, j): (unit vector, norm)} of the emitted pairs and the number
+    of degenerate skips, pair by pair from adjusted_predictor."""
+    emitted, skips = {}, 0
+    for m in admitted:
+        members = sorted(m)
+        if len(members) > cd.d:
+            continue
+        for j in members:
+            if predictor not in (None, j):
+                continue
+            if not reachable(cd, [k for k in members if k != j]):
+                continue
+            found = _adjusted_or_none(cd, members, j)
+            if found is None:
+                skips += 1
+            else:
+                emitted[ModelId(members).mask, j] = (found[0] / found[1], found[1])
+    return emitted, skips
+
+
+@st.composite
+def oracle_cases(draw):
+    cd = draw(designs() | orthogonal_designs())
+    all_parts = draw(st.lists(universe_parts(cd.p), min_size=1, max_size=2))
+    universe = build_universe(all_parts[0])
+    for parts in all_parts[1:]:
+        universe = universe & build_universe(parts)
+    admitted = [m for m in all_subsets(cd.p)
+                if all(brute_admits(parts, m) for parts in all_parts)]
+    return cd, universe, admitted, draw(st.integers(1, cd.p))
+
+
+@PROPERTY_SETTINGS
+@given(oracle_cases())
+def test_level_batches_match_adjusted_predictor(case):
+    cd, universe, admitted, j = case
+    for predictor in (None, j):
+        want, want_skips = adjusted_predictor_oracle(cd, admitted, predictor)
+        ds = DirectionSet(cd, universe, predictor=predictor)
+        got = {(d.model.mask, d.predictor): (d.vector, d.raw_norm) for d in ds}
+        assert got.keys() == want.keys()
+        assert ds.degenerate_skips == want_skips
+        assert ds.count == len(want)
+        for key, (vector, norm) in got.items():
+            # The oracle subtracts the projection from x_j, which leaves its
+            # residual rounding errors ||x_j|| / ||x_{j.M}|| times eps.
+            tol = 1e-13 * max(1.0, np.linalg.norm(cd.column(key[1])) / want[key][1])
+            assert np.max(np.abs(vector - want[key][0])) <= tol, key
+            assert abs(norm - want[key][1]) <= tol * want[key][1], key
+        if predictor is None:
+            every = got
+        else:
+            # The predictor form rounds each of its pairs as the full set does.
+            for key, (vector, norm) in got.items():
+                assert np.array_equal(vector, every[key][0]) and norm == every[key][1]
+
+
+@st.composite
+def symmetric_designs(draw) -> CanonicalDesign:
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p, p + 4))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, p))
+    return canonicalize(DesignMatrix(X, tuple(f"x{j}" for j in range(1, p + 1))),
+                        form="symmetric")
+
+
+@PROPERTY_SETTINGS
+@given(symmetric_designs())
+def test_duality_holds_on_random_symmetric_designs(cd):
+    report = verify_duality(cd)
+    assert report.matched_pairs == cd.p * 2 ** (cd.p - 1)
+    assert report.max_direction_mismatch <= 1e-8
+    assert report.max_norm_product_error <= 1e-8
 
 
 @PROPERTY_SETTINGS
