@@ -565,18 +565,26 @@ def canonicalize(design: DesignMatrix, form: str = UPPER_TRIANGULAR) -> Canonica
 def adjusted_predictor(
     design: CanonicalDesign, model: ModelId, j: int
 ) -> tuple[np.ndarray, float]:
-    """Residual of column j on the other columns of the submodel, plus its norm."""
+    """Residual of column j on the other columns of the submodel, plus its norm.
+
+    The residual is x_j minus its projection Q Q'x_j onto the others' span,
+    with Q from their QR factors. Raises DataError when the others are rank
+    deficient (some |R_ii| <= tau ||x_i||, with tau the design's rank
+    tolerance) or the residual is degenerate (norm <= tau ||x_j||), as the
+    enumerator counts them.
+    """
     if j not in model:
         raise ValueError(f"predictor {j} is not a member of {model}")
-    x = design.column(j).copy()
-    others = [k for k in model.members if k != j]
-    if not others:
-        return x, float(np.linalg.norm(x))
-    A = design.values[:, [k - 1 for k in others]]
-    coef, _, rank, _ = np.linalg.lstsq(A, x, rcond=None)
-    if rank < len(others):
-        raise DataError(f"submodel {model} is rank deficient")
-    r = x - A @ coef
+    x = design.column(j)
+    others = [k - 1 for k in model.members if k != j]
+    r = x.copy()
+    if others:
+        A = design.values[:, others]
+        Q, R = np.linalg.qr(A)
+        limits = design.rank_tolerance * np.linalg.norm(A, axis=0)
+        if len(others) > design.d or np.any(np.abs(np.diagonal(R)) <= limits):
+            raise DataError(f"submodel {model} is rank deficient")
+        r -= Q @ (Q.T @ x)
     norm = float(np.linalg.norm(r))
     if norm <= design.rank_tolerance * float(np.linalg.norm(x)):
         raise DataError(

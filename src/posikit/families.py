@@ -186,26 +186,38 @@ def fast_worst_posi1_stat(p: int, c: float, z: np.ndarray) -> float:
     if z.shape != (p,):
         raise ValueError(f"draw must have length p={p}")
     _check_worst(p, c)
-    return float(_fast_worst_posi1_batch(p, c, z[None, :])[0])
+    return float(_fast_worst_posi1_batch(p, (c,), z[None, :])[0, 0])
 
 
-def _fast_worst_posi1_batch(p: int, c: float, z_block: np.ndarray) -> np.ndarray:
-    """Vectorized fast statistic over a (b, p) block of draws."""
+# Draws per evaluation sub-block: its two (rows, p) scratch arrays take
+# 800 KB at p = 100.
+_WORST_SUB_BLOCK = 512
+
+
+def _fast_worst_posi1_batch(p: int, cs, z_block: np.ndarray) -> np.ndarray:
+    """Vectorized fast statistic for each c in cs over a (b, p) block of
+    draws, shaped (len(cs), b). The tail sums of the order statistics do not
+    depend on c, so the block is sorted once for all of them."""
+    b = z_block.shape[0]
     zp = z_block[:, p - 1]
-    rest = np.sort(z_block[:, : p - 1], axis=1)
-    prefix = np.concatenate(
-        [np.zeros((z_block.shape[0], 1)), np.cumsum(rest, axis=1)], axis=1
-    )
-    total = prefix[:, -1]
-    on_zp, on_rest = _worst_coefficients(p, c)
-    best = np.zeros(z_block.shape[0])
-    for m in range(1, p + 1):
-        k = p - m
-        bottom = prefix[:, k]
-        top = total - prefix[:, p - 1 - k]
-        base = on_zp[m - 1] * zp
-        np.maximum(best, np.abs(base + on_rest[m - 1] * bottom), out=best)
-        np.maximum(best, np.abs(base + on_rest[m - 1] * top), out=best)
+    # Column i holds the sum of the i smallest of z_1..z_{p-1}.
+    prefix = np.zeros((b, p))
+    prefix[:, 1:] = np.sort(z_block[:, : p - 1], axis=1)
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    # Column m - 1: the sums of the p - m smallest and of the p - m largest.
+    bottom, top = prefix[:, ::-1], prefix[:, -1:] - prefix
+    best = np.zeros((len(cs), b))
+    for out_c, c in zip(best, cs):
+        on_zp, on_rest = _worst_coefficients(p, c)
+        for lo in range(0, b, _WORST_SUB_BLOCK):
+            rows = slice(lo, lo + _WORST_SUB_BLOCK)
+            base = on_zp * zp[rows, None]
+            out = out_c[rows]
+            for tail in (bottom, top):
+                value = on_rest * tail[rows]
+                value += base
+                np.maximum(out, value.max(axis=1), out=out)
+                np.maximum(out, -value.min(axis=1), out=out)
     return best
 
 
@@ -258,8 +270,8 @@ def worst_posi1_table(
     for b in range(nblocks):
         z, _ = _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n_samples, p)
         sl = _rng.block_slice(b, n_samples)
-        for c in grid:
-            values[c][sl] = _fast_worst_posi1_batch(p, c, z)
+        for c, stat in zip(grid, _fast_worst_posi1_batch(p, grid, z)):
+            values[c][sl] = stat
     rows = []
     for c in grid:
         draws = values[c]

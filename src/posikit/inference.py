@@ -86,6 +86,13 @@ class IntervalReport:
     rows: tuple[IntervalRow, ...]
 
 
+def _check_response(y: np.ndarray, sigma_hat: float):
+    if not sigma_hat > 0:
+        raise ValueError("sigma_hat must be positive")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("response must be finite")
+
+
 def _solve_submodel(design: CanonicalDesign, model: ModelId, rhs: np.ndarray):
     A = design.submatrix(model)
     m = model.size
@@ -111,8 +118,7 @@ def fit_submodel(
     y = np.asarray(y, dtype=float)
     if y.shape != (design.d,):
         raise ValueError(f"response must be a length-{design.d} canonical vector")
-    if sigma_hat <= 0:
-        raise ValueError("sigma_hat must be positive")
+    _check_response(y, sigma_hat)
     A, coef = _solve_submodel(design, model, y)
     gram_inv = np.linalg.inv(A.T @ A)
     norms = 1.0 / np.sqrt(np.diag(gram_inv))
@@ -198,10 +204,7 @@ def _argmax_over_directions(
 ) -> tuple[ModelId, int, float]:
     """Max |l' y| / sigma_hat over the (vectors, keys) chunks of a direction
     set, with deterministic tie-breaking: the smallest (mask, j) key wins."""
-    if not sigma_hat > 0:
-        raise ValueError("sigma_hat must be positive")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("response must be finite")
+    _check_response(y, sigma_hat)
     best: tuple[float, tuple[int, int]] | None = None
     for vectors, keys in chunks:
         # vecdot rounds each row as np.dot(row, y) does; vectors @ y does not.
@@ -255,13 +258,13 @@ def spar1_select(
 Selector = Callable[[CanonicalDesign, np.ndarray, float], ModelId]
 
 
-def _last_design(build: Callable[[CanonicalDesign], list]) -> Callable:
+def _last_design(build: Callable[[CanonicalDesign], object]) -> Callable:
     """build(design), recomputed only when another design comes in. The design
     object is kept and compared by identity: an id() can be reused once its
     object dies."""
-    last_design, last_value = None, []
+    last_design, last_value = None, None
 
-    def get(design: CanonicalDesign) -> list:
+    def get(design: CanonicalDesign):
         nonlocal last_design, last_value
         if design is not last_design:
             last_value, last_design = build(design), design
@@ -300,61 +303,81 @@ def make_stepwise_selector(
 ) -> Selector:
     """Forward stepwise by largest |t| on entry; stops when nothing clears
     t_enter or no admissible extension remains. Always returns at least one
-    predictor (the first step ignores the threshold)."""
+    predictor (the first step ignores the threshold).
+
+    Each step scores every admissible candidate j in one pass: its residual
+    r_j against an orthonormal basis of the current model gives
+    t_j = |r_j'y| / (||r_j|| sigma_hat), and the smallest j wins a tie. A
+    candidate is skipped when ||r_j|| <= tau ||x_j||, with tau the design's
+    rank tolerance, as in the enumerator. The entering residual grows the
+    basis by Gram-Schmidt with one re-orthogonalization.
+    """
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
+        _check_response(y, sigma_hat)
         u = universe if universe is not None else ModelUniverse.all()
-        current: list[int] = []
+        X = design.values
+        limits = design.rank_tolerance * np.linalg.norm(X, axis=0)
+        basis = np.empty((design.d, 0))
+        mask = 0
         while True:
-            best_j, best_t = None, -1.0
-            for j in range(1, design.p + 1):
-                if j in current:
-                    continue
-                candidate = ModelId(current + [j])
-                if not u.contains(candidate):
-                    continue
-                try:
-                    fit = fit_submodel(design, y, candidate, sigma_hat)
-                except (InfeasibleError, ValueError):
-                    continue
-                t = abs(t_ratio(fit, j))
-                if t > best_t:
-                    best_j, best_t = j, t
-            if best_j is None:
+            admissible = [j for j in range(1, design.p + 1) if not mask >> (j - 1) & 1
+                          and u.contains(ModelId.from_mask(mask | 1 << (j - 1)))]
+            cols = np.array(admissible, dtype=np.intp) - 1
+            candidates = X[:, cols]
+            residuals = candidates - basis @ (basis.T @ candidates)
+            norms = np.linalg.norm(residuals, axis=0)
+            keep = norms > limits[cols]
+            if not keep.any():
                 break
-            if current and best_t < t_enter:
+            residuals, norms, cols = residuals[:, keep], norms[keep], cols[keep]
+            t = np.abs(y @ residuals) / (norms * sigma_hat)
+            best = int(np.argmax(t))
+            if mask and t[best] < t_enter:
                 break
-            current.append(best_j)
-            if len(current) >= design.d:
+            mask |= 1 << int(cols[best])
+            if mask.bit_count() >= design.d:
                 break
-        if not current:
+            r = residuals[:, best]
+            r = r - basis @ (basis.T @ r)
+            basis = np.column_stack([basis, r / np.linalg.norm(r)])
+        if not mask:
             raise InfeasibleError("stepwise selector found no admissible model")
-        return ModelId(current)
+        return ModelId.from_mask(mask)
 
     return select
 
 
+def _size_projectors(design: CanonicalDesign, universe: ModelUniverse, size: int):
+    """The universe's full-rank models of this size and the stacked
+    (B, size, d) transposes of their orthonormal bases."""
+    models = [m for m in enumerate_models(design, universe) if m.size == size]
+    if not models:
+        raise InfeasibleError(f"universe has no full-rank model of size {size}")
+    rows = np.array([m.members for m in models], dtype=np.intp) - 1
+    Q, _ = np.linalg.qr(design.values.T[rows].transpose(0, 2, 1))
+    return models, np.ascontiguousarray(Q.transpose(0, 2, 1))
+
+
 def make_best_r2_selector(size: int, universe: ModelUniverse | None = None) -> Selector:
-    """Largest-R^2 model of a fixed size (exhaustive; deterministic ties)."""
+    """Largest-R^2 model of a fixed size (exhaustive; deterministic ties).
+
+    The design's full-rank models of this size are enumerated once per
+    design, together with the transposes Q_M' of their orthonormal bases
+    from one batched QR; these hold d * size * 8 bytes per model. Each call
+    then scores every model by ||Q_M' y||^2 in one pass, and on an exact tie
+    the smallest mask wins (ModelId orders by mask).
+    """
     u = universe if universe is not None else ModelUniverse.all()
     u = u & ModelUniverse.of_max_size(size)
-    # The design's models of this size, enumerated once per design.
-    models = _last_design(
-        lambda design: [m for m in enumerate_models(design, u) if m.size == size]
-    )
+    factors = _last_design(lambda design: _size_projectors(design, u, size))
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
-        best_key, best_model = None, None
-        for model in models(design):
-            A = design.submatrix(model)
-            coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
-            fitted = A @ coef
-            key = (-float(fitted @ fitted), model.mask)
-            if best_key is None or key < best_key:
-                best_key, best_model = key, model
-        if best_model is None:
-            raise InfeasibleError(f"universe has no full-rank model of size {size}")
-        return best_model
+        _check_response(y, sigma_hat)
+        models, Qt = factors(design)
+        proj = Qt @ y
+        scores = np.vecdot(proj, proj)
+        return min(models[i] for i in np.flatnonzero(scores == scores.max()))
 
     return select
 

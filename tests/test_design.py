@@ -297,6 +297,19 @@ def test_adjusted_degenerate_norm():
         adjusted_predictor(cd, ModelId([1, 2]), 2)
 
 
+def test_adjusted_zero_column_is_degenerate():
+    # One-member models get the tau test too: a zero column has no direction.
+    cd = CanonicalDesign.from_canonical(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DataError, match="degenerate"):
+        adjusted_predictor(cd, ModelId([2]), 2)
+    with pytest.raises(DataError, match="degenerate"):
+        vif(cd, ModelId([2]), 2)
+    with pytest.raises(DataError, match="rank deficient"):
+        adjusted_predictor(cd, ModelId([1, 2]), 1)
+    vec, norm = adjusted_predictor(cd, ModelId([1]), 1)
+    assert norm == 1.0 and np.array_equal(vec, [1.0, 0.0])
+
+
 def test_vif_orthogonal_is_one():
     cd = CanonicalDesign.from_canonical(np.diag([1.0, 2.0]))
     assert vif(cd, ModelId([1, 2]), 2) == pytest.approx(1.0, abs=1e-12)

@@ -24,7 +24,14 @@ from posikit import (
     worst_posi1_design,
     worst_posi1_table,
 )
-from posikit.families import exchangeable_adjustment_coefficient
+from posikit import _rng
+from posikit.constants import _mc_standard_error, conservative_quantile_index
+from posikit.families import (
+    _fast_worst_posi1_batch,
+    _worst_coefficients,
+    default_c_grid,
+    exchangeable_adjustment_coefficient,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +244,45 @@ def test_worst_posi1_table_shares_draws():
     rows = worst_posi1_table(50, n_samples=4_000, seed=0, c_grid=[0.1, 0.14])
     assert len(rows) == 2
     assert all(r.k1 > 0 for r in rows)
+
+
+def per_size_worst_posi1_batch(p, c, z_block):
+    """The fast statistic as a loop over model sizes, re-sorting the block for
+    each c: the reference the table's evaluation must equal bitwise."""
+    zp = z_block[:, p - 1]
+    rest = np.sort(z_block[:, : p - 1], axis=1)
+    prefix = np.concatenate(
+        [np.zeros((z_block.shape[0], 1)), np.cumsum(rest, axis=1)], axis=1
+    )
+    total = prefix[:, -1]
+    on_zp, on_rest = _worst_coefficients(p, c)
+    best = np.zeros(z_block.shape[0])
+    for m in range(1, p + 1):
+        k = p - m
+        bottom = prefix[:, k]
+        top = total - prefix[:, p - 1 - k]
+        base = on_zp[m - 1] * zp
+        np.maximum(best, np.abs(base + on_rest[m - 1] * bottom), out=best)
+        np.maximum(best, np.abs(base + on_rest[m - 1] * top), out=best)
+    return best
+
+
+@pytest.mark.parametrize("p, n", [(2, 700), (7, 9_000), (100, 1_300)])
+def test_worst_posi1_table_matches_per_size_loop(p, n):
+    # n = 9 000 spans two draw blocks and a partial evaluation sub-block.
+    seed, alpha = 11, 0.05
+    grid = default_c_grid(p) + (-0.5 / math.sqrt(p - 1),)
+    rows = worst_posi1_table(p, alpha=alpha, n_samples=n, seed=seed, c_grid=grid)
+    z = np.concatenate([_rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n, p)[0]
+                        for b in range(_rng.block_count(n))])
+    idx = conservative_quantile_index(alpha, n)
+    batched = _fast_worst_posi1_batch(p, grid, z)
+    for row, c, got in zip(rows, grid, batched, strict=True):
+        draws = per_size_worst_posi1_batch(p, c, z)
+        assert np.array_equal(got, draws)
+        k1 = float(np.partition(draws, idx - 1)[idx - 1])
+        assert row.c == c and row.k1 == k1
+        assert row.mc_standard_error == _mc_standard_error(draws, k1, alpha)
 
 
 def test_posi1_dominance_on_worst_design():

@@ -85,6 +85,21 @@ def test_fit_rejects_rank_deficient_model():
         fit_submodel(cd, np.ones(2), ModelId([1, 2]), sigma_hat=1.0)
 
 
+@pytest.mark.parametrize("sigma_hat, bad, message", [
+    (float("nan"), None, "sigma_hat must be positive"),
+    (0.0, None, "sigma_hat must be positive"),
+    (1.0, float("nan"), "response must be finite"),
+    (1.0, float("inf"), "response must be finite"),
+])
+def test_fit_rejects_bad_sigma_hat_or_response(sigma_hat, bad, message):
+    cd = CanonicalDesign.from_canonical(np.eye(3))
+    y = np.ones(3)
+    if bad is not None:
+        y[1] = bad
+    with pytest.raises(ValueError, match=message):
+        fit_submodel(cd, y, ModelId([1, 2]), sigma_hat)
+
+
 def test_target_interpolation_case():
     cd = random_canonical(4, seed=5)
     model = ModelId([2, 4])
@@ -376,39 +391,98 @@ def test_spar_selector_follows_the_design_it_is_given():
 
 def test_named_selectors_walk_once_per_design(monkeypatch):
     import posikit.design
+    import posikit.inference
 
-    walks = []
+    walks, factorizations = [], []
     walker = posikit.design._level_batches
+    projectors = posikit.inference._size_projectors
 
     def counting(design, universe, predictor=None, **kwargs):
         walks.append(design)
         return walker(design, universe, predictor, **kwargs)
 
+    def counting_projectors(design, universe, size):
+        factorizations.append(design)
+        return projectors(design, universe, size)
+
     monkeypatch.setattr(posikit.design, "_level_batches", counting)
+    monkeypatch.setattr(posikit.inference, "_size_projectors", counting_projectors)
     rng = np.random.default_rng(18)
     pair = [random_canonical(5, seed=18), random_canonical(5, seed=19)]
     for select in (make_spar_selector(), make_spar1_selector(3),
                    make_best_r2_selector(2)):
         walks.clear()
+        factorizations.clear()
         for cd in pair:
             for _ in range(4):
                 select(cd, rng.standard_normal(cd.d), 1.0)
         assert len(walks) == 2 and walks[0] is pair[0] and walks[1] is pair[1]
+    # best-R^2 factorizes its models once per design, alongside its walk.
+    assert factorizations == pair
+
+
+def _selection_calls(cd, y, sigma_hat):
+    return [
+        lambda: spar_select(cd, y, sigma_hat),
+        lambda: spar1_select(cd, y, sigma_hat, predictor=2),
+        lambda: make_spar_selector()(cd, y, sigma_hat),
+        lambda: make_spar1_selector(2)(cd, y, sigma_hat),
+        lambda: make_stepwise_selector()(cd, y, sigma_hat),
+        lambda: make_best_r2_selector(2)(cd, y, sigma_hat),
+    ]
 
 
 @pytest.mark.parametrize("sigma_hat", [0.0, -1.0, float("nan")])
 def test_selection_rejects_nonpositive_sigma_hat(sigma_hat):
     cd = random_canonical(3, seed=20)
     y = np.random.default_rng(20).standard_normal(cd.d)
-    calls = [
-        lambda: spar_select(cd, y, sigma_hat),
-        lambda: spar1_select(cd, y, sigma_hat, predictor=2),
-        lambda: make_spar_selector()(cd, y, sigma_hat),
-        lambda: make_spar1_selector(2)(cd, y, sigma_hat),
-    ]
-    for call in calls:
+    for call in _selection_calls(cd, y, sigma_hat):
         with pytest.raises(ValueError, match="sigma_hat must be positive"):
             call()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_selection_rejects_non_finite_response(bad):
+    cd = random_canonical(3, seed=21)
+    y = np.random.default_rng(21).standard_normal(cd.d)
+    y[1] = bad
+    for call in _selection_calls(cd, y, 1.0):
+        with pytest.raises(ValueError, match="response must be finite"):
+            call()
+
+
+def test_stepwise_ties_go_to_the_smallest_predictor():
+    # After x1 enters, x2, x3 and x4 tie exactly and x2 enters; x3 lies on
+    # x2's axis, so its residual is zero and it is skipped.
+    values = np.array([[4.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.5, 0.0],
+                       [0.0, 0.0, 0.0, 2.0]])
+    cd = CanonicalDesign.from_canonical(values)
+    assert make_stepwise_selector()(cd, np.array([5.0, 3.0, 3.0]), 1.0) == \
+        ModelId([1, 2, 4])
+
+
+def test_stepwise_skips_degenerate_candidates():
+    # A zero column is never a candidate: one entry, then nothing clears 2.
+    cd = CanonicalDesign.from_canonical(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert make_stepwise_selector()(cd, np.array([1.0, 7.0]), 1.0) == ModelId([2])
+    # x2 is 3 x1 up to rounding, so its residual against x1 is rounding noise
+    # of norm 5e-16, and |t| on it is about |y'x1| / ||x1||; the tau rule
+    # skips it.
+    cd = CanonicalDesign.from_canonical(np.array([[0.1, 0.3], [0.7, 2.1]]))
+    select = make_stepwise_selector(ModelUniverse.forcing(1))
+    assert select(cd, np.array([1.0, 7.0]), 1.0) == ModelId([1])
+
+
+def test_best_r2_ties_go_to_the_smallest_mask():
+    # {1, 3} and {2, 3} span the same plane; {1, 2} is rank deficient.
+    values = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    cd = CanonicalDesign.from_canonical(values)
+    y = np.array([1.0, 1.0, 1.0])
+    assert make_best_r2_selector(2)(cd, y, 1.0) == ModelId([1, 3])
+    assert make_best_r2_selector(2, ModelUniverse.forcing(2))(cd, y, 1.0) == \
+        ModelId([2, 3])
+    with pytest.raises(InfeasibleError, match="no full-rank model of size 3"):
+        make_best_r2_selector(3)(cd, y, 1.0)
 
 
 # ---------------------------------------------------------------------------
