@@ -154,7 +154,7 @@ def _df_json(em: ErrorModel):
     return "inf" if em.sigma_known else int(em.df)
 
 
-def _base_payload(args, *, k=None, alpha=None, em=None, mc_samples=None,
+def _base_payload(*, k=None, alpha=None, em=None, mc_samples=None,
                   mc_se=None, seed=None, d=None, p=None, direction_count=None,
                   universe=None) -> dict:
     return {
@@ -172,9 +172,8 @@ def _base_payload(args, *, k=None, alpha=None, em=None, mc_samples=None,
     }
 
 
-def _payload_from_estimate(args, est: ConstantEstimate, design=None) -> dict:
+def _payload_from_estimate(est: ConstantEstimate, design=None) -> dict:
     return _base_payload(
-        args,
         k=est.k,
         alpha=est.alpha,
         em=est.error_model,
@@ -239,7 +238,7 @@ def _cmd_k(args) -> int:
         n_samples=args.mc_samples,
         seed=args.seed,
     )
-    _emit(_payload_from_estimate(args, est, design), args)
+    _emit(_payload_from_estimate(est, design), args)
     return 0
 
 
@@ -256,7 +255,7 @@ def _cmd_k1(args) -> int:
         n_samples=args.mc_samples,
         seed=args.seed,
     )
-    payload = _payload_from_estimate(args, est, design)
+    payload = _payload_from_estimate(est, design)
     payload["predictor"] = args.predictor
     _emit(payload, args)
     return 0
@@ -267,7 +266,7 @@ def _cmd_closed_form(args) -> int:
     d = _dimension_for(args)
     constant = scheffe_constant if args.command == "scheffe" else orth_constant
     est = constant(args.alpha, d, em)
-    payload = _payload_from_estimate(args, est)
+    payload = _payload_from_estimate(est)
     payload["d"] = d
     _emit(payload, args)
     return 0
@@ -296,7 +295,7 @@ def _cmd_bound(args) -> int:
         d = design.d
         p = design.p
     est = cap_bonferroni_bound(count, d, args.alpha)
-    payload = _payload_from_estimate(args, est)
+    payload = _payload_from_estimate(est)
     payload["d"] = d
     payload["p"] = p
     a_hat = count ** (1.0 / d)
@@ -322,7 +321,7 @@ def _cmd_intervals(args) -> int:
         )
     target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     report = posi_intervals(design, y, args.sigma_hat, em, model, est, target)
-    payload = _payload_from_estimate(args, est, design)
+    payload = _payload_from_estimate(est, design)
     payload["model"] = list(model.members)
     payload["sigma_hat"] = args.sigma_hat
     payload["intervals"] = [
@@ -350,7 +349,7 @@ def _cmd_spar(args) -> int:
     else:
         model, stat = spar_select(design, y, args.sigma_hat, universe)
     payload = _base_payload(
-        args, alpha=None, em=None, seed=None, d=design.d, p=design.p,
+        alpha=None, em=None, seed=None, d=design.d, p=design.p,
         universe=universe.spec_string(),
     )
     payload["selected_model"] = list(model.members)
@@ -367,12 +366,12 @@ def _cmd_coverage(args) -> int:
     if args.k_source == "scheffe":
         est: ConstantEstimate | float = scheffe_constant(args.alpha, design.d, em)
     elif args.k_source == "naive":
-        from scipy import stats as _st
+        from scipy import special
 
         est = float(
-            _st.norm.ppf(1 - args.alpha / 2)
+            special.ndtri(1 - args.alpha / 2)
             if em.sigma_known
-            else _st.t.ppf(1 - args.alpha / 2, em.df)
+            else special.stdtrit(em.df, 1 - args.alpha / 2)
         )
     else:
         est = posi_constant(
@@ -391,7 +390,7 @@ def _cmd_coverage(args) -> int:
     )
     k_value = est.k if isinstance(est, ConstantEstimate) else est
     payload = _base_payload(
-        args, k=k_value, alpha=args.alpha, em=em,
+        k=k_value, alpha=args.alpha, em=em,
         mc_samples=args.mc_samples if isinstance(est, ConstantEstimate) else 0,
         mc_se=(est.mc_standard_error if isinstance(est, ConstantEstimate) else 0.0),
         seed=args.seed, d=design.d, p=design.p,
@@ -416,7 +415,7 @@ def _cmd_analyze(args) -> int:
     distinct = direction_stream(design, universe, dedup="up_to_sign").count
     census = orthogonality_census(direction_stream(design, universe))
     payload = _base_payload(
-        args, d=design.d, p=design.p, direction_count=count,
+        d=design.d, p=design.p, direction_count=count,
         universe=universe.spec_string(),
     )
     payload["distinct_directions"] = distinct
@@ -451,7 +450,7 @@ def _cmd_family(args) -> int:
              "mc_standard_error": r.mc_standard_error, "ratio": r.ratio}
             for r in rows
         ]
-        payload = _base_payload(args, alpha=args.alpha, em=em,
+        payload = _base_payload(alpha=args.alpha, em=em,
                                 mc_samples=args.mc_samples, seed=args.seed)
         payload["family"] = "exchangeable"
         payload["rows"] = table
@@ -469,7 +468,7 @@ def _cmd_family(args) -> int:
              "mc_standard_error": r.mc_standard_error, "ratio": r.ratio}
             for r in rows
         ]
-        payload = _base_payload(args, alpha=args.alpha, em=em,
+        payload = _base_payload(alpha=args.alpha, em=em,
                                 mc_samples=args.mc_samples, seed=args.seed,
                                 p=args.p)
         payload["family"] = "worst-posi1"

@@ -32,7 +32,8 @@ _DIRECTION_CHUNK = 512
 # Draws per fold tile: a 512 x 384 product tile (1.5 MB) stays in a core's
 # 2 MB L2 cache while it is reduced. Fold speed was flat from 128 to 3072 in
 # a measured sweep (see CHANGES.md). The draws are padded to whole groups of
-# _DRAW_GROUP columns (see max_abs_t_draws).
+# _DRAW_GROUP columns (see max_abs_t_draws); _FOLD_DRAWS is a multiple of
+# _DRAW_GROUP, so no tile is one column wide (a matrix-vector product).
 _FOLD_DRAWS = 384
 _DRAW_GROUP = 16
 
@@ -136,16 +137,6 @@ def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
     np.maximum(best, lo, out=best)
 
 
-def _draw_tiles(n: int) -> list[int]:
-    """Edges of the fold's draw tiles over n >= 2 columns: _FOLD_DRAWS wide,
-    with a one-column remainder merged into the tile before it, so that no
-    tile is multiplied as a matrix-vector product."""
-    edges = list(range(0, n, _FOLD_DRAWS)) + [n]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    return edges
-
-
 def _nominal_pair_count(
     universe: ModelUniverse, p: int, predictor: int | None = None
 ) -> int | None:
@@ -192,11 +183,13 @@ def max_abs_t_draws(
     run's draws are a prefix of any longer run's. The Gaussian draws are held
     at once as a d x n array; the directions are streamed once, in chunks,
     and each chunk is folded into a running per-draw maximum one cache-sized
-    tile of draws at a time. ``threads`` is accepted for compatibility and
-    has no effect on work or output.
+    tile of draws at a time. ``threads`` must be at least 1 and has no effect
+    on work or output.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     d = directions.design.d
     # numpy multiplies by a single row or column with a matrix-vector kernel,
     # and OpenBLAS multiplies the last few columns of a wide product that is
@@ -214,7 +207,7 @@ def max_abs_t_draws(
         zt[:, sl] = z.T
         sigma[sl] = s
     best = np.full(cols, -1.0)
-    edges = _draw_tiles(cols)
+    edges = list(range(0, cols, _FOLD_DRAWS)) + [cols]
     buf = np.empty((_DIRECTION_CHUNK, max(np.diff(edges))))
     for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
         if chunk.shape[0] == 1:
@@ -267,15 +260,15 @@ def posi_constant(
 
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
-    every full-rank model in the universe. ``threads`` has no effect on work
-    or output.
+    every full-rank model in the universe. ``threads`` must be at least 1 and
+    has no effect on work or output.
     """
     _validate_alpha(alpha)
     if universe is None:
         universe = ModelUniverse.all()
     conservative_quantile_index(alpha, n_samples)
     directions = direction_stream(design, universe, dedup=dedup)
-    draws = max_abs_t_draws(directions, error_model, n_samples, seed)
+    draws = max_abs_t_draws(directions, error_model, n_samples, seed, threads)
     return _estimate_from_draws(
         draws, alpha, error_model, seed, directions.count, "posi", universe
     )
@@ -294,7 +287,7 @@ def posi1_constant(
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
-    ``threads`` has no effect on work or output.
+    ``threads`` must be at least 1 and has no effect on work or output.
     """
     _validate_alpha(alpha)
     if universe is None:
@@ -305,7 +298,7 @@ def posi1_constant(
     restricted = universe & ModelUniverse.forcing(predictor)
     directions = DirectionSet(design, restricted, predictor=predictor)
     try:
-        draws = max_abs_t_draws(directions, error_model, n_samples, seed)
+        draws = max_abs_t_draws(directions, error_model, n_samples, seed, threads)
     except InfeasibleError:
         raise InfeasibleError(
             f"no model in the universe contains predictor {predictor}"
@@ -320,15 +313,15 @@ def scheffe_constant(
 ) -> ConstantEstimate:
     """sqrt(d F_{d,r,1-alpha}); protects all linear combinations in the
     d-dimensional column space and upper-bounds every simultaneous constant."""
-    from scipy import stats
+    from scipy import special
 
     _validate_alpha(alpha)
     if d < 1:
         raise ValueError("d must be >= 1")
     if error_model.sigma_known:
-        k = math.sqrt(stats.chi2.ppf(1.0 - alpha, d))
+        k = math.sqrt(special.chdtri(d, alpha))
     else:
-        k = math.sqrt(d * stats.f.ppf(1.0 - alpha, d, error_model.df))
+        k = math.sqrt(d * special.fdtri(d, error_model.df, 1.0 - alpha))
     return ConstantEstimate(
         k=k,
         alpha=alpha,
@@ -403,7 +396,7 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
     and alpha/2 on the radius (the 1 - alpha/2 chi quantile), returning their
     product. Always conservative for any direction set of the given size.
     """
-    from scipy import optimize, stats
+    from scipy import optimize, special
 
     _validate_alpha(alpha)
     if direction_count < 1:
@@ -413,14 +406,15 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
     target = math.log(alpha / 2.0) - math.log(direction_count)
 
     def log_tail_gap(u: float) -> float:
-        return stats.beta.logsf(u * u, 0.5, (d - 1) / 2.0) - target
+        with np.errstate(divide="ignore"):
+            return np.log(special.betaincc(0.5, (d - 1) / 2.0, u * u)) - target
 
     lo, hi = 1e-12, 1.0 - 1e-14
     if log_tail_gap(lo) < 0.0:
         # Requested alpha cannot be met by any cap in (0, 1); Scheffe fallback.
         return scheffe_constant(alpha, d)
     k_prime = optimize.brentq(log_tail_gap, lo, hi, xtol=1e-14)
-    radius = math.sqrt(stats.chi2.ppf(1.0 - alpha / 2.0, d))
+    radius = math.sqrt(special.chdtri(d, alpha / 2.0))
     return ConstantEstimate(
         k=float(k_prime * radius),
         alpha=alpha,

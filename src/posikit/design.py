@@ -439,6 +439,8 @@ class CanonicalDesign:
 
     ``basis`` is the n x d matrix Q with orthonormal columns used in the
     reduction, so values = Q.T @ X and the Gram matrix is preserved.
+    ``rank_limits`` holds tau * ||x_j|| for each column, with tau the rank
+    tolerance: the thresholds of the rank rule (see _level_batches).
     """
 
     values: np.ndarray
@@ -446,6 +448,7 @@ class CanonicalDesign:
     form: str
     column_names: tuple[str, ...]
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE
+    rank_limits: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -459,6 +462,8 @@ class CanonicalDesign:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "column_names", tuple(self.column_names))
+        object.__setattr__(self, "rank_limits",
+                           self.rank_tolerance * np.linalg.norm(values, axis=0))
 
     @classmethod
     def from_canonical(
@@ -700,6 +705,16 @@ def _row_masks(rows: np.ndarray, p: int) -> np.ndarray:
     return np.array([sum(1 << j for j in row) for row in rows.tolist()], dtype=object)
 
 
+def _factor_models(design: CanonicalDesign, rows: np.ndarray):
+    """Batched QR of the models in ``rows`` (B, k), each's 0-based members in
+    column order. Returns Q (B, d, k), R (B, k, k) and the rank test ok
+    (B, k): whether |R_ii|, the residual of member i against the members
+    before it, is above tau * ||x_i||."""
+    Q, R = np.linalg.qr(design.values.T[rows].transpose(0, 2, 1))
+    ok = np.abs(np.diagonal(R, axis1=1, axis2=2)) > design.rank_limits[rows]
+    return Q, R, ok
+
+
 def _moved_last(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Each row with its member at position t[i] moved to the end."""
     n, k = rows.shape
@@ -710,54 +725,43 @@ def _moved_last(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.take_along_axis(rows, cols, axis=1)
 
 
-def _pair_factors(XT: np.ndarray, rows: np.ndarray, limits: np.ndarray):
-    """One pair per row of ``rows`` (n, k): the model's members with the
-    pair's predictor last. Returns whether the pair is counted (every
-    ascending prefix of the other members has a residual above its limit),
-    the predictor's adjusted norm and its unit direction. In the QR factors of
-    X_M in this column order, |R_ii| is the residual of member i against the
-    members before it."""
-    Q, R = np.linalg.qr(XT[rows].transpose(0, 2, 1))
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    counted = (diag[:, :-1] > limits[rows[:, :-1]]).all(axis=1)
-    vectors = Q[:, :, -1] * np.sign(R[:, -1, -1])[:, None]
-    return counted, diag[:, -1], vectors
-
-
-def _model_factors(XT: np.ndarray, rows: np.ndarray, limits: np.ndarray):
-    """Every member's pair in each model of ``rows`` (B, k): counted flags and
-    adjusted norms shaped (B, k), unit directions shaped (B, k, d)."""
-    B, k = rows.shape
-    Q, R = np.linalg.qr(XT[rows].transpose(0, 2, 1))
-    ok = np.abs(np.diagonal(R, axis1=1, axis2=2)) > limits[rows]
+def _model_factors(design: CanonicalDesign, rows: np.ndarray):
+    """Every member's pair in each model of ``rows`` (B, k): counted and
+    emitted flags and adjusted norms shaped (B, k), unit directions shaped
+    (B, k, d) (see _level_batches)."""
+    k = rows.shape[1]
+    Q, R, ok = _factor_models(design, rows)
     reach = ok.all(axis=1)
     # When every ascending prefix of M clears its limit, so does every prefix
     # of each M \ {j} (a residual against fewer columns is no smaller), and
     # the directions are the normalized columns of the dual design
     # X_M (X_M'X_M)^-1 = Q R^-T, whose column norms are the reciprocal
-    # adjusted norms.
+    # adjusted norms. Other models solve against an identity in place of R.
     counted = np.repeat(reach[:, None], k, axis=1)
-    norms = np.zeros((B, k))
-    vectors = np.zeros((B, k, XT.shape[1]))
-    dual = np.linalg.solve(R[reach], Q[reach].transpose(0, 2, 1))
+    dual = np.linalg.solve(np.where(reach[:, None, None], R, np.eye(k)),
+                           Q.transpose(0, 2, 1))
     inverse_norms = np.linalg.norm(dual, axis=2)
-    norms[reach] = 1.0 / inverse_norms
-    vectors[reach] = dual / inverse_norms[..., None]
+    norms = 1.0 / inverse_norms
+    vectors = dual / inverse_norms[..., None]
     # Otherwise M \ {j} keeps M's first failing prefix unless j lies in it;
-    # those pairs are factorized again, one by one, with j last.
+    # those pairs are factorized again, one by one, with j last: the pair is
+    # counted when the members before j pass, and |R_kk| is its adjusted norm.
     bad = np.flatnonzero(~reach)
     if bad.size:
         first_failure = np.argmin(ok[bad], axis=1)
         b, t = np.nonzero(np.arange(k) <= first_failure[:, None])
         b = bad[b]
-        counted[b, t], norms[b, t], vectors[b, t] = _pair_factors(
-            XT, _moved_last(rows[b], t), limits)
-    return counted, norms, vectors
+        Q, R, ok = _factor_models(design, _moved_last(rows[b], t))
+        last = R[:, -1, -1]
+        counted[b, t] = ok[:, :-1].all(axis=1)
+        norms[b, t] = np.abs(last)
+        vectors[b, t] = Q[:, :, -1] * np.sign(last)[:, None]
+    emitted = counted & (norms > design.rank_limits[rows])
+    return counted, emitted, norms, vectors
 
 
 def _level_batches(design: CanonicalDesign, universe: ModelUniverse,
-                   predictor: int | None = None,
-                   largest: bool = False) -> Iterator[LevelBatch]:
+                   predictor: int | None = None) -> Iterator[LevelBatch]:
     """Enumerate the universe's (predictor, model) pairs, one block of
     same-size models at a time: by model size, then lexicographically by
     members, then by predictor.
@@ -768,34 +772,48 @@ def _level_batches(design: CanonicalDesign, universe: ModelUniverse,
     tolerance. A counted pair is emitted if its adjusted norm is above
     tau * ||x_j||, and is a degenerate skip otherwise. With a 1-based
     ``predictor`` only that predictor's pairs are enumerated, and each
-    direction is bitwise the one the full enumeration gives. With ``largest``
-    only each model's pair of its largest member is enumerated, which is
-    emitted exactly when the model is full rank in the sense above; only the
-    model's own ascending QR is computed for it, which rounds the direction
-    differently.
+    direction is bitwise the one the full enumeration gives.
     """
     d, p = design.values.shape
-    XT = np.ascontiguousarray(design.values.T)
-    limits = design.rank_tolerance * np.linalg.norm(design.values, axis=0)
     for rows in _model_blocks(universe, p, min(d, p), predictor):
         B, k = rows.shape
         masks = _row_masks(rows, p)
-        if largest:
-            counted, norms, vectors = _pair_factors(XT, rows, limits)
-            members = rows[:, -1]
-        elif predictor is None:
-            counted, norms, vectors = _model_factors(XT, rows, limits)
-            members = rows.ravel()
-            masks = np.repeat(masks, k)
-            counted, norms = counted.ravel(), norms.ravel()
-            vectors = vectors.reshape(B * k, -1)
+        if predictor is None:
+            counted, emitted, norms, vectors = (
+                a.reshape(B * k, *a.shape[2:]) for a in _model_factors(design, rows))
+            members, masks = rows.ravel(), np.repeat(masks, k)
         else:
             at = (np.arange(B), np.argmax(rows == predictor - 1, axis=1))
-            counted, norms, vectors = (a[at] for a in _model_factors(XT, rows, limits))
+            counted, emitted, norms, vectors = (a[at] for a in _model_factors(design, rows))
             members = rows[at]
-        emitted = counted & (norms > limits[members])
         yield LevelBatch(masks[emitted], members[emitted] + 1, vectors[emitted],
                          norms[emitted], int(counted.sum() - emitted.sum()))
+
+
+def _model_directions(design: CanonicalDesign,
+                      model: ModelId) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (k, d) and adjusted norms (k,) of the model's members,
+    bitwise as the enumeration emits them. Raises InfeasibleError unless it
+    emits every pair of the model (see _level_batches)."""
+    members = np.array(model.members, dtype=np.intp) - 1
+    if members[-1] >= design.p:
+        raise ValueError(f"model {model} references columns beyond p={design.p}")
+    if members.size > design.d:
+        raise InfeasibleError(f"submodel {model} has more columns than d={design.d}")
+    _, emitted, norms, vectors = _model_factors(design, members[None, :])
+    if not emitted.all():
+        raise InfeasibleError(f"submodel {model} is rank deficient")
+    return vectors[0], norms[0]
+
+
+def _full_rank_blocks(design: CanonicalDesign, universe: ModelUniverse):
+    """The universe's full-rank models (every |R_ii| above its limit), by
+    size and then lexicographically, in blocks: (B, k) ascending 0-based
+    member rows with their (B, d, k) Q factors."""
+    for rows in _model_blocks(universe, design.p, min(design.d, design.p)):
+        Q, _, ok = _factor_models(design, rows)
+        full = ok.all(axis=1)
+        yield rows[full], Q[full]
 
 
 def _joined(batches: list[LevelBatch], d: int) -> LevelBatch:
@@ -817,8 +835,8 @@ def enumerate_models(
     InfeasibleError if nothing survives the filtering.
     """
     count = 0
-    for batch in _level_batches(design, universe, largest=True):
-        for mask in batch.masks.tolist():
+    for rows, _ in _full_rank_blocks(design, universe):
+        for mask in _row_masks(rows, design.p).tolist():
             count += 1
             yield ModelId.from_mask(mask)
     if count == 0:

@@ -288,11 +288,12 @@ def worst_posi1_table(
 
 def rate_function(r: float) -> float:
     """phi(Phi^{-1}(r)) / sqrt(1 - r) on (0, 1)."""
-    from scipy import stats
+    from scipy import special
 
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie strictly between 0 and 1")
-    return float(stats.norm.pdf(stats.norm.ppf(r)) / math.sqrt(1.0 - r))
+    x = special.ndtri(r)
+    return float(np.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi) / math.sqrt(1.0 - r))
 
 
 def rate_function_max(xtol: float = 1e-10) -> tuple[float, float]:

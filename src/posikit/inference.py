@@ -18,7 +18,8 @@ import numpy as np
 from . import _rng
 from .constants import _DIRECTION_CHUNK, ConstantEstimate, ErrorModel
 from .design import (CanonicalDesign, DirectionSet, ModelId, ModelUniverse,
-                     direction_stream, enumerate_models)
+                     _full_rank_blocks, _model_directions, _row_masks,
+                     direction_stream)
 from .errors import InfeasibleError
 
 
@@ -93,15 +94,6 @@ def _check_response(y: np.ndarray, sigma_hat: float):
         raise ValueError("response must be finite")
 
 
-def _solve_submodel(design: CanonicalDesign, model: ModelId, rhs: np.ndarray):
-    A = design.submatrix(model)
-    m = model.size
-    coef, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < m:
-        raise InfeasibleError(f"submodel {model} is rank deficient")
-    return A, coef
-
-
 def fit_submodel(
     design: CanonicalDesign,
     y: np.ndarray,
@@ -111,18 +103,18 @@ def fit_submodel(
 ) -> FitResult:
     """Least squares in one submodel; sigma_hat comes from outside the fit.
 
-    The residual is orthogonal to the model's span, and the adjusted-predictor
-    norms are read off the inverse Gram diagonal:
-    ||x_{j.M}|| = 1 / sqrt[(X_M' X_M)^{-1}_{jj}].
+    The estimates are beta_j = l_j'y / ||x_{j.M}||, with the unit directions
+    l_j and adjusted norms ||x_{j.M}|| bitwise those the enumeration emits
+    for the model's pairs. Raises InfeasibleError when it does not emit them
+    all (rank deficient under the rank tolerance, or more columns than d).
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (design.d,):
         raise ValueError(f"response must be a length-{design.d} canonical vector")
     _check_response(y, sigma_hat)
-    A, coef = _solve_submodel(design, model, y)
-    gram_inv = np.linalg.inv(A.T @ A)
-    norms = 1.0 / np.sqrt(np.diag(gram_inv))
-    return FitResult(model, coef, norms, float(sigma_hat), error_model)
+    vectors, norms = _model_directions(design, model)
+    return FitResult(model, np.vecdot(vectors, y) / norms, norms, float(sigma_hat),
+                     error_model)
 
 
 def submodel_target(
@@ -132,8 +124,8 @@ def submodel_target(
     mu = np.asarray(target.mu, dtype=float)
     if mu.shape != (design.d,):
         raise ValueError(f"target mean must be a length-{design.d} canonical vector")
-    _, coef = _solve_submodel(design, model, mu)
-    return coef
+    vectors, norms = _model_directions(design, model)
+    return np.vecdot(vectors, mu) / norms
 
 
 def t_ratio(fit: FitResult, predictor: int, target_value: float = 0.0) -> float:
@@ -317,7 +309,6 @@ def make_stepwise_selector(
         _check_response(y, sigma_hat)
         u = universe if universe is not None else ModelUniverse.all()
         X = design.values
-        limits = design.rank_tolerance * np.linalg.norm(X, axis=0)
         basis = np.empty((design.d, 0))
         mask = 0
         while True:
@@ -327,7 +318,7 @@ def make_stepwise_selector(
             candidates = X[:, cols]
             residuals = candidates - basis @ (basis.T @ candidates)
             norms = np.linalg.norm(residuals, axis=0)
-            keep = norms > limits[cols]
+            keep = norms > design.rank_limits[cols]
             if not keep.any():
                 break
             residuals, norms, cols = residuals[:, keep], norms[keep], cols[keep]
@@ -349,13 +340,13 @@ def make_stepwise_selector(
 
 
 def _size_projectors(design: CanonicalDesign, universe: ModelUniverse, size: int):
-    """The universe's full-rank models of this size and the stacked
-    (B, size, d) transposes of their orthonormal bases."""
-    models = [m for m in enumerate_models(design, universe) if m.size == size]
-    if not models:
+    """The full-rank models of a universe that admits only this size, and
+    the stacked (B, size, d) transposes of their orthonormal bases."""
+    blocks = [(rows, Q) for rows, Q in _full_rank_blocks(design, universe) if rows.size]
+    if not blocks:
         raise InfeasibleError(f"universe has no full-rank model of size {size}")
-    rows = np.array([m.members for m in models], dtype=np.intp) - 1
-    Q, _ = np.linalg.qr(design.values.T[rows].transpose(0, 2, 1))
+    rows, Q = (np.concatenate(parts) for parts in zip(*blocks))
+    models = [ModelId.from_mask(mask) for mask in _row_masks(rows, design.p).tolist()]
     return models, np.ascontiguousarray(Q.transpose(0, 2, 1))
 
 
@@ -363,13 +354,13 @@ def make_best_r2_selector(size: int, universe: ModelUniverse | None = None) -> S
     """Largest-R^2 model of a fixed size (exhaustive; deterministic ties).
 
     The design's full-rank models of this size are enumerated once per
-    design, together with the transposes Q_M' of their orthonormal bases
-    from one batched QR; these hold d * size * 8 bytes per model. Each call
+    design, and the transposes Q_M' of their orthonormal bases are kept from
+    the enumeration's QR; these hold d * size * 8 bytes per model. Each call
     then scores every model by ||Q_M' y||^2 in one pass, and on an exact tie
     the smallest mask wins (ModelId orders by mask).
     """
     u = universe if universe is not None else ModelUniverse.all()
-    u = u & ModelUniverse.of_max_size(size)
+    u = u & ModelUniverse(min_size=size, max_size=size)
     factors = _last_design(lambda design: _size_projectors(design, u, size))
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
@@ -431,30 +422,25 @@ def coverage_experiment(
     k_value = k.k if isinstance(k, ConstantEstimate) else float(k)
     mu = target.mu if target is not None else np.zeros(design.d)
 
-    covered = np.zeros(replications, dtype=bool)
+    covered: list[bool] = []
     models: list[ModelId] = []
-    nblocks = _rng.block_count(replications)
-    i = 0
-    for b in range(nblocks):
+    for b in range(_rng.block_count(replications)):
         eps, sigma = _rng.gaussian_block(
             seed, _rng.PURPOSE_COVERAGE, b, replications, design.d, error_model.df
         )
-        for row in range(eps.shape[0]):
-            y = mu + eps[row]
-            sigma_hat = float(sigma[row])
-            model = select(design, y, sigma_hat)
-            fit = fit_submodel(design, y, model, sigma_hat, error_model)
-            beta = submodel_target(design, model, TargetSpec(mu))
-            half = k_value * sigma_hat / fit.adjusted_norms
-            covered[i] = bool(np.all(np.abs(fit.estimates - beta) <= half))
+        for e, sigma_hat in zip(eps, sigma.tolist()):
+            model = select(design, mu + e, sigma_hat)
+            # |beta_j - target_j| = |l_j'e| / ||x_{j.M}|| <= K sigma_hat / ||x_{j.M}||
+            vectors, _ = _model_directions(design, model)
+            t = np.abs(np.vecdot(vectors, e))
+            covered.append(bool(t.max() <= k_value * sigma_hat))
             models.append(model)
-            i += 1
-    coverage = float(covered.mean())
+    coverage = float(np.mean(covered))
     se = math.sqrt(max(coverage * (1.0 - coverage), 0.0) / replications)
     return CoverageResult(
         coverage=coverage,
         binomial_se=se,
         replications=replications,
-        covered=covered,
+        covered=np.array(covered),
         models=tuple(models),
     )

@@ -268,6 +268,43 @@ def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch)
     assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err
 
 
+@pytest.mark.parametrize("s, code", [(1e-9, 0), (1e-12, 3)])
+def test_intervals_near_collinear_model(tmp_path, capsys, s, code):
+    # Full rank under the rank tolerance at s = 1e-9, so K counts the model's
+    # pairs and its intervals are given; at s = 1e-12 the enumeration skips
+    # them, and the request is infeasible.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((6, 3))
+    X[:, 1] = X[:, 0] + s * rng.standard_normal(6)
+    design, response = tmp_path / "X.csv", tmp_path / "y.txt"
+    np.savetxt(design, X, delimiter=",")
+    np.savetxt(response, rng.standard_normal(6))
+    assert run(["intervals", "--design", str(design), "--response", str(response),
+                "--sigma-hat", "1", "--model", "1,2", "--mc-samples", "2000"]) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        payload = json.loads(out)
+        assert payload["direction_count"] == 12
+        assert all(math.isfinite(row["lower"]) and row["lower"] < row["upper"]
+                   for row in payload["intervals"])
+
+
+def test_closed_forms_load_no_scipy_stats(files):
+    code = ("import sys; from posikit.cli import run; "
+            f"assert run(['scheffe', '--d', '4']) == 0; "
+            f"assert run(['scheffe', '--d', '4', '--df', '9']) == 0; "
+            f"assert run(['bound', '--design', {files['generic3']!r}]) == 0; "
+            f"assert run(['coverage', '--design', {files['generic3']!r}, "
+            "'--k-source', 'naive', '--replications', '20']) == 0; "
+            f"assert run(['coverage', '--design', {files['generic3']!r}, '--df', '9', "
+            "'--k-source', 'naive', '--replications', '20']) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, posikit; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

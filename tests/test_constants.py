@@ -218,6 +218,18 @@ def test_determinism_across_threads_and_modes():
     assert np.array_equal(max_abs_t_draws(direction_stream(cd), em, 30_000, 21, 2), draws)
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_is_rejected(threads):
+    cd = random_canonical(3, seed=19)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        posi_constant(cd, n_samples=1_000, threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        posi1_constant(cd, predictor=2, n_samples=1_000, threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        max_abs_t_draws(direction_stream(cd), ErrorModel.known_sigma(), 1_000, 0,
+                        threads)
+
+
 def test_quantile_estimator_calibration_over_seeds():
     cd = CanonicalDesign.from_canonical(np.ones((1, 1)))
     ks, ses = [], []

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from posikit import (
     ModelId,
     ModelUniverse,
     TargetSpec,
+    adjusted_predictor,
     canonicalize,
     coverage_experiment,
     direction_stream,
@@ -83,6 +85,59 @@ def test_fit_rejects_rank_deficient_model():
     cd = CanonicalDesign.from_canonical(X)
     with pytest.raises(InfeasibleError):
         fit_submodel(cd, np.ones(2), ModelId([1, 2]), sigma_hat=1.0)
+
+
+def near_collinear_design(s, seed):
+    """Canonical 6 x 3 Gaussian design whose second column is the first plus
+    s times Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((6, 3))
+    X[:, 1] = X[:, 0] + s * rng.standard_normal(6)
+    return canonicalize(DesignMatrix(X, ("x1", "x2", "x3")))
+
+
+def exact_two_column_fit(A, y):
+    """Least-squares estimates and adjusted norms of a two-column model, from
+    the normal equations in rational arithmetic."""
+    A = [[Fraction(v) for v in row] for row in A.tolist()]
+    y = [Fraction(v) for v in y.tolist()]
+    g = [[sum(r[i] * r[j] for r in A) for j in range(2)] for i in range(2)]
+    b = [sum(r[i] * v for r, v in zip(A, y)) for i in range(2)]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    coef = [(g[1][1] * b[0] - g[0][1] * b[1]) / det,
+            (g[0][0] * b[1] - g[1][0] * b[0]) / det]
+    norms = [math.sqrt(det / g[1][1]), math.sqrt(det / g[0][0])]
+    return [float(c) for c in coef], norms
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-9])
+def test_fit_near_collinear_model_matches_oracles(s):
+    model = ModelId([1, 2])
+    for seed in range(3):
+        cd = near_collinear_design(s, seed)
+        # Full rank under the rank tolerance: K counts every pair of {1, 2}.
+        assert cd.d == 3 and direction_stream(cd).count == 12
+        y = np.random.default_rng(5).standard_normal(cd.d)
+        fit = fit_submodel(cd, y, model, sigma_hat=1.0)
+        oracle = [adjusted_predictor(cd, model, j)[1] for j in model.members]
+        np.testing.assert_allclose(fit.adjusted_norms, oracle, rtol=1e-12, atol=0)
+        coef, norms = exact_two_column_fit(cd.submatrix(model), y)
+        np.testing.assert_allclose(fit.estimates, coef, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fit.adjusted_norms, norms, rtol=1e-12, atol=0)
+        target = submodel_target(cd, model, TargetSpec(y))
+        assert np.array_equal(target, fit.estimates)
+
+
+def test_fit_rejects_model_the_rank_rule_skips():
+    model = ModelId([1, 2])
+    for seed in range(3):
+        cd = near_collinear_design(1e-12, seed)
+        assert all(d.model != model for d in direction_stream(cd))
+        y = np.ones(cd.d)
+        with pytest.raises(InfeasibleError):
+            fit_submodel(cd, y, model, sigma_hat=1.0)
+        with pytest.raises(InfeasibleError):
+            submodel_target(cd, model, TargetSpec(y))
 
 
 @pytest.mark.parametrize("sigma_hat, bad, message", [
@@ -391,34 +446,27 @@ def test_spar_selector_follows_the_design_it_is_given():
 
 def test_named_selectors_walk_once_per_design(monkeypatch):
     import posikit.design
-    import posikit.inference
 
-    walks, factorizations = [], []
-    walker = posikit.design._level_batches
-    projectors = posikit.inference._size_projectors
+    factorized = []
+    factor_models = posikit.design._factor_models
 
-    def counting(design, universe, predictor=None, **kwargs):
-        walks.append(design)
-        return walker(design, universe, predictor, **kwargs)
+    def counting(design, rows):
+        factorized.append(design)
+        return factor_models(design, rows)
 
-    def counting_projectors(design, universe, size):
-        factorizations.append(design)
-        return projectors(design, universe, size)
-
-    monkeypatch.setattr(posikit.design, "_level_batches", counting)
-    monkeypatch.setattr(posikit.inference, "_size_projectors", counting_projectors)
+    monkeypatch.setattr(posikit.design, "_factor_models", counting)
     rng = np.random.default_rng(18)
     pair = [random_canonical(5, seed=18), random_canonical(5, seed=19)]
-    for select in (make_spar_selector(), make_spar1_selector(3),
-                   make_best_r2_selector(2)):
-        walks.clear()
-        factorizations.clear()
+    # One walk factorizes each block of same-size models once: five sizes
+    # for spar and spar1, and size 2 alone for best-R^2.
+    for select, blocks in ((make_spar_selector(), 5), (make_spar1_selector(3), 5),
+                           (make_best_r2_selector(2), 1)):
         for cd in pair:
+            factorized.clear()
             for _ in range(4):
                 select(cd, rng.standard_normal(cd.d), 1.0)
-        assert len(walks) == 2 and walks[0] is pair[0] and walks[1] is pair[1]
-    # best-R^2 factorizes its models once per design, alongside its walk.
-    assert factorizations == pair
+            assert len(factorized) == blocks
+            assert all(design is cd for design in factorized)
 
 
 def _selection_calls(cd, y, sigma_hat):

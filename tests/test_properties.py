@@ -1,5 +1,6 @@
 """Property tests: the level-wise enumerator against brute-force subset
-enumeration and against adjusted_predictor pair by pair, universe membership
+enumeration and against adjusted_predictor pair by pair, submodel fits that
+read the enumerator's directions bitwise, universe membership
 and spec round-trips, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, and draws that
@@ -26,6 +27,7 @@ from posikit import (
     canonicalize,
     direction_stream,
     enumerate_models,
+    fit_submodel,
     make_best_r2_selector,
     make_spar1_selector,
     make_spar_selector,
@@ -36,6 +38,7 @@ from posikit import (
     verify_duality,
 )
 from posikit import _rng, constants
+from posikit.design import _model_directions
 from posikit.inference import _argmax_over_directions
 
 PROPERTY_SETTINGS = settings(
@@ -227,6 +230,19 @@ def test_level_batches_match_adjusted_predictor(case):
             assert abs(norm - want[key][1]) <= tol * want[key][1], key
         if predictor is None:
             every = got
+            # A fit reads every pair of its model bitwise as emitted, and
+            # refuses a model with a pair that is not emitted.
+            y = np.arange(1.0, cd.d + 1)
+            for m in admitted:
+                model = ModelId(m)
+                keys = [(model.mask, k) for k in model.members]
+                if all(key in got for key in keys):
+                    vectors, norms = _model_directions(cd, model)
+                    assert np.array_equal(vectors, [got[key][0] for key in keys])
+                    assert np.array_equal(norms, [got[key][1] for key in keys])
+                else:
+                    with pytest.raises(InfeasibleError):
+                        fit_submodel(cd, y, model, 1.0)
         else:
             # The predictor form rounds each of its pairs as the full set does.
             for key, (vector, norm) in got.items():
