@@ -3,14 +3,16 @@
 Exit codes: 0 success, 1 usage or validation problem, 2 data error (parsing,
 rank), 3 infeasible request. All results go to stdout; diagnostics and
 warnings go to stderr. JSON output is byte-identical for identical
-configurations including the seed. --threads is accepted and validated but
-has no effect on work or output.
+configurations including the seed. --threads sets the number of workers
+that fold the Monte Carlo draws (auto: every usable core); output bytes do
+not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -47,16 +49,20 @@ from .inference import (
 )
 
 _STREAM_WARN_P = 16
-# Measured rates for the cost warning, from a traced benchmark run
-# (perfbench/run.py --workload calibrate --seed 104 --trace 1) on a 2-core
-# Intel Xeon KVM guest with OpenBLAS on 2 threads:
+# Measured rates for the cost warning on a 2-core Intel Xeon KVM guest with
+# OpenBLAS on 2 threads. The walk rates come from a traced benchmark run
+# (perfbench/run.py --workload calibrate --seed 104 --trace 1):
 # design.directions_per_s.all = 518 373 (enumeration, all-subsets universe),
-# 72 747 pairs per second in the enumeration spans of its k1.p11.predictor3
-# job (a posi1 enumeration factorizes one model per pair of its predictor),
-# and constants.fold_ns_per_dir_draw = 1.92 (Monte Carlo fold).
+# and 72 747 pairs per second in the enumeration spans of its
+# k1.p11.predictor3 job (a posi1 enumeration factorizes one model per pair
+# of its predictor). The fold rate is max_abs_t_draws at the default
+# --threads (2 workers) less the walk and the draw generation, per
+# direction x draw, the benchmark's derivation: medians 1.28 and 1.36 ns
+# over 10 calls each on (p+4) x p Gaussian designs at p = 10 and 11 with
+# 20 000 draws (1.85 and 2.07 ns on one worker).
 _WALK_S_PER_DIRECTION = 1.0 / 518_373
 _WALK_S_PER_PREDICTOR_PAIR = 1.0 / 72_747
-_FOLD_S_PER_DIR_DRAW = 1.92e-9
+_FOLD_S_PER_DIR_DRAW = 1.32e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,13 +89,18 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(1)
 
 
-def _threads_arg(text: str) -> str:
-    # Kept so existing command lines still parse. BLAS already spreads the
-    # fold over every core, and draws depend only on the seed, so the value
-    # is checked and then ignored.
-    if text != "auto" and int(text) < 1:
+def _threads_arg(text: str) -> int:
+    # Fold workers for the Monte Carlo constants. BLAS alone spreads only the
+    # products over the cores; the workers also spread the reductions, which
+    # are more than half of the fold. auto means every core this process may
+    # run on.
+    if text == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if int(text) < 1:
         raise argparse.ArgumentTypeError("--threads must be >= 1")
-    return text
+    return int(text)
 
 
 def _load_vector(path: str, design: CanonicalDesign, what: str) -> np.ndarray:
@@ -237,6 +248,7 @@ def _cmd_k(args) -> int:
         error_model=em,
         n_samples=args.mc_samples,
         seed=args.seed,
+        threads=args.threads,
     )
     _emit(_payload_from_estimate(est, design), args)
     return 0
@@ -254,6 +266,7 @@ def _cmd_k1(args) -> int:
         error_model=em,
         n_samples=args.mc_samples,
         seed=args.seed,
+        threads=args.threads,
     )
     payload = _payload_from_estimate(est, design)
     payload["predictor"] = args.predictor
@@ -317,7 +330,7 @@ def _cmd_intervals(args) -> int:
     else:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
-            n_samples=args.mc_samples, seed=args.seed,
+            n_samples=args.mc_samples, seed=args.seed, threads=args.threads,
         )
     target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     report = posi_intervals(design, y, args.sigma_hat, em, model, est, target)
@@ -376,7 +389,7 @@ def _cmd_coverage(args) -> int:
     else:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
-            n_samples=args.mc_samples, seed=args.seed,
+            n_samples=args.mc_samples, seed=args.seed, threads=args.threads,
         )
     selector: str | tuple = "spar"
     if args.selector.startswith("spar1:"):
@@ -443,7 +456,7 @@ def _cmd_family(args) -> int:
         a_grid = [float(t) for t in args.a_grid.split(",")] if args.a_grid else None
         rows = exchangeable_ratio_table(
             p_list, alpha=args.alpha, n_samples=args.mc_samples,
-            seed=args.seed, a_grid=a_grid,
+            seed=args.seed, a_grid=a_grid, threads=args.threads,
         )
         table = [
             {"p": r.p, "best_a": r.best_a, "K": r.k,
@@ -491,7 +504,9 @@ def _add_common(sub, design=True, mc=True):
                      help="error degrees of freedom, integer or 'inf'")
     sub.add_argument("--output", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--threads", default="auto", type=_threads_arg,
-                     help="accepted for compatibility; has no effect")
+                     help="workers folding the Monte Carlo draws: a count >= 1 "
+                          "or 'auto' (every usable core); output does not "
+                          "depend on it")
     if design:
         sub.add_argument("--design", help="design matrix file (CSV or whitespace)")
         sub.add_argument("--header", action="store_true",

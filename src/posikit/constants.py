@@ -20,11 +20,12 @@ and its asymptotic limit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _rng
+from . import _blas, _rng
 from .design import CanonicalDesign, DirectionSet, ModelUniverse, direction_stream
 from .errors import InfeasibleError
 
@@ -33,7 +34,8 @@ _DIRECTION_CHUNK = 512
 # 2 MB L2 cache while it is reduced. Fold speed was flat from 128 to 3072 in
 # a measured sweep (see CHANGES.md). The draws are padded to whole groups of
 # _DRAW_GROUP columns (see max_abs_t_draws); _FOLD_DRAWS is a multiple of
-# _DRAW_GROUP, so no tile is one column wide (a matrix-vector product).
+# _DRAW_GROUP, so no tile is one column wide (a matrix-vector product) unless
+# the width is changed.
 _FOLD_DRAWS = 384
 _DRAW_GROUP = 16
 
@@ -137,6 +139,39 @@ def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
     np.maximum(best, lo, out=best)
 
 
+@contextmanager
+def _fold_workers(workers: int):
+    """Yield dispatch(fn, calls): it waits for the calls it started before,
+    re-raising their errors, and then starts fn(*args) for each args in
+    calls. With one worker each call runs inline, in the caller's thread.
+    With more, they run on a pool of that many threads while numpy's BLAS
+    is pinned to one thread; the pool is joined and the BLAS count restored
+    on the way out, also when the block raises."""
+    if workers == 1:
+        def run_inline(fn, calls):
+            for args in calls:
+                fn(*args)
+        yield run_inline
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending = []
+
+    def dispatch(fn, calls):
+        for future in pending:
+            future.result()
+        pending[:] = [pool.submit(fn, *args) for args in calls]
+
+    with _blas.pinned_to_one_thread(), ThreadPoolExecutor(workers) as pool:
+        try:
+            yield dispatch
+            for future in pending:
+                future.result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _nominal_pair_count(
     universe: ModelUniverse, p: int, predictor: int | None = None
 ) -> int | None:
@@ -183,8 +218,16 @@ def max_abs_t_draws(
     run's draws are a prefix of any longer run's. The Gaussian draws are held
     at once as a d x n array; the directions are streamed once, in chunks,
     and each chunk is folded into a running per-draw maximum one cache-sized
-    tile of draws at a time. ``threads`` must be at least 1 and has no effect
-    on work or output.
+    tile of draws at a time.
+
+    ``threads`` (at least 1) is the number of fold workers. The tiles are
+    split into that many contiguous shares (at most one per tile); each
+    worker folds every chunk over its own share into its own tile buffer,
+    while the calling thread enumerates the next chunk. Meanwhile numpy's
+    BLAS is pinned to one thread, and its thread count is restored
+    afterwards. Every product keeps its shape, so the draws are bitwise the
+    same for every ``threads``. Where numpy's BLAS thread count cannot be
+    controlled, the fold runs on one worker.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -207,13 +250,28 @@ def max_abs_t_draws(
         zt[:, sl] = z.T
         sigma[sl] = s
     best = np.full(cols, -1.0)
-    edges = list(range(0, cols, _FOLD_DRAWS)) + [cols]
-    buf = np.empty((_DIRECTION_CHUNK, max(np.diff(edges))))
-    for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
-        if chunk.shape[0] == 1:
-            chunk = np.vstack([chunk, np.zeros((1, d))])
-        for lo, hi in zip(edges[:-1], edges[1:]):
+    tiles = [(lo, min(lo + _FOLD_DRAWS, cols)) for lo in range(0, cols, _FOLD_DRAWS)]
+    if tiles[-1][1] - tiles[-1][0] == 1 < len(tiles):
+        # A tile width that is not a multiple of _DRAW_GROUP can leave one
+        # column over; it joins the tile before it.
+        tiles[-2:] = [(tiles[-2][0], cols)]
+    workers = 1
+    if threads > 1 and _blas.blas_threads() is not None:
+        workers = min(threads, len(tiles))
+    shares = [tiles[w * len(tiles) // workers:(w + 1) * len(tiles) // workers]
+              for w in range(workers)]
+    width = max(hi - lo for lo, hi in tiles)
+    bufs = [np.empty((_DIRECTION_CHUNK, width)) for _ in shares]
+
+    def fold(chunk, share, buf):
+        for lo, hi in share:
             _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
+
+    with _fold_workers(workers) as dispatch:
+        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
+            if chunk.shape[0] == 1:
+                chunk = np.vstack([chunk, np.zeros((1, d))])
+            dispatch(fold, [(chunk, share, buf) for share, buf in zip(shares, bufs)])
     if best.max() < 0:
         raise InfeasibleError("direction set is empty")
     return best[:n_samples] / sigma
@@ -260,8 +318,8 @@ def posi_constant(
 
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
-    every full-rank model in the universe. ``threads`` must be at least 1 and
-    has no effect on work or output.
+    every full-rank model in the universe. ``threads`` fold workers share
+    the draws (see max_abs_t_draws); K does not depend on their number.
     """
     _validate_alpha(alpha)
     if universe is None:
@@ -287,7 +345,8 @@ def posi1_constant(
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
-    ``threads`` must be at least 1 and has no effect on work or output.
+    ``threads`` fold workers share the draws (see max_abs_t_draws); K does
+    not depend on their number.
     """
     _validate_alpha(alpha)
     if universe is None:

@@ -205,7 +205,11 @@ class ModelUniverse:
 
     def contains(self, model: ModelId) -> bool:
         """Constraint membership; does not look at the design's rank."""
-        mask, size = model.mask, model.size
+        return self.admits(model.mask)
+
+    def admits(self, mask: int) -> bool:
+        """contains() for the model with this bitmask of 1-based columns."""
+        size = mask.bit_count()
         if self.max_size is not None and size > self.max_size:
             return False
         if self.min_size is not None and size < self.min_size:

@@ -121,8 +121,10 @@ def exchangeable_ratio_table(
     n_samples: int = 50_000,
     seed: int = 0,
     a_grid=None,
+    threads: int = 1,
 ) -> list[RatioRow]:
-    """sup over the a-grid of K(X_p(a)) / sqrt(2 log p), per p."""
+    """sup over the a-grid of K(X_p(a)) / sqrt(2 log p), per p. ``threads``
+    fold workers compute each K (see max_abs_t_draws)."""
     rows = []
     for p in p_list:
         grid = tuple(a_grid) if a_grid is not None else default_a_grid(p)
@@ -133,6 +135,7 @@ def exchangeable_ratio_table(
                 alpha=alpha,
                 n_samples=n_samples,
                 seed=seed,
+                threads=threads,
             )
             if best is None or est.k > best[1]:
                 best = (a, est.k, est.mc_standard_error)
@@ -197,7 +200,12 @@ _WORST_SUB_BLOCK = 512
 def _fast_worst_posi1_batch(p: int, cs, z_block: np.ndarray) -> np.ndarray:
     """Vectorized fast statistic for each c in cs over a (b, p) block of
     draws, shaped (len(cs), b). The tail sums of the order statistics do not
-    depend on c, so the block is sorted once for all of them."""
+    depend on c, so the block is sorted once for all of them.
+
+    The sum of the k largest is never below the sum of the k smallest, so
+    for c >= 0 the top tail's score is never below the bottom tail's (and
+    the reverse for c < 0): max |score| over both tails is the larger of the
+    upper tail's max and minus the lower tail's min."""
     b = z_block.shape[0]
     zp = z_block[:, p - 1]
     # Column i holds the sum of the i smallest of z_1..z_{p-1}.
@@ -209,15 +217,17 @@ def _fast_worst_posi1_batch(p: int, cs, z_block: np.ndarray) -> np.ndarray:
     best = np.zeros((len(cs), b))
     for out_c, c in zip(best, cs):
         on_zp, on_rest = _worst_coefficients(p, c)
+        upper, lower = (top, bottom) if c >= 0 else (bottom, top)
         for lo in range(0, b, _WORST_SUB_BLOCK):
             rows = slice(lo, lo + _WORST_SUB_BLOCK)
             base = on_zp * zp[rows, None]
             out = out_c[rows]
-            for tail in (bottom, top):
-                value = on_rest * tail[rows]
-                value += base
-                np.maximum(out, value.max(axis=1), out=out)
-                np.maximum(out, -value.min(axis=1), out=out)
+            value = on_rest * upper[rows]
+            value += base
+            np.maximum(out, value.max(axis=1), out=out)
+            value = on_rest * lower[rows]
+            value += base
+            np.maximum(out, -value.min(axis=1), out=out)
     return best
 
 

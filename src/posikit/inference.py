@@ -312,9 +312,8 @@ def make_stepwise_selector(
         basis = np.empty((design.d, 0))
         mask = 0
         while True:
-            admissible = [j for j in range(1, design.p + 1) if not mask >> (j - 1) & 1
-                          and u.contains(ModelId.from_mask(mask | 1 << (j - 1)))]
-            cols = np.array(admissible, dtype=np.intp) - 1
+            cols = np.array([j for j in range(design.p) if not mask >> j & 1
+                             and u.admits(mask | 1 << j)], dtype=np.intp)
             candidates = X[:, cols]
             residuals = candidates - basis @ (basis.T @ candidates)
             norms = np.linalg.norm(residuals, axis=0)

@@ -65,13 +65,20 @@ def test_k_command_payload(files, capsys):
 
 
 def test_k_threads_byte_identical(files, capsys):
-    outputs = []
-    for threads in ("1", "3", "7"):
-        code = run(["k", "--design", files["generic3"], "--mc-samples", "20000",
-                    "--seed", "9", "--threads", threads])
-        assert code == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
+    commands = (
+        ["k", "--design", files["generic3"], "--mc-samples", "20000"],
+        ["k1", "--design", files["generic3"], "--predictor", "2",
+         "--mc-samples", "20000"],
+        ["coverage", "--design", files["generic3"], "--k-source", "posi",
+         "--mc-samples", "5000", "--replications", "50", "--df", "9"],
+    )
+    for argv in commands:
+        outputs = []
+        for threads in ("1", "3", "7", "auto"):
+            code = run(argv + ["--seed", "9", "--threads", threads])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2] == outputs[3], argv[0]
 
 
 def test_k1_command(files, capsys):
@@ -303,6 +310,15 @@ def test_closed_forms_load_no_scipy_stats(files):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    # The fold imports concurrent.futures when it first runs on workers.
+    code = "import sys, posikit; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_import_loads_no_scipy():

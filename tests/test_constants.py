@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from posikit import (
     posi_constant,
     scheffe_constant,
 )
+from posikit import _blas
 from posikit.design import DesignMatrix
 
 Z975 = 1.959963984540054
@@ -216,6 +218,77 @@ def test_determinism_across_threads_and_modes():
     draws = max_abs_t_draws(direction_stream(cd), em, 30_000, 21)
     # threads stays accepted as the fifth positional argument
     assert np.array_equal(max_abs_t_draws(direction_stream(cd), em, 30_000, 21, 2), draws)
+
+
+class RecordingSet(DirectionSet):
+    """A direction set whose chunk stream notes numpy's BLAS thread count
+    while the fold runs, can wait at a barrier, and can fail midway."""
+
+    def __init__(self, *args, barrier=None, fail=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.barrier, self.fail = barrier, fail
+        self.blas_seen = []
+
+    def chunks(self, size=None):
+        if self.barrier is not None:
+            self.barrier.wait()
+        for i, item in enumerate(super().chunks(size)):
+            self.blas_seen.append(_blas.blas_threads())
+            if self.fail and i == 1:
+                raise RuntimeError("chunk stream failed")
+            yield item
+
+
+def pinnable():
+    if _blas.blas_threads() is None:
+        pytest.skip("numpy's BLAS thread count cannot be controlled here")
+
+
+def test_fold_workers_pin_blas_and_restore_it():
+    pinnable()
+    cd = random_canonical(10, seed=3)
+    em = ErrorModel.known_sigma()
+    before, threads_before = _blas.blas_threads(), threading.active_count()
+    serial = RecordingSet(cd)
+    draws = max_abs_t_draws(serial, em, 2_000, 4, 1)
+    assert serial.blas_seen == [before] * 10
+    pinned = RecordingSet(cd)
+    assert np.array_equal(max_abs_t_draws(pinned, em, 2_000, 4, 2), draws)
+    assert pinned.blas_seen == [1] * 10
+    assert _blas.blas_threads() == before
+    assert threading.active_count() == threads_before
+    # The stream raises after its first chunk was handed to the workers.
+    with pytest.raises(RuntimeError, match="chunk stream failed"):
+        max_abs_t_draws(RecordingSet(cd, fail=True), em, 2_000, 4, 2)
+    assert _blas.blas_threads() == before
+    assert threading.active_count() == threads_before
+
+
+def test_concurrent_folds_restore_blas():
+    pinnable()
+    cd = random_canonical(10, seed=3)
+    em = ErrorModel.known_sigma()
+    before, threads_before = _blas.blas_threads(), threading.active_count()
+    expected = max_abs_t_draws(direction_stream(cd), em, 3_000, 6, 1)
+    # Both folds have pinned BLAS before either pulls its first chunk.
+    barrier = threading.Barrier(2, timeout=60)
+    sets = [RecordingSet(cd, barrier=barrier) for _ in range(2)]
+    results = [None, None]
+
+    def fold(i):
+        results[i] = max_abs_t_draws(sets[i], em, 3_000, 6, 2)
+
+    callers = [threading.Thread(target=fold, args=(i,)) for i in range(2)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+    for s, got in zip(sets, results):
+        assert s.blas_seen[0] == 1
+        assert np.array_equal(got, expected)
+    assert _blas.blas_threads() == before
+    assert threading.active_count() == threads_before
 
 
 @pytest.mark.parametrize("threads", [0, -1])

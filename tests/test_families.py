@@ -285,6 +285,33 @@ def test_worst_posi1_table_matches_per_size_loop(p, n):
         assert row.mc_standard_error == _mc_standard_error(draws, k1, alpha)
 
 
+def four_reduction_worst_posi1_batch(p, c, z_block):
+    """The batched statistic with max and min taken over both tails."""
+    zp = z_block[:, p - 1]
+    prefix = np.zeros((z_block.shape[0], p))
+    prefix[:, 1:] = np.cumsum(np.sort(z_block[:, : p - 1], axis=1), axis=1)
+    bottom, top = prefix[:, ::-1], prefix[:, -1:] - prefix
+    on_zp, on_rest = _worst_coefficients(p, c)
+    base = on_zp * zp[:, None]
+    best = np.zeros(z_block.shape[0])
+    for tail in (bottom, top):
+        value = on_rest * tail + base
+        np.maximum(best, value.max(axis=1), out=best)
+        np.maximum(best, -value.min(axis=1), out=best)
+    return best
+
+
+@pytest.mark.parametrize("p, n", [(2, 700), (9, 1_000), (100, 8_192)])
+def test_worst_posi1_two_reductions_match_four(p, n):
+    # For c >= 0 the top tail's score is never below the bottom tail's, and
+    # the reverse for c < 0, so one max and one min give the same values.
+    z = _rng.gaussian_block(5, _rng.PURPOSE_MAX_T, 0, n, p)[0]
+    grid = default_c_grid(p) + (0.0, -0.5 / math.sqrt(p - 1),
+                                -math.sqrt(0.99 / (p - 1)))
+    for c, got in zip(grid, _fast_worst_posi1_batch(p, grid, z), strict=True):
+        assert np.array_equal(got, four_reduction_worst_posi1_batch(p, c, z)), c
+
+
 def test_posi1_dominance_on_worst_design():
     p, c = 5, 0.45
     cd = worst_posi1_design(p, c)

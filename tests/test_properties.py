@@ -4,7 +4,7 @@ read the enumerator's directions bitwise, universe membership
 and spec round-trips, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, and draws that
-do not depend on the fold's tile width."""
+depend neither on the fold's tile width nor on its worker count."""
 
 import itertools
 import math
@@ -150,6 +150,7 @@ def test_walker_matches_brute_force(case):
                 if all(brute_admits(parts, m) for parts in all_parts)]
     for m in all_subsets(cd.p):
         assert universe.contains(ModelId(m)) == (m in admitted)
+        assert universe.admits(ModelId(m).mask) == (m in admitted)
 
     models = {m for m in admitted if full_rank(cd.values, m)}
     pairs = [(d.predictor, frozenset(d.model.members))
@@ -546,3 +547,33 @@ def test_fold_tile_width_does_not_change_draws(cd, seed, df, n):
     # can cancel |l'z| far below it, and the rounding with it.
     scale = np.maximum(brute, np.linalg.norm(Z, axis=1) / sigma)
     assert np.all(np.abs(draws[FOLD_DRAWS] - brute) <= 1e-13 * scale)
+
+
+# Tile and 16-column group edges, the generator's block edges, and fewer
+# tiles than the 3 or 7 workers asked for.
+THREAD_NS = sorted({1, 15, 16, 17, 100, FOLD_DRAWS - 1, FOLD_DRAWS, FOLD_DRAWS + 1,
+                    2 * FOLD_DRAWS + 1, 7 * FOLD_DRAWS + 16, _rng.BLOCK - 1,
+                    _rng.BLOCK, _rng.BLOCK + 1})
+
+
+@st.composite
+def fold_sets(draw):
+    """A rank-deficient or generic design with all its directions or one; or
+    1 300 directions of a 10 x 10 design, three direction chunks."""
+    if draw(st.booleans()):
+        return PREFIX_DESIGN, ModelUniverse.of_max_size(4)
+    cd = draw(designs())
+    one = draw(st.booleans())
+    return cd, ModelUniverse.explicit([[1]]) if one else ModelUniverse.all()
+
+
+@PROPERTY_SETTINGS
+@given(case=fold_sets(), seed=st.integers(0, 2**32 - 1),
+       df=st.sampled_from([math.inf, 5]), n=st.sampled_from(THREAD_NS))
+def test_fold_workers_do_not_change_draws(case, seed, df, n):
+    cd, universe = case
+    em = ErrorModel(df)
+    serial = max_abs_t_draws(direction_stream(cd, universe), em, n, seed, 1)
+    for threads in (2, 3, 7):
+        draws = max_abs_t_draws(direction_stream(cd, universe), em, n, seed, threads)
+        assert np.array_equal(draws, serial), threads
