@@ -46,22 +46,21 @@ def _controls():
 
     paths = _loaded_openblas()
     home = os.path.dirname(os.path.abspath(np.__file__))
-    own = [path for path in paths if path.startswith(home)]
+    own = [path for path in paths if path.startswith(home)] or paths
     if len(own) != 1:
-        own = paths if len(paths) == 1 else []
-    for path in own:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    put.argtypes, put.restype = [ctypes.c_int], None
-                    return get, put
+        return None
+    try:
+        lib = ctypes.CDLL(own[0])
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
     return None
 
 

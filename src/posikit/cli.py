@@ -57,9 +57,10 @@ _STREAM_WARN_P = 16
 # k1.p11.predictor3 job (a posi1 enumeration factorizes one model per pair
 # of its predictor). The fold rate is max_abs_t_draws at the default
 # --threads (2 workers) less the walk and the draw generation, per
-# direction x draw, the benchmark's derivation: medians 1.28 and 1.36 ns
-# over 10 calls each on (p+4) x p Gaussian designs at p = 10 and 11 with
-# 20 000 draws (1.85 and 2.07 ns on one worker).
+# direction x draw, as the traced benchmark derives it; a timing script over
+# (p+4) x p Gaussian designs at p = 10 and 11 with 20 000 draws gave medians
+# of 1.28 and 1.36 ns in two runs of 10 calls (1.85 and 2.07 ns on one
+# worker), and a traced calibrate run (seed 104) gave 1.36 ns.
 _WALK_S_PER_DIRECTION = 1.0 / 518_373
 _WALK_S_PER_PREDICTOR_PAIR = 1.0 / 72_747
 _FOLD_S_PER_DIR_DRAW = 1.32e-9
