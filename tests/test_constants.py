@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -265,25 +266,33 @@ def test_fold_workers_pin_blas_and_restore_it():
 
 
 def test_concurrent_folds_restore_blas():
+    # Three folds of three workers each on a short switch interval: more
+    # threads than cores, all pinned at once behind a barrier. A lost update
+    # of a share of the running maximum or of the pin's depth count would
+    # change the draws or leave BLAS pinned.
     pinnable()
     cd = random_canonical(10, seed=3)
     em = ErrorModel.known_sigma()
     before, threads_before = _blas.blas_threads(), threading.active_count()
     expected = max_abs_t_draws(direction_stream(cd), em, 3_000, 6, 1)
-    # Both folds have pinned BLAS before either pulls its first chunk.
-    barrier = threading.Barrier(2, timeout=60)
-    sets = [RecordingSet(cd, barrier=barrier) for _ in range(2)]
-    results = [None, None]
+    barrier = threading.Barrier(3, timeout=60)
+    sets = [RecordingSet(cd, barrier=barrier) for _ in range(3)]
+    results = [None] * 3
 
     def fold(i):
-        results[i] = max_abs_t_draws(sets[i], em, 3_000, 6, 2)
+        results[i] = max_abs_t_draws(sets[i], em, 3_000, 6, 3)
 
-    callers = [threading.Thread(target=fold, args=(i,)) for i in range(2)]
-    for caller in callers:
-        caller.start()
-    for caller in callers:
-        caller.join(timeout=120)
-        assert not caller.is_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     for s, got in zip(sets, results):
         assert s.blas_seen[0] == 1
         assert np.array_equal(got, expected)
