@@ -73,8 +73,10 @@ def blas_threads() -> int | None:
 @contextmanager
 def pinned_to_one_thread():
     """Run the block with numpy's BLAS on one thread, then restore the count
-    it had before the first of any concurrent pins. Needs blas_threads() to
-    be a count, not None."""
+    it had before the first of any concurrent pins. The pin holds for the
+    whole process: numpy products of other Python threads also run on one
+    BLAS thread meanwhile, and a count they set is overwritten by the
+    restore. Needs blas_threads() to be a count, not None."""
     global _depth, _saved
     get, put = _controls()
     with _lock:

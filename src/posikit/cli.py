@@ -3,16 +3,14 @@
 Exit codes: 0 success, 1 usage or validation problem, 2 data error (parsing,
 rank), 3 infeasible request. All results go to stdout; diagnostics and
 warnings go to stderr. JSON output is byte-identical for identical
-configurations including the seed. --threads sets the number of workers
-that fold the Monte Carlo draws (auto: every usable core); output bytes do
-not depend on it.
+configurations including the seed. --threads is accepted and validated but
+does not change work or output: the Monte Carlo fold picks its own workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -55,8 +53,8 @@ _STREAM_WARN_P = 16
 # design.directions_per_s.all = 518 373 (enumeration, all-subsets universe),
 # and 72 747 pairs per second in the enumeration spans of its
 # k1.p11.predictor3 job (a posi1 enumeration factorizes one model per pair
-# of its predictor). The fold rate is max_abs_t_draws at the default
-# --threads (2 workers) less the walk and the draw generation, per
+# of its predictor). The fold rate is max_abs_t_draws on the 2 workers it
+# picks for a fold this large, less the walk and the draw generation, per
 # direction x draw, as the traced benchmark derives it; a timing script over
 # (p+4) x p Gaussian designs at p = 10 and 11 with 20 000 draws gave medians
 # of 1.28 and 1.36 ns in two runs of 10 calls (1.85 and 2.07 ns on one
@@ -90,18 +88,13 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(1)
 
 
-def _threads_arg(text: str) -> int:
-    # Fold workers for the Monte Carlo constants. BLAS alone spreads only the
-    # products over the cores; the workers also spread the reductions, which
-    # are more than half of the fold. auto means every core this process may
-    # run on.
-    if text == "auto":
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if int(text) < 1:
+def _threads_arg(text: str) -> str:
+    # Kept so existing command lines still parse. The fold sets its worker
+    # count from its size and numpy's BLAS thread count, and draws depend
+    # only on the seed, so the value is checked and then ignored.
+    if text != "auto" and int(text) < 1:
         raise argparse.ArgumentTypeError("--threads must be >= 1")
-    return int(text)
+    return text
 
 
 def _load_vector(path: str, design: CanonicalDesign, what: str) -> np.ndarray:
@@ -249,7 +242,6 @@ def _cmd_k(args) -> int:
         error_model=em,
         n_samples=args.mc_samples,
         seed=args.seed,
-        threads=args.threads,
     )
     _emit(_payload_from_estimate(est, design), args)
     return 0
@@ -267,7 +259,6 @@ def _cmd_k1(args) -> int:
         error_model=em,
         n_samples=args.mc_samples,
         seed=args.seed,
-        threads=args.threads,
     )
     payload = _payload_from_estimate(est, design)
     payload["predictor"] = args.predictor
@@ -331,7 +322,7 @@ def _cmd_intervals(args) -> int:
     else:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
-            n_samples=args.mc_samples, seed=args.seed, threads=args.threads,
+            n_samples=args.mc_samples, seed=args.seed,
         )
     target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     report = posi_intervals(design, y, args.sigma_hat, em, model, est, target)
@@ -390,7 +381,7 @@ def _cmd_coverage(args) -> int:
     else:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
-            n_samples=args.mc_samples, seed=args.seed, threads=args.threads,
+            n_samples=args.mc_samples, seed=args.seed,
         )
     selector: str | tuple = "spar"
     if args.selector.startswith("spar1:"):
@@ -457,7 +448,7 @@ def _cmd_family(args) -> int:
         a_grid = [float(t) for t in args.a_grid.split(",")] if args.a_grid else None
         rows = exchangeable_ratio_table(
             p_list, alpha=args.alpha, n_samples=args.mc_samples,
-            seed=args.seed, a_grid=a_grid, threads=args.threads,
+            seed=args.seed, a_grid=a_grid,
         )
         table = [
             {"p": r.p, "best_a": r.best_a, "K": r.k,
@@ -505,9 +496,9 @@ def _add_common(sub, design=True, mc=True):
                      help="error degrees of freedom, integer or 'inf'")
     sub.add_argument("--output", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--threads", default="auto", type=_threads_arg,
-                     help="workers folding the Monte Carlo draws: a count >= 1 "
-                          "or 'auto' (every usable core); output does not "
-                          "depend on it")
+                     help="accepted for compatibility; the Monte Carlo fold "
+                          "picks its own workers, and output does not depend "
+                          "on it")
     if design:
         sub.add_argument("--design", help="design matrix file (CSV or whitespace)")
         sub.add_argument("--header", action="store_true",

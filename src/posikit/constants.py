@@ -38,6 +38,11 @@ _DIRECTION_CHUNK = 512
 # the width is changed.
 _FOLD_DRAWS = 384
 _DRAW_GROUP = 16
+# Folds of fewer directions x draw columns than this run on one worker:
+# starting the workers and pinning BLAS costs about what they save. Two
+# workers against one, on a 2-core Xeon KVM guest with OpenBLAS on 2
+# threads: even at 38-51 million, faster from 64 million (see CHANGES.md).
+_PARALLEL_FOLD_MIN = 60_000_000
 
 MONTE_CARLO = "monte_carlo"
 CLOSED_FORM = "closed_form"
@@ -220,14 +225,18 @@ def max_abs_t_draws(
     and each chunk is folded into a running per-draw maximum one cache-sized
     tile of draws at a time.
 
-    ``threads`` (at least 1) is the number of fold workers. The tiles are
-    split into that many contiguous shares (at most one per tile); each
-    worker folds every chunk over its own share into its own tile buffer,
-    while the calling thread enumerates the next chunk. Meanwhile numpy's
-    BLAS is pinned to one thread, and its thread count is restored
-    afterwards. Every product keeps its shape, so the draws are bitwise the
-    same for every ``threads``. Where numpy's BLAS thread count cannot be
-    controlled, the fold runs on one worker.
+    ``threads`` must be at least 1 and does not change work or output. The
+    fold picks its worker count from what it is given: one worker below
+    _PARALLEL_FOLD_MIN directions x draws (counted before rank filtering),
+    and otherwise as many as numpy's BLAS has threads, at most one per tile.
+    The tiles are split into contiguous shares, each worker folds every chunk
+    over its own share into its own tile buffer, and the calling thread
+    enumerates the next chunk meanwhile. While the workers run, numpy's BLAS
+    is pinned to one thread for the whole process, other Python threads
+    included, and its thread count is restored afterwards. Every product
+    keeps its shape, so the draws are bitwise the same for every worker
+    count. Where numpy's BLAS thread count cannot be controlled, the fold
+    runs on one worker.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -256,8 +265,10 @@ def max_abs_t_draws(
         # column over; it joins the tile before it.
         tiles[-2:] = [(tiles[-2][0], cols)]
     workers = 1
-    if threads > 1 and _blas.blas_threads() is not None:
-        workers = min(threads, len(tiles))
+    pairs = _nominal_pair_count(directions.universe, directions.design.p,
+                                directions.predictor)
+    if pairs * cols >= _PARALLEL_FOLD_MIN:
+        workers = min(_blas.blas_threads() or 1, len(tiles))
     shares = [tiles[w * len(tiles) // workers:(w + 1) * len(tiles) // workers]
               for w in range(workers)]
     width = max(hi - lo for lo, hi in tiles)
@@ -318,8 +329,9 @@ def posi_constant(
 
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
-    every full-rank model in the universe. ``threads`` fold workers share
-    the draws (see max_abs_t_draws); K does not depend on their number.
+    every full-rank model in the universe. ``threads`` must be at least 1
+    and does not change work or output; the fold picks its own workers and
+    pins numpy's BLAS meanwhile (see max_abs_t_draws).
     """
     _validate_alpha(alpha)
     if universe is None:
@@ -345,8 +357,9 @@ def posi1_constant(
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
-    ``threads`` fold workers share the draws (see max_abs_t_draws); K does
-    not depend on their number.
+    ``threads`` must be at least 1 and does not change work or output; the
+    fold picks its own workers and pins numpy's BLAS meanwhile (see
+    max_abs_t_draws).
     """
     _validate_alpha(alpha)
     if universe is None:

@@ -121,10 +121,8 @@ def exchangeable_ratio_table(
     n_samples: int = 50_000,
     seed: int = 0,
     a_grid=None,
-    threads: int = 1,
 ) -> list[RatioRow]:
-    """sup over the a-grid of K(X_p(a)) / sqrt(2 log p), per p. ``threads``
-    fold workers compute each K (see max_abs_t_draws)."""
+    """sup over the a-grid of K(X_p(a)) / sqrt(2 log p), per p."""
     rows = []
     for p in p_list:
         grid = tuple(a_grid) if a_grid is not None else default_a_grid(p)
@@ -135,7 +133,6 @@ def exchangeable_ratio_table(
                 alpha=alpha,
                 n_samples=n_samples,
                 seed=seed,
-                threads=threads,
             )
             if best is None or est.k > best[1]:
                 best = (a, est.k, est.mc_standard_error)

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from posikit import (
     posi_constant,
     scheffe_constant,
 )
-from posikit import _blas
+from posikit import _blas, constants
 from posikit.design import DesignMatrix
 
 Z975 = 1.959963984540054
@@ -234,34 +235,80 @@ class RecordingSet(DirectionSet):
         if self.barrier is not None:
             self.barrier.wait()
         for i, item in enumerate(super().chunks(size)):
-            self.blas_seen.append(_blas.blas_threads())
+            self.blas_seen.append(BLAS_THREADS())
             if self.fail and i == 1:
                 raise RuntimeError("chunk stream failed")
             yield item
 
 
+BLAS_THREADS = _blas.blas_threads
+
+
 def pinnable():
-    if _blas.blas_threads() is None:
+    if BLAS_THREADS() is None:
         pytest.skip("numpy's BLAS thread count cannot be controlled here")
+
+
+@contextmanager
+def fold_workers(count):
+    """Fold on ``count`` workers (at most one per tile), whatever the fold's
+    size and numpy's BLAS thread count; the pin itself stays real."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constants, "_PARALLEL_FOLD_MIN", 0)
+        mp.setattr(_blas, "blas_threads", lambda: count)
+        yield
+
+
+def test_fold_worker_count_follows_size_and_blas(monkeypatch):
+    pinnable()
+    chosen = []
+    real = constants._fold_workers
+    monkeypatch.setattr(constants, "_fold_workers",
+                        lambda workers: chosen.append(workers) or real(workers))
+    cd = random_canonical(10, seed=3)
+    em = ErrorModel.known_sigma()
+    get, put = _blas._controls()
+    before = get()
+
+    def fold(n):
+        return max_abs_t_draws(direction_stream(cd), em, n, 4, 5)
+
+    # 5 120 directions x 2 512 draw columns is below the floor; 5 120 x
+    # 20 000 is above it, and 53 tiles allow every BLAS thread a worker.
+    assert 5_120 * 2_512 < constants._PARALLEL_FOLD_MIN <= 5_120 * 20_000
+    small = fold(2_500)
+    assert chosen == [1]
+    try:
+        for count in (1, 3):
+            put(count)
+            large = fold(20_000)
+            assert np.array_equal(large[:2_500], small)
+    finally:
+        put(before)
+    monkeypatch.setattr(_blas, "_controls", lambda: None)
+    assert np.array_equal(fold(20_000), large)
+    assert chosen == [1, 1, 3, 1]
+    assert get() == before
 
 
 def test_fold_workers_pin_blas_and_restore_it():
     pinnable()
     cd = random_canonical(10, seed=3)
     em = ErrorModel.known_sigma()
-    before, threads_before = _blas.blas_threads(), threading.active_count()
+    before, threads_before = BLAS_THREADS(), threading.active_count()
     serial = RecordingSet(cd)
-    draws = max_abs_t_draws(serial, em, 2_000, 4, 1)
+    draws = max_abs_t_draws(serial, em, 2_000, 4)
     assert serial.blas_seen == [before] * 10
     pinned = RecordingSet(cd)
-    assert np.array_equal(max_abs_t_draws(pinned, em, 2_000, 4, 2), draws)
-    assert pinned.blas_seen == [1] * 10
-    assert _blas.blas_threads() == before
-    assert threading.active_count() == threads_before
-    # The stream raises after its first chunk was handed to the workers.
-    with pytest.raises(RuntimeError, match="chunk stream failed"):
-        max_abs_t_draws(RecordingSet(cd, fail=True), em, 2_000, 4, 2)
-    assert _blas.blas_threads() == before
+    with fold_workers(2):
+        assert np.array_equal(max_abs_t_draws(pinned, em, 2_000, 4), draws)
+        assert pinned.blas_seen == [1] * 10
+        assert BLAS_THREADS() == before
+        assert threading.active_count() == threads_before
+        # The stream raises after its first chunk was handed to the workers.
+        with pytest.raises(RuntimeError, match="chunk stream failed"):
+            max_abs_t_draws(RecordingSet(cd, fail=True), em, 2_000, 4)
+    assert BLAS_THREADS() == before
     assert threading.active_count() == threads_before
 
 
@@ -273,30 +320,31 @@ def test_concurrent_folds_restore_blas():
     pinnable()
     cd = random_canonical(10, seed=3)
     em = ErrorModel.known_sigma()
-    before, threads_before = _blas.blas_threads(), threading.active_count()
-    expected = max_abs_t_draws(direction_stream(cd), em, 3_000, 6, 1)
+    before, threads_before = BLAS_THREADS(), threading.active_count()
+    expected = max_abs_t_draws(direction_stream(cd), em, 3_000, 6)
     barrier = threading.Barrier(3, timeout=60)
     sets = [RecordingSet(cd, barrier=barrier) for _ in range(3)]
     results = [None] * 3
 
     def fold(i):
-        results[i] = max_abs_t_draws(sets[i], em, 3_000, 6, 3)
+        results[i] = max_abs_t_draws(sets[i], em, 3_000, 6)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        callers = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=120)
-            assert not caller.is_alive()
+        with fold_workers(3):
+            callers = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+                assert not caller.is_alive()
     finally:
         sys.setswitchinterval(interval)
     for s, got in zip(sets, results):
         assert s.blas_seen[0] == 1
         assert np.array_equal(got, expected)
-    assert _blas.blas_threads() == before
+    assert BLAS_THREADS() == before
     assert threading.active_count() == threads_before
 
 

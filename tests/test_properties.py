@@ -37,7 +37,7 @@ from posikit import (
     spar_select,
     verify_duality,
 )
-from posikit import _rng, constants
+from posikit import _blas, _rng, constants
 from posikit.design import _model_directions
 from posikit.inference import _argmax_over_directions
 
@@ -550,7 +550,7 @@ def test_fold_tile_width_does_not_change_draws(cd, seed, df, n):
 
 
 # Tile and 16-column group edges, the generator's block edges, and fewer
-# tiles than the 3 or 7 workers asked for.
+# tiles than 3 or 7 workers.
 THREAD_NS = sorted({1, 15, 16, 17, 100, FOLD_DRAWS - 1, FOLD_DRAWS, FOLD_DRAWS + 1,
                     2 * FOLD_DRAWS + 1, 7 * FOLD_DRAWS + 16, _rng.BLOCK - 1,
                     _rng.BLOCK, _rng.BLOCK + 1})
@@ -571,9 +571,16 @@ def fold_sets(draw):
 @given(case=fold_sets(), seed=st.integers(0, 2**32 - 1),
        df=st.sampled_from([math.inf, 5]), n=st.sampled_from(THREAD_NS))
 def test_fold_workers_do_not_change_draws(case, seed, df, n):
+    if _blas.blas_threads() is None:
+        pytest.skip("numpy's BLAS thread count cannot be controlled here")
     cd, universe = case
     em = ErrorModel(df)
-    serial = max_abs_t_draws(direction_stream(cd, universe), em, n, seed, 1)
-    for threads in (2, 3, 7):
-        draws = max_abs_t_draws(direction_stream(cd, universe), em, n, seed, threads)
-        assert np.array_equal(draws, serial), threads
+    serial = max_abs_t_draws(direction_stream(cd, universe), em, n, seed)
+    for workers in (2, 3, 7):
+        # Every fold on this many workers, at most one per tile, whatever
+        # its size and numpy's BLAS thread count.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constants, "_PARALLEL_FOLD_MIN", 0)
+            mp.setattr(_blas, "blas_threads", lambda: workers)
+            draws = max_abs_t_draws(direction_stream(cd, universe), em, n, seed)
+        assert np.array_equal(draws, serial), workers
