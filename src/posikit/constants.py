@@ -330,8 +330,9 @@ def posi_constant(
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
     every full-rank model in the universe. ``threads`` must be at least 1
-    and does not change work or output; the fold picks its own workers and
-    pins numpy's BLAS meanwhile (see max_abs_t_draws).
+    and does not change work or output; the fold picks its own workers, and
+    while they run numpy's BLAS is on one thread for the whole process (see
+    max_abs_t_draws).
     """
     _validate_alpha(alpha)
     if universe is None:
@@ -358,8 +359,8 @@ def posi1_constant(
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
     ``threads`` must be at least 1 and does not change work or output; the
-    fold picks its own workers and pins numpy's BLAS meanwhile (see
-    max_abs_t_draws).
+    fold picks its own workers, and while they run numpy's BLAS is on one
+    thread for the whole process (see max_abs_t_draws).
     """
     _validate_alpha(alpha)
     if universe is None:
