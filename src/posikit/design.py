@@ -576,30 +576,30 @@ def adjusted_predictor(
 ) -> tuple[np.ndarray, float]:
     """Residual of column j on the other columns of the submodel, plus its norm.
 
-    The residual is x_j minus its projection Q Q'x_j onto the others' span,
-    with Q from their QR factors. Raises DataError when the others are rank
-    deficient (some |R_ii| <= tau ||x_i||, with tau the design's rank
-    tolerance) or the residual is degenerate (norm <= tau ||x_j||), as the
-    enumerator counts them.
+    The residual is the norm times the unit direction that the enumeration
+    emits for the pair (j, M) (see _model_factors), so it is exactly what K
+    is computed over. Raises DataError when the model has more than d
+    columns, the others are rank deficient (some |R_ii| <= tau ||x_i||, with
+    tau the design's rank tolerance) or the residual is degenerate
+    (norm <= tau ||x_j||), as the enumerator counts them.
     """
     if j not in model:
         raise ValueError(f"predictor {j} is not a member of {model}")
-    x = design.column(j)
-    others = [k - 1 for k in model.members if k != j]
-    r = x.copy()
-    if others:
-        A = design.values[:, others]
-        Q, R = np.linalg.qr(A)
-        limits = design.rank_tolerance * np.linalg.norm(A, axis=0)
-        if len(others) > design.d or np.any(np.abs(np.diagonal(R)) <= limits):
-            raise DataError(f"submodel {model} is rank deficient")
-        r -= Q @ (Q.T @ x)
-    norm = float(np.linalg.norm(r))
-    if norm <= design.rank_tolerance * float(np.linalg.norm(x)):
+    members = np.array(model.members, dtype=np.intp) - 1
+    if members[-1] >= design.p:
+        raise ValueError(f"model {model} references columns beyond p={design.p}")
+    if members.size > design.d:
+        raise DataError(f"submodel {model} is rank deficient")
+    counted, emitted, norms, vectors = _model_factors(design, members[None, :])
+    at = model.members.index(j)
+    if not counted[0, at]:
+        raise DataError(f"submodel {model} is rank deficient")
+    if not emitted[0, at]:
         raise DataError(
             f"adjusted predictor {j} in {model} is numerically degenerate"
         )
-    return r, norm
+    norm = float(norms[0, at])
+    return norm * vectors[0, at], norm
 
 
 def vif(design: CanonicalDesign, model: ModelId, j: int) -> float:

@@ -27,6 +27,7 @@ from posikit import (
     spar_select,
     submodel_target,
     t_ratio,
+    vif,
     worst_posi1_design,
 )
 from posikit.design import DesignMatrix
@@ -126,6 +127,25 @@ def test_fit_near_collinear_model_matches_oracles(s):
         np.testing.assert_allclose(fit.adjusted_norms, norms, rtol=1e-12, atol=0)
         target = submodel_target(cd, model, TargetSpec(y))
         assert np.array_equal(target, fit.estimates)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-9])
+def test_adjusted_predictor_and_vif_near_collinear_match_exact(s):
+    # The residual r_j gives the estimate r_j'y / ||r_j||^2 and the variance
+    # inflation ||x_j||^2 / ||r_j||^2; both must match rational least squares
+    # as closely as fit_submodel does.
+    model = ModelId([1, 2])
+    for seed in range(3):
+        cd = near_collinear_design(s, seed)
+        y = np.random.default_rng(5).standard_normal(cd.d)
+        coef, norms = exact_two_column_fit(cd.submatrix(model), y)
+        for i, j in enumerate(model.members):
+            vec, norm = adjusted_predictor(cd, model, j)
+            assert float(vec @ y) / (norm * norm) == pytest.approx(coef[i], rel=1e-12)
+            assert norm == pytest.approx(norms[i], rel=1e-12)
+            x = cd.column(j)
+            exact_vif = float(x @ x) / (norms[i] * norms[i])
+            assert vif(cd, model, j) == pytest.approx(exact_vif, rel=1e-12)
 
 
 def test_fit_rejects_model_the_rank_rule_skips():
