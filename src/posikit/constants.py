@@ -112,18 +112,32 @@ def conservative_quantile_index(alpha: float, n: int) -> int:
     return idx
 
 
-def _mc_standard_error(draws: np.ndarray, k: float, alpha: float) -> float:
-    # Order-statistic asymptotics: se = sqrt(alpha(1-alpha)/N) / f(K), with the
-    # density estimated by a Gaussian kernel and Silverman bandwidth.
+def _spacing_ranks(alpha: float, n: int) -> tuple[int, int]:
+    """1-based ranks (lo, hi) of the order statistics that bracket the
+    conservative index idx: idx - m and idx + m with m = ceil(2 sqrt(N alpha
+    (1 - alpha))), clipped to 1..N."""
+    idx = conservative_quantile_index(alpha, n)
+    m = math.ceil(2.0 * math.sqrt(n * alpha * (1.0 - alpha)))
+    return idx - min(m, idx - 1), idx + min(m, n - idx)
+
+
+def _mc_standard_error(draws: np.ndarray, alpha: float) -> float:
+    """Monte Carlo standard error of the order statistic K.
+
+    Order-statistic asymptotics give se = sqrt(alpha (1 - alpha) / N) / f(K).
+    The density f(K) is read off the spacing of the order statistics ranked
+    lo..hi around K (see _spacing_ranks): f ~ (hi - lo) / (N (X_hi - X_lo)),
+    so se = (X_hi - X_lo) sqrt(N alpha (1 - alpha)) / (hi - lo). Only the
+    draws ranked lo and above enter it, so draws screened below X_lo may
+    hold any smaller value. When the spacing is zero (tied draws, or N = 1) the
+    standard error is one ulp of X_hi, so that it stays positive.
+    """
     n = draws.size
-    std = float(np.std(draws))
-    q75, q25 = np.percentile(draws, [75.0, 25.0])
-    spread = min(std, (q75 - q25) / 1.34) or std or 1.0
-    h = 0.9 * spread * n ** (-0.2)
-    u = (k - draws) / h
-    fhat = float(np.exp(-0.5 * u * u).sum() / (n * h * math.sqrt(2.0 * math.pi)))
-    fhat = max(fhat, 1e-300)
-    return math.sqrt(alpha * (1.0 - alpha) / n) / fhat
+    lo, hi = _spacing_ranks(alpha, n)
+    x = np.partition(draws, [lo - 1, hi - 1])
+    x_lo, x_hi = float(x[lo - 1]), float(x[hi - 1])
+    se = (x_hi - x_lo) * math.sqrt(n * alpha * (1.0 - alpha)) / max(hi - lo, 1)
+    return max(se, math.ulp(x_hi))
 
 
 def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
@@ -146,32 +160,35 @@ def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
 
 @contextmanager
 def _fold_workers(workers: int):
-    """Yield dispatch(fn, calls): it waits for the calls it started before,
-    re-raising their errors, and then starts fn(*args) for each args in
-    calls. With one worker each call runs inline, in the caller's thread.
-    With more, they run on a pool of that many threads while numpy's BLAS
-    is pinned to one thread; the pool is joined and the BLAS count restored
-    on the way out, also when the block raises."""
+    """Yield (join, start). join() waits for the calls started before,
+    re-raising their errors; start(fn, calls) then starts fn(*args) for each
+    args in calls. With one worker each call runs inline, in the caller's
+    thread, and join has nothing to wait for. With more, they run on a pool
+    of that many threads while numpy's BLAS is pinned to one thread; the pool
+    is joined and the BLAS count restored on the way out, also when the
+    block raises."""
     if workers == 1:
         def run_inline(fn, calls):
             for args in calls:
                 fn(*args)
-        yield run_inline
+        yield (lambda: None), run_inline
         return
     from concurrent.futures import ThreadPoolExecutor
 
     pending = []
 
-    def dispatch(fn, calls):
+    def join():
         for future in pending:
             future.result()
+        pending.clear()
+
+    def start(fn, calls):
         pending[:] = [pool.submit(fn, *args) for args in calls]
 
     with _blas.pinned_to_one_thread(), ThreadPoolExecutor(workers) as pool:
         try:
-            yield dispatch
-            for future in pending:
-                future.result()
+            yield join, start
+            join()
         finally:
             for future in pending:
                 future.cancel()
@@ -209,6 +226,125 @@ def _nominal_pair_count(
     return total
 
 
+def _fold_shares(cols: int, workers: int) -> list[list[tuple[int, int]]]:
+    """The fold tiles of ``cols`` draw columns, split into ``workers``
+    contiguous shares."""
+    tiles = [(lo, min(lo + _FOLD_DRAWS, cols)) for lo in range(0, cols, _FOLD_DRAWS)]
+    if tiles[-1][1] - tiles[-1][0] == 1 < len(tiles):
+        # A tile width that is not a multiple of _DRAW_GROUP can leave one
+        # column over; it joins the tile before it.
+        tiles[-2:] = [(tiles[-2][0], cols)]
+    return [tiles[w * len(tiles) // workers:(w + 1) * len(tiles) // workers]
+            for w in range(workers)]
+
+
+def _fold(
+    directions: DirectionSet,
+    error_model: ErrorModel,
+    n_samples: int,
+    seed: int,
+    threads: int,
+    screen_rank: int | None,
+) -> np.ndarray:
+    """The max-|t| draws (see max_abs_t_draws), folded exactly at and above
+    the order statistic of 1-based rank ``screen_rank``.
+
+    Every direction has unit norm, so draw i never exceeds its bound
+    u_i = ||z_i|| / sigma_hat_i. Between direction chunks, with no fold
+    running, the floor L is the order statistic of rank ``screen_rank`` of
+    the partial maxima. Partial maxima never exceed the final ones, so L is
+    at most the final order statistic of that rank, and a draw with
+    u_i (1 + 1e-9) < L ends below it whatever the remaining directions give;
+    the margin covers the rounding of unit directions and of the products.
+    Such draws are screened: they keep their partial maximum and leave the
+    fold once the live draws have fallen by 20% since the last rebuild. The
+    live draws are then moved, in place, to the front of the draw array,
+    padded to whole 16-column groups, and the tiles and worker shares are
+    rebuilt. A column's product does not depend on its position in the
+    padded draws, so every draw that is not screened, and with it every
+    order statistic of rank ``screen_rank`` and above, is bitwise the
+    unscreened value. With ``screen_rank`` None no draw is screened.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    d = directions.design.d
+    # numpy multiplies by a single row or column with a matrix-vector kernel,
+    # and OpenBLAS multiplies the last few columns of a wide product that is
+    # not a whole number of 16-column groups with edge kernels; both round
+    # differently from the bulk of a product. A zero direction pads a one-row
+    # chunk, and zero draws pad the draws to whole 16-column groups, so draw i
+    # is folded the same way for every n.
+    cols = -(-n_samples // _DRAW_GROUP) * _DRAW_GROUP
+    zt = np.zeros((d, cols))
+    sigma = np.empty(n_samples)
+    bound = np.empty(n_samples)
+    for b in range(_rng.block_count(n_samples)):
+        z, s = _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n_samples, d,
+                                   error_model.df)
+        sl = _rng.block_slice(b, n_samples)
+        zt[:, sl] = z.T
+        sigma[sl] = s
+        bound[sl] = np.linalg.norm(z, axis=1) / s
+    best = np.full(cols, -1.0)
+    draws = np.empty(n_samples)
+    # live[c] is the draw held in column c of the fold; columns live.size and
+    # on are zero padding.
+    live = np.arange(n_samples)
+    tiles = _fold_shares(cols, 1)[0]
+    workers = 1
+    pairs = _nominal_pair_count(directions.universe, directions.design.p,
+                                directions.predictor)
+    if pairs * cols >= _PARALLEL_FOLD_MIN:
+        workers = min(_blas.blas_threads() or 1, len(tiles))
+    shares = _fold_shares(cols, workers)
+    width = max(hi - lo for lo, hi in tiles)
+    bufs = [np.empty((_DIRECTION_CHUNK, width)) for _ in shares]
+
+    def fold(chunk, share, buf):
+        for lo, hi in share:
+            _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
+
+    def screen():
+        nonlocal live, sigma, bound, shares
+        n_live = live.size
+        # The draws screened so far all lie below the floor, so its rank
+        # among the live ones is screen_rank less their number.
+        rank = screen_rank - (n_samples - n_live)
+        values = best[:n_live] / sigma
+        floor = np.partition(values, rank - 1)[rank - 1]
+        alive = bound * (1.0 + 1e-9) >= floor
+        keep = np.flatnonzero(alive)
+        if keep.size > 0.8 * n_live:
+            return
+        draws[live[~alive]] = values[~alive]
+        live, sigma, bound = live[keep], sigma[keep], bound[keep]
+        used = -(-keep.size // _DRAW_GROUP) * _DRAW_GROUP
+        zt[:, :keep.size] = zt[:, keep]
+        zt[:, keep.size:used] = 0.0
+        best[:keep.size] = best[keep]
+        # _FOLD_DRAWS is a multiple of _DRAW_GROUP, so no tile is merged
+        # and none is wider than before: the buffers stay.
+        shares = _fold_shares(used, workers)
+
+    folded = False
+    with _fold_workers(workers) as (join, start):
+        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
+            if chunk.shape[0] == 1:
+                chunk = np.vstack([chunk, np.zeros((1, d))])
+            join()
+            if folded and screen_rank is not None:
+                screen()
+            start(fold, [(chunk, share, buf)
+                         for share, buf in zip(shares, bufs) if share])
+            folded = True
+    draws[live] = best[:live.size] / sigma
+    if draws.max() < 0:
+        raise InfeasibleError("direction set is empty")
+    return draws
+
+
 def max_abs_t_draws(
     directions: DirectionSet,
     error_model: ErrorModel = ErrorModel.known_sigma(),
@@ -217,6 +353,9 @@ def max_abs_t_draws(
     threads: int = 1,
 ) -> np.ndarray:
     """N Monte Carlo draws of max_l |l' Z| / sigma_hat over the direction set.
+
+    Every draw is returned exactly: this is the fold that posi_constant and
+    posi1_constant run, with no draw screened.
 
     Draw i is a pure function of (seed, i): Gaussian vectors and sigma-hat
     variates come from a counter-based generator in fixed-size blocks, so a
@@ -238,54 +377,7 @@ def max_abs_t_draws(
     count. Where numpy's BLAS thread count cannot be controlled, the fold
     runs on one worker.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    d = directions.design.d
-    # numpy multiplies by a single row or column with a matrix-vector kernel,
-    # and OpenBLAS multiplies the last few columns of a wide product that is
-    # not a whole number of 16-column groups with edge kernels; both round
-    # differently from the bulk of a product. A zero direction pads a one-row
-    # chunk, and zero draws pad the draws to whole 16-column groups, so draw i
-    # is folded the same way for every n.
-    cols = -(-n_samples // _DRAW_GROUP) * _DRAW_GROUP
-    zt = np.zeros((d, cols))
-    sigma = np.empty(n_samples)
-    for b in range(_rng.block_count(n_samples)):
-        z, s = _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n_samples, d,
-                                   error_model.df)
-        sl = _rng.block_slice(b, n_samples)
-        zt[:, sl] = z.T
-        sigma[sl] = s
-    best = np.full(cols, -1.0)
-    tiles = [(lo, min(lo + _FOLD_DRAWS, cols)) for lo in range(0, cols, _FOLD_DRAWS)]
-    if tiles[-1][1] - tiles[-1][0] == 1 < len(tiles):
-        # A tile width that is not a multiple of _DRAW_GROUP can leave one
-        # column over; it joins the tile before it.
-        tiles[-2:] = [(tiles[-2][0], cols)]
-    workers = 1
-    pairs = _nominal_pair_count(directions.universe, directions.design.p,
-                                directions.predictor)
-    if pairs * cols >= _PARALLEL_FOLD_MIN:
-        workers = min(_blas.blas_threads() or 1, len(tiles))
-    shares = [tiles[w * len(tiles) // workers:(w + 1) * len(tiles) // workers]
-              for w in range(workers)]
-    width = max(hi - lo for lo, hi in tiles)
-    bufs = [np.empty((_DIRECTION_CHUNK, width)) for _ in shares]
-
-    def fold(chunk, share, buf):
-        for lo, hi in share:
-            _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
-
-    with _fold_workers(workers) as dispatch:
-        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
-            if chunk.shape[0] == 1:
-                chunk = np.vstack([chunk, np.zeros((1, d))])
-            dispatch(fold, [(chunk, share, buf) for share, buf in zip(shares, bufs)])
-    if best.max() < 0:
-        raise InfeasibleError("direction set is empty")
-    return best[:n_samples] / sigma
+    return _fold(directions, error_model, n_samples, seed, threads, None)
 
 
 def _estimate_from_draws(
@@ -300,7 +392,7 @@ def _estimate_from_draws(
     n = draws.size
     idx = conservative_quantile_index(alpha, n)
     k = float(np.partition(draws, idx - 1)[idx - 1])
-    se = _mc_standard_error(draws, k, alpha)
+    se = _mc_standard_error(draws, alpha)
     return ConstantEstimate(
         k=k,
         alpha=alpha,
@@ -329,9 +421,14 @@ def posi_constant(
 
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
-    every full-rank model in the universe. ``threads`` must be at least 1
-    and does not change work or output; the fold picks its own workers, and
-    while they run numpy's BLAS is on one thread for the whole process (see
+    every full-rank model in the universe. The fold screens out draws whose
+    norm bound proves them below the order statistics that K and its
+    standard error read (see _fold); those order statistics, and K with
+    them, are bitwise those of the exact draws of max_abs_t_draws.
+    ``mc_standard_error`` is the order-statistic spacing estimator (see
+    _mc_standard_error). ``threads`` must be at least 1 and does not change
+    work or output; the fold picks its own workers, and while they run
+    numpy's BLAS is on one thread for the whole process (see
     max_abs_t_draws).
     """
     _validate_alpha(alpha)
@@ -339,7 +436,8 @@ def posi_constant(
         universe = ModelUniverse.all()
     conservative_quantile_index(alpha, n_samples)
     directions = direction_stream(design, universe, dedup=dedup)
-    draws = max_abs_t_draws(directions, error_model, n_samples, seed, threads)
+    draws = _fold(directions, error_model, n_samples, seed, threads,
+                  _spacing_ranks(alpha, n_samples)[0])
     return _estimate_from_draws(
         draws, alpha, error_model, seed, directions.count, "posi", universe
     )
@@ -358,6 +456,7 @@ def posi1_constant(
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
+    K, its standard error and the screen are as in posi_constant.
     ``threads`` must be at least 1 and does not change work or output; the
     fold picks its own workers, and while they run numpy's BLAS is on one
     thread for the whole process (see max_abs_t_draws).
@@ -371,7 +470,8 @@ def posi1_constant(
     restricted = universe & ModelUniverse.forcing(predictor)
     directions = DirectionSet(design, restricted, predictor=predictor)
     try:
-        draws = max_abs_t_draws(directions, error_model, n_samples, seed, threads)
+        draws = _fold(directions, error_model, n_samples, seed, threads,
+                      _spacing_ranks(alpha, n_samples)[0])
     except InfeasibleError:
         raise InfeasibleError(
             f"no model in the universe contains predictor {predictor}"

@@ -283,7 +283,7 @@ def worst_posi1_table(
     for c in grid:
         draws = values[c]
         k1 = float(np.partition(draws, idx - 1)[idx - 1])
-        se = _mc_standard_error(draws, k1, alpha)
+        se = _mc_standard_error(draws, alpha)
         rows.append(WorstPosi1Row(p, c, k1, se, k1 / math.sqrt(p)))
     return rows
 

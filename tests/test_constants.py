@@ -167,10 +167,10 @@ def test_posi1_walks_once_over_the_predictors_pairs(monkeypatch):
 # a bit shows here. Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64;
 # another BLAS or LAPACK may round the last bits differently.
 GOLDEN = {
-    ("posi", math.inf): ("0x1.8bfa7e57e229fp+1", "0x1.67d3bc59b79bdp-6"),
-    ("posi", 20): ("0x1.b69596b007036p+1", "0x1.fdf88f16f74d5p-6"),
-    ("posi1", math.inf): ("0x1.5aa2084fcb0eap+1", "0x1.6fbd043857be9p-6"),
-    ("posi1", 20): ("0x1.7f5131478c694p+1", "0x1.eac012babb5cep-6"),
+    ("posi", math.inf): ("0x1.8bfa7e57e229fp+1", "0x1.6c1c64679e662p-6"),
+    ("posi", 20): ("0x1.b69596b007036p+1", "0x1.03a5572ed8554p-5"),
+    ("posi1", math.inf): ("0x1.5aa2084fcb0eap+1", "0x1.60a270ef99ee5p-6"),
+    ("posi1", 20): ("0x1.7f5131478c694p+1", "0x1.f0fcab111cecfp-6"),
 }
 
 
@@ -312,38 +312,83 @@ def test_fold_workers_pin_blas_and_restore_it():
     assert threading.active_count() == threads_before
 
 
+def test_screen_cuts_fold_work_and_keeps_k(monkeypatch):
+    cd = random_canonical(10, seed=10, n=14)
+    columns = []
+    real = constants._fold_chunk_max
+
+    def counting(chunk, zt, best, buf):
+        columns.append(chunk.shape[0] * zt.shape[1])
+        real(chunk, zt, best, buf)
+
+    monkeypatch.setattr(constants, "_fold_chunk_max", counting)
+    exact = max_abs_t_draws(direction_stream(cd), n_samples=20_000, seed=3)
+    unscreened = sum(columns)
+    columns.clear()
+    est = posi_constant(cd, n_samples=20_000, seed=3)
+    # The screened fold multiplies 41% of the columns here.
+    assert sum(columns) < 0.6 * unscreened
+    idx = constants.conservative_quantile_index(0.05, 20_000)
+    assert est.k == np.sort(exact)[idx - 1]
+
+
+def test_screened_fold_raises_a_workers_error(monkeypatch):
+    pinnable()
+    cd = random_canonical(10, seed=3)
+    before, threads_before = BLAS_THREADS(), threading.active_count()
+    real = constants._fold_chunk_max
+    calls = []
+
+    def failing(chunk, zt, best, buf):
+        calls.append(zt.shape[1])
+        if len(calls) == 80:
+            raise FloatingPointError("tile failed")
+        real(chunk, zt, best, buf)
+
+    monkeypatch.setattr(constants, "_fold_chunk_max", failing)
+    for workers in (1, 2):
+        calls.clear()
+        with fold_workers(workers), pytest.raises(FloatingPointError, match="tile failed"):
+            posi_constant(cd, n_samples=20_000, seed=4)
+    assert BLAS_THREADS() == before
+    assert threading.active_count() == threads_before
+
+
 def test_concurrent_folds_restore_blas():
     # Three folds of three workers each on a short switch interval: more
     # threads than cores, all pinned at once behind a barrier. A lost update
     # of a share of the running maximum or of the pin's depth count would
-    # change the draws or leave BLAS pinned.
+    # change the draws or leave BLAS pinned. The folds run unscreened, then
+    # screened at the rank posi_constant uses, which compacts the draws
+    # between the workers' chunks.
     pinnable()
     cd = random_canonical(10, seed=3)
     em = ErrorModel.known_sigma()
     before, threads_before = BLAS_THREADS(), threading.active_count()
-    expected = max_abs_t_draws(direction_stream(cd), em, 3_000, 6)
-    barrier = threading.Barrier(3, timeout=60)
-    sets = [RecordingSet(cd, barrier=barrier) for _ in range(3)]
-    results = [None] * 3
+    for rank in (None, constants._spacing_ranks(0.05, 3_000)[0]):
+        expected = constants._fold(direction_stream(cd), em, 3_000, 6, 1, rank)
+        barrier = threading.Barrier(3, timeout=60)
+        sets = [RecordingSet(cd, barrier=barrier) for _ in range(3)]
+        results = [None] * 3
 
-    def fold(i):
-        results[i] = max_abs_t_draws(sets[i], em, 3_000, 6)
+        def fold(i):
+            results[i] = constants._fold(sets[i], em, 3_000, 6, 1, rank)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with fold_workers(3):
-            callers = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=120)
-                assert not caller.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    for s, got in zip(sets, results):
-        assert s.blas_seen[0] == 1
-        assert np.array_equal(got, expected)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with fold_workers(3):
+                callers = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+                    assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for s, got in zip(sets, results):
+            assert s.blas_seen[0] == 1
+            assert np.array_equal(got, expected)
     assert BLAS_THREADS() == before
     assert threading.active_count() == threads_before
 
@@ -372,6 +417,35 @@ def test_quantile_estimator_calibration_over_seeds():
     # reported se should match the spread across independent seeds
     assert abs(ks.mean() - Z975) < 3 * se / math.sqrt(len(ks)) + 5e-3
     assert 0.4 < ks.std() / se < 2.5
+
+
+# Median reported standard error and the spread of K over 40 seeds on a
+# 14 x 10 Gaussian design, as the test below measures them.
+SE_CALIBRATION = {
+    (math.inf, 2_000): (0.0335, 0.0326),
+    (math.inf, 5_000): (0.0211, 0.0230),
+    (10, 2_000): (0.0804, 0.0768),
+    (10, 5_000): (0.0515, 0.0465),
+}
+
+
+@pytest.mark.parametrize("df, n", list(SE_CALIBRATION))
+def test_spacing_standard_error_tracks_seed_spread(df, n):
+    cd = random_canonical(10, seed=10, n=14)
+    ests = [posi_constant(cd, error_model=ErrorModel(df), n_samples=n, seed=seed)
+            for seed in range(40)]
+    median_se = float(np.median([e.mc_standard_error for e in ests]))
+    sd_k = float(np.std([e.k for e in ests], ddof=1))
+    assert 0.75 <= median_se / sd_k <= 1.33
+    assert (round(median_se, 4), round(sd_k, 4)) == SE_CALIBRATION[df, n]
+
+
+def test_spacing_standard_error_stays_positive_on_ties():
+    # Every draw equal: the spacing is zero, and the standard error is one
+    # ulp of the draws. A single draw has no spacing at all.
+    ties = np.full(1_000, 2.5)
+    assert constants._mc_standard_error(ties, 0.05) == math.ulp(2.5)
+    assert constants._mc_standard_error(np.array([2.5]), 0.5) == math.ulp(2.5)
 
 
 def test_conservative_quantile_index_guard():

@@ -282,7 +282,7 @@ def test_worst_posi1_table_matches_per_size_loop(p, n):
         assert np.array_equal(got, draws)
         k1 = float(np.partition(draws, idx - 1)[idx - 1])
         assert row.c == c and row.k1 == k1
-        assert row.mc_standard_error == _mc_standard_error(draws, k1, alpha)
+        assert row.mc_standard_error == _mc_standard_error(draws, alpha)
 
 
 def four_reduction_worst_posi1_batch(p, c, z_block):

@@ -3,8 +3,10 @@ enumeration and against adjusted_predictor pair by pair, submodel fits that
 read the enumerator's directions bitwise, universe membership
 and spec round-trips, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
-per-candidate least squares, prefix-stable Monte Carlo draws, and draws that
-depend neither on the fold's tile width nor on its worker count."""
+per-candidate least squares, prefix-stable Monte Carlo draws, draws that
+depend neither on the fold's tile width nor on its worker count, and a
+screened fold whose K and order statistics around it are bitwise the
+unscreened ones."""
 
 import itertools
 import math
@@ -33,6 +35,8 @@ from posikit import (
     make_spar_selector,
     make_stepwise_selector,
     max_abs_t_draws,
+    posi1_constant,
+    posi_constant,
     spar1_select,
     spar_select,
     verify_duality,
@@ -584,3 +588,80 @@ def test_fold_workers_do_not_change_draws(case, seed, df, n):
             mp.setattr(_blas, "blas_threads", lambda: workers)
             draws = max_abs_t_draws(direction_stream(cd, universe), em, n, seed)
         assert np.array_equal(draws, serial), workers
+
+
+# ---------------------------------------------------------------------------
+# The screened fold keeps K and the order statistics around it exact
+# ---------------------------------------------------------------------------
+
+# Tile and 16-column group edges and the generator's block edges, all large
+# enough for alpha = 0.05.
+SCREEN_NS = sorted({20, 31, 32, 33, 47, 48, 49, FOLD_DRAWS - 1, FOLD_DRAWS,
+                    FOLD_DRAWS + 1, 2 * FOLD_DRAWS + 1, _rng.BLOCK - 1, _rng.BLOCK,
+                    _rng.BLOCK + 1})
+
+
+@st.composite
+def screen_cases(draw):
+    """A generic or rank-deficient design with a universe; a one-row design
+    (d = 1, where |l'z| = ||z|| for every direction, so the screen's bound
+    is tight); or a two-row design of up to 8 columns, whose many directions
+    in the plane bring the maxima close to the bound. With or without a
+    designated predictor."""
+    kind = draw(st.sampled_from(["design", "row", "plane"]))
+    if kind == "design":
+        cd, _, universe = draw(design_and_universe())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        d = 1 if kind == "row" else 2
+        p = draw(st.integers(1, 4) if d == 1 else st.integers(3, 8))
+        cd = CanonicalDesign.from_canonical(rng.standard_normal((d, p)))
+        universe = ModelUniverse.all()
+    return cd, universe, draw(st.none() | st.integers(1, cd.p))
+
+
+@PROPERTY_SETTINGS
+@given(case=screen_cases(), seed=st.integers(0, 2**32 - 1),
+       df=st.sampled_from([math.inf, 5]), n=st.sampled_from(SCREEN_NS),
+       alpha=st.sampled_from([0.05, 0.2, 0.5]),
+       chunk=st.sampled_from([2, 3, 7, constants._DIRECTION_CHUNK]),
+       workers=st.sampled_from([1, 3]))
+def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk,
+                                                 workers):
+    cd, universe, predictor = case
+    em = ErrorModel(df)
+    if predictor is None:
+        def make_set():
+            return direction_stream(cd, universe)
+
+        def constant():
+            return posi_constant(cd, universe, alpha, em, n, seed)
+    else:
+        def make_set():
+            return DirectionSet(cd, universe & ModelUniverse.forcing(predictor),
+                                predictor=predictor)
+
+        def constant():
+            return posi1_constant(cd, universe, predictor, alpha, em, n, seed)
+    lo, hi = constants._spacing_ranks(alpha, n)
+    with pytest.MonkeyPatch.context() as mp:
+        # Small direction chunks screen small sets many times over.
+        mp.setattr(constants, "_DIRECTION_CHUNK", chunk)
+        try:
+            exact = max_abs_t_draws(make_set(), em, n, seed)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                constant()
+            return
+        est = constant()
+        if workers > 1 and _blas.blas_threads() is not None:
+            mp.setattr(constants, "_PARALLEL_FOLD_MIN", 0)
+            mp.setattr(_blas, "blas_threads", lambda: workers)
+        screened = constants._fold(make_set(), em, n, seed, 1, lo)
+    # A screened draw keeps its partial maximum; every draw ranked lo or
+    # above, X_(lo) ... X_(hi) included, is exact.
+    assert np.all(screened <= exact)
+    assert np.array_equal(np.sort(screened)[lo - 1:], np.sort(exact)[lo - 1:])
+    idx = constants.conservative_quantile_index(alpha, n)
+    assert est.k == np.sort(exact)[idx - 1]
+    assert est.mc_standard_error == constants._mc_standard_error(exact, alpha)
