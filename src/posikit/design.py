@@ -585,21 +585,17 @@ def adjusted_predictor(
     """
     if j not in model:
         raise ValueError(f"predictor {j} is not a member of {model}")
-    members = np.array(model.members, dtype=np.intp) - 1
-    if members[-1] >= design.p:
-        raise ValueError(f"model {model} references columns beyond p={design.p}")
-    if members.size > design.d:
-        raise DataError(f"submodel {model} is rank deficient")
-    counted, emitted, norms, vectors = _model_factors(design, members[None, :])
+    factors = _one_model_factors(design, model)
     at = model.members.index(j)
-    if not counted[0, at]:
+    if factors is None or not factors[0][at]:
         raise DataError(f"submodel {model} is rank deficient")
-    if not emitted[0, at]:
+    _, emitted, norms, vectors = factors
+    if not emitted[at]:
         raise DataError(
             f"adjusted predictor {j} in {model} is numerically degenerate"
         )
-    norm = float(norms[0, at])
-    return norm * vectors[0, at], norm
+    norm = float(norms[at])
+    return norm * vectors[at], norm
 
 
 def vif(design: CanonicalDesign, model: ModelId, j: int) -> float:
@@ -799,15 +795,25 @@ def _model_directions(design: CanonicalDesign,
     """Unit directions (k, d) and adjusted norms (k,) of the model's members,
     bitwise as the enumeration emits them. Raises InfeasibleError unless it
     emits every pair of the model (see _level_batches)."""
+    factors = _one_model_factors(design, model)
+    if factors is None:
+        raise InfeasibleError(f"submodel {model} has more columns than d={design.d}")
+    _, emitted, norms, vectors = factors
+    if not emitted.all():
+        raise InfeasibleError(f"submodel {model} is rank deficient")
+    return vectors, norms
+
+
+def _one_model_factors(design: CanonicalDesign, model: ModelId):
+    """Row 0 of _model_factors for the one model: counted and emitted flags
+    and adjusted norms (k,), unit directions (k, d); None when the model has
+    more columns than d. Raises ValueError for members beyond p."""
     members = np.array(model.members, dtype=np.intp) - 1
     if members[-1] >= design.p:
         raise ValueError(f"model {model} references columns beyond p={design.p}")
     if members.size > design.d:
-        raise InfeasibleError(f"submodel {model} has more columns than d={design.d}")
-    _, emitted, norms, vectors = _model_factors(design, members[None, :])
-    if not emitted.all():
-        raise InfeasibleError(f"submodel {model} is rank deficient")
-    return vectors[0], norms[0]
+        return None
+    return tuple(a[0] for a in _model_factors(design, members[None, :]))
 
 
 def _full_rank_blocks(design: CanonicalDesign, universe: ModelUniverse):

@@ -1,6 +1,7 @@
 """Property tests: the level-wise enumerator against brute-force subset
-enumeration and against adjusted_predictor pair by pair, submodel fits that
-read the enumerator's directions bitwise, universe membership
+enumeration and against an independent QR residual pair by pair, submodel
+fits and adjusted_predictor that read the enumerator's directions bitwise,
+universe membership
 and spec round-trips, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, draws that
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 
 from posikit import (
     CanonicalDesign,
-    DataError,
     DesignMatrix,
     DirectionSet,
     ErrorModel,
@@ -179,16 +179,30 @@ def reachable(cd, members) -> bool:
 
 
 def _adjusted_or_none(cd, members, j):
-    """adjusted_predictor, or None where it is degenerate."""
-    try:
-        return adjusted_predictor(cd, ModelId(members), j)
-    except DataError:
+    """Residual of column j on the other members and its norm, or None where
+    it is degenerate, from a QR of the others alone (not the enumerator's
+    factorization): x_j - Q Q'x_j. None when the others are more than d or
+    rank deficient (some |R_ii| <= tau ||x_i||), or the residual's norm is
+    at most tau ||x_j||."""
+    x = cd.column(j)
+    others = [k - 1 for k in members if k != j]
+    r = x.copy()
+    if others:
+        A = cd.values[:, others]
+        Q, R = np.linalg.qr(A)
+        limits = cd.rank_tolerance * np.linalg.norm(A, axis=0)
+        if len(others) > cd.d or np.any(np.abs(np.diagonal(R)) <= limits):
+            return None
+        r -= Q @ (Q.T @ x)
+    norm = float(np.linalg.norm(r))
+    if norm <= cd.rank_tolerance * float(np.linalg.norm(x)):
         return None
+    return r, norm
 
 
 def adjusted_predictor_oracle(cd, admitted, predictor=None):
     """{(mask, j): (unit vector, norm)} of the emitted pairs and the number
-    of degenerate skips, pair by pair from adjusted_predictor."""
+    of degenerate skips, pair by pair from the QR residual."""
     emitted, skips = {}, 0
     for m in admitted:
         members = sorted(m)
@@ -245,6 +259,10 @@ def test_level_batches_match_adjusted_predictor(case):
                     vectors, norms = _model_directions(cd, model)
                     assert np.array_equal(vectors, [got[key][0] for key in keys])
                     assert np.array_equal(norms, [got[key][1] for key in keys])
+                    for k, key in zip(model.members, keys):
+                        residual, norm = adjusted_predictor(cd, model, k)
+                        assert norm == got[key][1]
+                        assert np.array_equal(residual, norm * got[key][0])
                 else:
                     with pytest.raises(InfeasibleError):
                         fit_submodel(cd, y, model, 1.0)
