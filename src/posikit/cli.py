@@ -25,12 +25,12 @@ from .constants import (
     posi1_constant,
     posi_constant,
     scheffe_constant,
-    _nominal_pair_count,
 )
 from .design import (
     CanonicalDesign,
     ModelId,
     ModelUniverse,
+    _candidate_pair_count,
     canonicalize,
     direction_stream,
     load_design,
@@ -97,8 +97,8 @@ def _threads_arg(text: str) -> str:
     # Kept so existing command lines still parse. The fold sets its worker
     # count from its size and numpy's BLAS thread count, and draws depend
     # only on the seed, so the value is checked and then ignored.
-    if text != "auto" and int(text) < 1:
-        raise argparse.ArgumentTypeError("--threads must be >= 1")
+    if text != "auto" and not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError("--threads must be a positive integer or 'auto'")
     return text
 
 
@@ -146,8 +146,8 @@ def _load_canonical(args) -> tuple[CanonicalDesign, ModelUniverse]:
 
 def _warn_large_stream(design: CanonicalDesign, universe: ModelUniverse,
                        n_samples: int, predictor: int | None = None):
-    hint = _nominal_pair_count(universe, design.p, predictor)
-    if design.p > _STREAM_WARN_P and hint is not None and hint > (1 << 20):
+    hint = _candidate_pair_count(design, universe, predictor)
+    if design.p > _STREAM_WARN_P and hint > (1 << 20):
         per_pair = (_WALK_S_PER_DIRECTION if predictor is None
                     else _WALK_S_PER_PREDICTOR_PAIR)
         gen_s = hint * per_pair

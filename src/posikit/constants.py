@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _blas, _rng
-from .design import CanonicalDesign, DirectionSet, ModelUniverse, direction_stream
+from .design import (
+    CanonicalDesign,
+    DirectionSet,
+    ModelUniverse,
+    _candidate_pair_count,
+    direction_stream,
+)
 from .errors import InfeasibleError
 
 _DIRECTION_CHUNK = 512
@@ -160,70 +166,28 @@ def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
 
 @contextmanager
 def _fold_workers(workers: int):
-    """Yield (join, start). join() waits for the calls started before,
-    re-raising their errors; start(fn, calls) then starts fn(*args) for each
-    args in calls. With one worker each call runs inline, in the caller's
-    thread, and join has nothing to wait for. With more, they run on a pool
-    of that many threads while numpy's BLAS is pinned to one thread; the pool
-    is joined and the BLAS count restored on the way out, also when the
-    block raises."""
+    """Yield run(fn, calls), which calls fn(*args) for each args in calls and
+    returns once every call has returned, re-raising the first error. With
+    one worker the calls run inline, in the caller's thread. With more they
+    run on a pool of that many threads while numpy's BLAS is pinned to one
+    thread; the pool is joined and the BLAS count restored on the way out,
+    also when the block raises."""
     if workers == 1:
         def run_inline(fn, calls):
             for args in calls:
                 fn(*args)
-        yield (lambda: None), run_inline
+        yield run_inline
         return
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor, wait
 
-    pending = []
-
-    def join():
-        for future in pending:
+    def run_pooled(fn, calls):
+        futures = [pool.submit(fn, *args) for args in calls]
+        wait(futures)
+        for future in futures:
             future.result()
-        pending.clear()
-
-    def start(fn, calls):
-        pending[:] = [pool.submit(fn, *args) for args in calls]
 
     with _blas.pinned_to_one_thread(), ThreadPoolExecutor(workers) as pool:
-        try:
-            yield join, start
-            join()
-        finally:
-            for future in pending:
-                future.cancel()
-
-
-def _nominal_pair_count(
-    universe: ModelUniverse, p: int, predictor: int | None = None
-) -> int | None:
-    """Cheap upper bound on the number of (j, M) pairs, ignoring rank filtering.
-    With a predictor, only its pairs count: one per model that contains it."""
-    if predictor is not None:
-        universe = universe & ModelUniverse.forcing(predictor)
-
-    def pairs(size: int) -> int:
-        return 1 if predictor is not None else size
-
-    if universe.explicit_masks is not None:
-        return sum(pairs(m.bit_count()) for m in universe.explicit_masks
-                   if not universe.forced_mask & ~m)
-    if universe.nested:
-        return sum(pairs(m) for m in range(max(universe.forced, default=1), p + 1))
-    lo = universe.min_size or 1
-    hi = min(universe.max_size or p, p)
-    free = p - len(universe.forced)
-    if free < 0:
-        return 0
-    total = 0
-    for m in range(lo, hi + 1):
-        k = m - len(universe.forced)
-        if k < 0 or k > free:
-            continue
-        total += pairs(m) * math.comb(free, k)
-        if total > 1 << 40:
-            return total
-    return total
+        yield run_pooled
 
 
 def _fold_shares(cols: int, workers: int) -> list[list[tuple[int, int]]]:
@@ -250,8 +214,9 @@ def _fold(
     the order statistic of 1-based rank ``screen_rank``.
 
     Every direction has unit norm, so draw i never exceeds its bound
-    u_i = ||z_i|| / sigma_hat_i. Between direction chunks, with no fold
-    running, the floor L is the order statistic of rank ``screen_rank`` of
+    u_i = ||z_i|| / sigma_hat_i. Each chunk is folded on every worker
+    before the next one is enumerated. At the start of every chunk after the
+    first, the floor L is the order statistic of rank ``screen_rank`` of
     the partial maxima. Partial maxima never exceed the final ones, so L is
     at most the final order statistic of that rank, and a draw with
     u_i (1 + 1e-9) < L ends below it whatever the remaining directions give;
@@ -294,9 +259,8 @@ def _fold(
     live = np.arange(n_samples)
     tiles = _fold_shares(cols, 1)[0]
     workers = 1
-    pairs = _nominal_pair_count(directions.universe, directions.design.p,
-                                directions.predictor)
-    if pairs * cols >= _PARALLEL_FOLD_MIN:
+    if _candidate_pair_count(directions.design, directions.universe,
+                             directions.predictor) * cols >= _PARALLEL_FOLD_MIN:
         workers = min(_blas.blas_threads() or 1, len(tiles))
     shares = _fold_shares(cols, workers)
     width = max(hi - lo for lo, hi in tiles)
@@ -306,39 +270,30 @@ def _fold(
         for lo, hi in share:
             _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
 
-    def screen():
-        nonlocal live, sigma, bound, shares
-        n_live = live.size
-        # The draws screened so far all lie below the floor, so its rank
-        # among the live ones is screen_rank less their number.
-        rank = screen_rank - (n_samples - n_live)
-        values = best[:n_live] / sigma
-        floor = np.partition(values, rank - 1)[rank - 1]
-        alive = bound * (1.0 + 1e-9) >= floor
-        keep = np.flatnonzero(alive)
-        if keep.size > 0.8 * n_live:
-            return
-        draws[live[~alive]] = values[~alive]
-        live, sigma, bound = live[keep], sigma[keep], bound[keep]
-        used = -(-keep.size // _DRAW_GROUP) * _DRAW_GROUP
-        zt[:, :keep.size] = zt[:, keep]
-        zt[:, keep.size:used] = 0.0
-        best[:keep.size] = best[keep]
-        # _FOLD_DRAWS is a multiple of _DRAW_GROUP, so no tile is merged
-        # and none is wider than before: the buffers stay.
-        shares = _fold_shares(used, workers)
-
-    folded = False
-    with _fold_workers(workers) as (join, start):
-        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
+    with _fold_workers(workers) as run:
+        for i, (chunk, _) in enumerate(directions.chunks(_DIRECTION_CHUNK)):
+            if i and screen_rank is not None:
+                n_live = live.size
+                # The draws screened so far all lie below the floor, so its
+                # rank among the live ones is screen_rank less their number.
+                rank = screen_rank - (n_samples - n_live)
+                values = best[:n_live] / sigma
+                floor = np.partition(values, rank - 1)[rank - 1]
+                alive = bound * (1.0 + 1e-9) >= floor
+                keep = np.flatnonzero(alive)
+                if keep.size <= 0.8 * n_live:
+                    draws[live[~alive]] = values[~alive]
+                    live, sigma, bound = live[keep], sigma[keep], bound[keep]
+                    used = -(-keep.size // _DRAW_GROUP) * _DRAW_GROUP
+                    zt[:, :keep.size] = zt[:, keep]
+                    zt[:, keep.size:used] = 0.0
+                    best[:keep.size] = best[keep]
+                    # _FOLD_DRAWS is a multiple of _DRAW_GROUP, so no tile is
+                    # merged and none is wider than before: the buffers stay.
+                    shares = _fold_shares(used, workers)
             if chunk.shape[0] == 1:
                 chunk = np.vstack([chunk, np.zeros((1, d))])
-            join()
-            if folded and screen_rank is not None:
-                screen()
-            start(fold, [(chunk, share, buf)
-                         for share, buf in zip(shares, bufs) if share])
-            folded = True
+            run(fold, [(chunk, share, buf) for share, buf in zip(shares, bufs) if share])
     draws[live] = best[:live.size] / sigma
     if draws.max() < 0:
         raise InfeasibleError("direction set is empty")
@@ -366,11 +321,12 @@ def max_abs_t_draws(
 
     ``threads`` must be at least 1 and does not change work or output. The
     fold picks its worker count from what it is given: one worker below
-    _PARALLEL_FOLD_MIN directions x draws (counted before rank filtering),
-    and otherwise as many as numpy's BLAS has threads, at most one per tile.
-    The tiles are split into contiguous shares, each worker folds every chunk
-    over its own share into its own tile buffer, and the calling thread
-    enumerates the next chunk meanwhile. While the workers run, numpy's BLAS
+    _PARALLEL_FOLD_MIN directions x draws (the pairs counted before the rank
+    rule, see design._candidate_pair_count), and otherwise as many as numpy's
+    BLAS has threads, at most one per tile. The tiles are split into
+    contiguous shares, and each worker folds every chunk over its own share
+    into its own tile buffer; the next chunk is enumerated once every
+    worker is done with this one. While the workers run, numpy's BLAS
     is pinned to one thread for the whole process, other Python threads
     included, and its thread count is restored afterwards. Every product
     keeps its shape, so the draws are bitwise the same for every worker

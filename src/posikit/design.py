@@ -15,6 +15,7 @@ predictor.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -645,41 +646,60 @@ class LevelBatch:
         return np.column_stack([self.masks, self.predictors])
 
 
+def _model_plan(universe: ModelUniverse, p: int, max_size: int,
+                predictor: int | None = None):
+    """The forced members (the predictor among them) as ascending 0-based
+    indices, and the model sizes to walk: from the universe's minimum, the
+    forced count and, for a nested universe, the largest forced member, up
+    to the universe's maximum capped at max_size. No sizes when a forced
+    member lies beyond p."""
+    forced = set(universe.forced) | ({predictor} if predictor is not None else set())
+    lo = max(universe.min_size or 1, len(forced))
+    if universe.nested:
+        lo = max(lo, max(forced, default=1))
+    hi = min(universe.max_size or p, max_size)
+    if any(j > p for j in forced):
+        hi = 0
+    return np.array(sorted(forced), dtype=np.intp) - 1, range(lo, hi + 1)
+
+
+def _explicit_levels(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
+                     sizes: range) -> Iterator[np.ndarray]:
+    """The explicit universe's models of each size in turn, as (B, k) arrays
+    of ascending 0-based members in lexicographic order: those within 1..p
+    that hold every forced member and, for a nested universe, are a prefix."""
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for mask in universe.explicit_masks:
+        by_size.setdefault(mask.bit_count(), []).append(ModelId.from_mask(mask).members)
+    for k in sizes:
+        rows = np.array(by_size.get(k, []), dtype=np.intp).reshape(-1, k) - 1
+        keep = (rows < p).all(axis=1)
+        for j in forced_idx:
+            keep &= (rows == j).any(axis=1)
+        if universe.nested:
+            keep &= (rows == np.arange(k)).all(axis=1)
+        rows = rows[keep]
+        yield rows[np.lexsort(rows.T[::-1])]
+
+
 def _model_blocks(universe: ModelUniverse, p: int, max_size: int,
                   predictor: int | None = None) -> Iterator[np.ndarray]:
     """The universe's models of at most max_size columns among 1..p, as
     (B, k) arrays of ascending 0-based members: by size, then
     lexicographically, at most _LEVEL_BLOCK rows an array. With a predictor,
     only the models that contain it."""
-    forced = set(universe.forced) | ({predictor} if predictor is not None else set())
-    if any(j > p for j in forced):
-        return
-    forced_idx = np.array(sorted(forced), dtype=np.intp) - 1
-    lo = max(universe.min_size or 1, len(forced))
-    hi = min(universe.max_size or p, max_size)
+    forced_idx, sizes = _model_plan(universe, p, max_size, predictor)
     if universe.explicit_masks is not None:
-        by_size: dict[int, list[tuple[int, ...]]] = {}
-        for mask in universe.explicit_masks:
-            by_size.setdefault(mask.bit_count(), []).append(
-                ModelId.from_mask(mask).members)
-        for k in range(lo, hi + 1):
-            rows = np.array(by_size.get(k, []), dtype=np.intp).reshape(-1, k) - 1
-            keep = (rows < p).all(axis=1)
-            for j in forced_idx:
-                keep &= (rows == j).any(axis=1)
-            if universe.nested:
-                keep &= (rows == np.arange(k)).all(axis=1)
-            rows = rows[keep]
-            rows = rows[np.lexsort(rows.T[::-1])]
+        for rows in _explicit_levels(universe, p, forced_idx, sizes):
             for start in range(0, rows.shape[0], _LEVEL_BLOCK):
                 yield rows[start:start + _LEVEL_BLOCK]
         return
     if universe.nested:
-        for k in range(max(lo, max(forced, default=1)), hi + 1):
+        for k in sizes:
             yield np.arange(k)[None, :]
         return
     others = np.setdiff1d(np.arange(p), forced_idx).tolist()
-    for k in range(lo, hi + 1):
+    for k in sizes:
         free = k - forced_idx.size
         if free == 0:
             yield forced_idx[None, :]
@@ -697,6 +717,26 @@ def _model_blocks(universe: ModelUniverse, p: int, max_size: int,
                     [rows, np.broadcast_to(forced_idx, (rows.shape[0], forced_idx.size))]),
                     axis=1)
             yield rows
+
+
+def _candidate_pair_count(design: CanonicalDesign, universe: ModelUniverse,
+                         predictor: int | None = None) -> int:
+    """Number of (j, M) pairs the enumeration considers before the rank rule
+    (see _level_batches): every member of each model _model_blocks yields
+    for the design, or with a predictor one pair per model. On a design
+    whose models of at most d columns are all full rank it is the count of
+    directions plus degenerate skips. Counted, not walked."""
+    forced_idx, sizes = _model_plan(universe, design.p, min(design.d, design.p),
+                                    predictor)
+    if universe.explicit_masks is not None:
+        models = {rows.shape[1]: rows.shape[0] for rows in
+                  _explicit_levels(universe, design.p, forced_idx, sizes)}
+    elif universe.nested:
+        models = dict.fromkeys(sizes, 1)
+    else:
+        free = design.p - forced_idx.size
+        models = {k: math.comb(free, k - forced_idx.size) for k in sizes}
+    return sum(n * (1 if predictor is not None else k) for k, n in models.items())
 
 
 def _row_masks(rows: np.ndarray, p: int) -> np.ndarray:

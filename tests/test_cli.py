@@ -275,6 +275,32 @@ def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch)
     assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err
 
 
+def test_large_stream_warning_counts_models_of_at_most_d_columns(tmp_path, capsys,
+                                                                  monkeypatch):
+    # A 10 x 20 design has d = 10: the walk considers the models of at most
+    # 10 columns, sum_k k C(20, k) = 20 * 2^18 pairs, not all 20 * 2^19.
+    def no_constant(*args, **kwargs):
+        raise InfeasibleError("stub")
+
+    monkeypatch.setattr(cli, "posi_constant", no_constant)
+    design = tmp_path / "X.csv"
+    np.savetxt(design, np.random.default_rng(0).standard_normal((10, 20)), delimiter=",")
+    assert run(["k", "--design", str(design), "--mc-samples", "1000"]) == 3
+    assert "p=20 with this universe streams about 5242880 directions" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+def test_threads_must_be_a_positive_integer_or_auto(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["scheffe", "--d", "3", "--threads", value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threads must be a positive integer or 'auto'" in captured.err
+    assert "_threads_arg" not in captured.err
+
+
 @pytest.mark.parametrize("s, code", [(1e-9, 0), (1e-12, 3)])
 def test_intervals_near_collinear_model(tmp_path, capsys, s, code):
     # Full rank under the rank tolerance at s = 1e-9, so K counts the model's

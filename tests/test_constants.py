@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -352,6 +353,52 @@ def test_screened_fold_raises_a_workers_error(monkeypatch):
             posi_constant(cd, n_samples=20_000, seed=4)
     assert BLAS_THREADS() == before
     assert threading.active_count() == threads_before
+
+
+class BoundaryCheckingSet(DirectionSet):
+    """A direction set whose chunk stream asserts, before each chunk after
+    the first, that no chunk fold is running."""
+
+    def __init__(self, *args, folding, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.folding = folding
+
+    def chunks(self, size=None):
+        for i, item in enumerate(super().chunks(size)):
+            assert not (i and self.folding), f"a fold runs at the start of chunk {i}"
+            yield item
+
+
+def test_no_fold_runs_at_a_chunk_boundary():
+    # Each chunk fold sleeps 10 ms, so a fold left running while the next
+    # chunk is enumerated is certain to show.
+    pinnable()
+    cd = random_canonical(10, seed=3)
+    em = ErrorModel.known_sigma()
+    real, lock, folding = constants._fold_chunk_max, threading.Lock(), []
+
+    def slow(chunk, zt, best, buf):
+        with lock:
+            folding.append(None)
+        try:
+            time.sleep(0.01)
+            real(chunk, zt, best, buf)
+        finally:
+            with lock:
+                folding.pop()
+
+    chosen = []
+    workers = constants._fold_workers
+    for rank in (None, constants._spacing_ranks(0.05, 2_000)[0]):
+        expected = constants._fold(direction_stream(cd), em, 2_000, 6, 1, rank)
+        with fold_workers(2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constants, "_fold_chunk_max", slow)
+            mp.setattr(constants, "_fold_workers",
+                       lambda count: chosen.append(count) or workers(count))
+            got = constants._fold(BoundaryCheckingSet(cd, folding=folding), em, 2_000,
+                                  6, 1, rank)
+        assert np.array_equal(got, expected)
+    assert chosen == [2, 2]
 
 
 def test_concurrent_folds_restore_blas():

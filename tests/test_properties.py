@@ -1,8 +1,8 @@
 """Property tests: the level-wise enumerator against brute-force subset
 enumeration and against an independent QR residual pair by pair, submodel
 fits and adjusted_predictor that read the enumerator's directions bitwise,
-universe membership
-and spec round-trips, duality on symmetric designs, selection against a
+universe membership and spec round-trips, a pair count that matches the
+walk without walking, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, draws that
 depend neither on the fold's tile width nor on its worker count, and a
@@ -42,7 +42,7 @@ from posikit import (
     verify_duality,
 )
 from posikit import _blas, _rng, constants
-from posikit.design import _model_directions
+from posikit.design import _candidate_pair_count, _model_blocks, _model_directions
 from posikit.inference import _argmax_over_directions
 
 PROPERTY_SETTINGS = settings(
@@ -295,6 +295,63 @@ def test_duality_holds_on_random_symmetric_designs(cd):
 def test_spec_string_round_trips(case):
     cd, _, universe = case
     assert ModelUniverse.from_spec(universe.spec_string(), p=cd.p) == universe
+
+
+def gaussian_design(rng, n: int, p: int) -> CanonicalDesign:
+    X = rng.standard_normal((n, p))
+    return canonicalize(DesignMatrix(X, tuple(f"x{j}" for j in range(1, p + 1))))
+
+
+@st.composite
+def count_cases(draw):
+    """A generic Gaussian design, with fewer rows than columns (p > d) or not,
+    or a design with exact rank deficiencies; one or two universes whose
+    sizes, forced members and explicit models reach two past p; with or
+    without a predictor."""
+    generic = draw(st.booleans())
+    if generic:
+        p = draw(st.integers(1, 8))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cd = gaussian_design(rng, draw(st.integers(1, p + 2)), p)
+    else:
+        cd = draw(designs())
+    _, universe = draw_universe(draw, cd.p + 2)
+    return cd, universe, draw(st.none() | st.integers(1, cd.p)), generic
+
+
+def walked_pairs(cd, universe, predictor) -> int:
+    """The pairs of the models _model_blocks yields: every member, or the
+    predictor alone."""
+    return sum(rows.shape[0] * (1 if predictor is not None else rows.shape[1])
+               for rows in _model_blocks(universe, cd.p, min(cd.d, cd.p), predictor))
+
+
+@PROPERTY_SETTINGS
+@given(count_cases())
+def test_candidate_pair_count_matches_the_walk(case):
+    cd, universe, predictor, generic = case
+    count = _candidate_pair_count(cd, universe, predictor)
+    assert count == walked_pairs(cd, universe, predictor)
+    if generic:
+        # Every model of at most d columns is full rank: each pair the walk
+        # considers is emitted or a degenerate skip.
+        directions = DirectionSet(cd, universe, predictor=predictor)
+        assert count == directions.count + directions.degenerate_skips
+
+
+@pytest.mark.parametrize("shape, spec, predictor, count", [
+    ((10, 20), "all", None, 20 * 2 ** 18),  # models of at most d = 10 columns
+    ((12, 10), "nested&size<=3", None, 1 + 2 + 3),
+    ((12, 10), "forced=12", None, 0),  # a forced member beyond p
+    ((12, 8), "models=1,2;1,2,3;2,9&size<=2", None, 2),  # {2, 9} lies beyond p
+    ((12, 10), "forced=11", 2, 0),
+    ((12, 10), "size<=3&forced=1", 4, 1 + 8),
+])
+def test_candidate_pair_count_cases(shape, spec, predictor, count):
+    cd = gaussian_design(np.random.default_rng(0), *shape)
+    universe = ModelUniverse.from_spec(spec, p=cd.p)
+    assert _candidate_pair_count(cd, universe, predictor) == count
+    assert walked_pairs(cd, universe, predictor) == count
 
 
 # ---------------------------------------------------------------------------
