@@ -53,20 +53,18 @@ _STREAM_WARN_P = 16
 # design.directions_per_s.all = 518 373 (enumeration, all-subsets universe),
 # and 72 747 pairs per second in the enumeration spans of its
 # k1.p11.predictor3 job (a posi1 enumeration factorizes one model per pair
-# of its predictor). The fold rate is max_abs_t_draws on the 2 workers it
-# picks for a fold this large, less the walk and the draw generation, per
-# direction x draw, as the traced benchmark derives it; a timing script over
-# (p+4) x p Gaussian designs at p = 10 and 11 with 20 000 draws gave medians
-# of 1.28 and 1.36 ns in two runs of 10 calls (1.85 and 2.07 ns on one
-# worker), and a traced calibrate run (seed 104) gave 1.36 ns. It bounds the
-# screened folds that posi_constant and posi1_constant run: on a 21 x 17
-# Gaussian design, medians of 5 calls, posi_constant (10 000 draws) folded at
-# 0.75 ns per nominal pair x draw and posi1_constant (predictor 3, 40 000
-# draws, where the screen drops few draws) at 1.20 ns, beside 1.12 and
-# 1.10 ns for the unscreened folds of the same sets in the same runs.
+# of its predictor). The fold rate is that of the screened folds that k
+# and k1 run (the float32 bound stage, the float64 refold and the norm
+# screen, see constants._fold) on the 2 workers they pick for folds this
+# large, less the walk and the draw generation, per nominal pair (counted
+# before the rank rule) x draw. On a 21 x 17 Gaussian design, medians of 5
+# rounds in one process: posi_constant (10 000 draws) 0.49 ns and
+# posi1_constant (predictor 3, 40 000 draws, where the screen drops few
+# draws) 0.80 ns, beside 1.15 and 1.17 ns for the unscreened
+# max_abs_t_draws of the same sets. The rate is the slower screened one.
 _WALK_S_PER_DIRECTION = 1.0 / 518_373
 _WALK_S_PER_PREDICTOR_PAIR = 1.0 / 72_747
-_FOLD_S_PER_DIR_DRAW = 1.32e-9
+_FOLD_S_PER_DIR_DRAW = 0.80e-9
 
 
 class _Parser(argparse.ArgumentParser):

@@ -46,8 +46,13 @@ _FOLD_DRAWS = 384
 _DRAW_GROUP = 16
 # Folds of fewer directions x draw columns than this run on one worker:
 # starting the workers and pinning BLAS costs about what they save. Two
-# workers against one, on a 2-core Xeon KVM guest with OpenBLAS on 2
-# threads: even at 38-51 million, faster from 64 million (see CHANGES.md).
+# workers against one on a 2-core Xeon KVM guest with OpenBLAS on 2
+# threads, counting nominal pairs (before the rank rule) x padded draws:
+# the unscreened fold was even at 38-51 million and faster from 64 million;
+# the two-stage screened fold (posi_constant, calls alternating in one
+# process) was even at 41 million (+2%) and faster from 61 million (-2% at
+# 61, -7% at 82 and 102 million), with an earlier sweep even up to 82
+# million (see CHANGES.md).
 _PARALLEL_FOLD_MIN = 60_000_000
 
 MONTE_CARLO = "monte_carlo"
@@ -164,14 +169,25 @@ def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
     np.maximum(best, lo, out=best)
 
 
+def _float32_slack(d: int) -> float:
+    """c_d with |m32 - m64| <= c_d ||z|| for a unit direction l and a draw z
+    in d dimensions, where m32 and m64 are |l'z| computed from float32 and
+    from float64 operands: the rounding of l and z to float32 (2 u32), gamma_d
+    for the float32 dot product (d u32) and gamma_d for the float64 one
+    (d u64), in the first order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1), and a factor 2 on top for safety."""
+    return 2 * (d + 2) * (2.0 ** -24 + 2.0 ** -53)
+
+
 @contextmanager
 def _fold_workers(workers: int):
     """Yield run(fn, calls), which calls fn(*args) for each args in calls and
-    returns once every call has returned, re-raising the first error. With
-    one worker the calls run inline, in the caller's thread. With more they
-    run on a pool of that many threads while numpy's BLAS is pinned to one
-    thread; the pool is joined and the BLAS count restored on the way out,
-    also when the block raises."""
+    returns once every call has returned, re-raising the first error in call
+    order. With one worker the calls run inline, in the caller's thread.
+    With more, the last call runs in the caller's thread and the others on a
+    pool of workers - 1 threads, while numpy's BLAS is pinned to one thread;
+    the pool is joined and the BLAS count restored on the way out, also when
+    the block raises."""
     if workers == 1:
         def run_inline(fn, calls):
             for args in calls:
@@ -181,12 +197,15 @@ def _fold_workers(workers: int):
     from concurrent.futures import ThreadPoolExecutor, wait
 
     def run_pooled(fn, calls):
-        futures = [pool.submit(fn, *args) for args in calls]
-        wait(futures)
-        for future in futures:
-            future.result()
+        futures = [pool.submit(fn, *args) for args in calls[:-1]]
+        try:
+            fn(*calls[-1])
+        finally:
+            wait(futures)
+            for future in futures:
+                future.result()
 
-    with _blas.pinned_to_one_thread(), ThreadPoolExecutor(workers) as pool:
+    with _blas.pinned_to_one_thread(), ThreadPoolExecutor(workers - 1) as pool:
         yield run_pooled
 
 
@@ -213,22 +232,41 @@ def _fold(
     """The max-|t| draws (see max_abs_t_draws), folded exactly at and above
     the order statistic of 1-based rank ``screen_rank``.
 
-    Every direction has unit norm, so draw i never exceeds its bound
-    u_i = ||z_i|| / sigma_hat_i. Each chunk is folded on every worker
-    before the next one is enumerated. At the start of every chunk after the
-    first, the floor L is the order statistic of rank ``screen_rank`` of
-    the partial maxima. Partial maxima never exceed the final ones, so L is
-    at most the final order statistic of that rank, and a draw with
-    u_i (1 + 1e-9) < L ends below it whatever the remaining directions give;
-    the margin covers the rounding of unit directions and of the products.
-    Such draws are screened: they keep their partial maximum and leave the
-    fold once the live draws have fallen by 20% since the last rebuild. The
-    live draws are then moved, in place, to the front of the draw array,
-    padded to whole 16-column groups, and the tiles and worker shares are
-    rebuilt. A column's product does not depend on its position in the
-    padded draws, so every draw that is not screened, and with it every
-    order statistic of rank ``screen_rank`` and above, is bitwise the
-    unscreened value. With ``screen_rank`` None no draw is screened.
+    With ``screen_rank`` None every chunk is folded over every draw, in
+    float64, and every draw is exact. Otherwise each chunk is folded in two
+    stages, and the next chunk is enumerated once both are done.
+
+    Bound stage. The chunk is folded over a float32 copy of the live draws.
+    Draw i's float32 chunk maximum m_i lies within c_d ||z_i|| of the
+    float64 one (see _float32_slack). With e_i = c_d ||z_i|| / sigma_hat_i,
+    draw i keeps the running lower bound max(m_i / sigma_hat_i - e_i) over
+    the chunks so far, and u_i = m_i / sigma_hat_i + e_i bounds what this
+    chunk can give it. The floor L is the order statistic of rank
+    ``screen_rank`` of the lower bounds (less the draws screened so far,
+    which all lie below it), so it never exceeds the exact order statistic
+    X_(screen_rank).
+
+    Exact stage. The draws with u_i >= L and u_i at or above their lower
+    bound are gathered, in float64, into whole 16-column groups, and the
+    chunk is folded over them; their exact chunk maximum over sigma_hat_i
+    raises their lower bound. A draw whose exact value reaches
+    X_(screen_rank) passes both tests at the chunk that gives its maximum,
+    so it ends exact: division by sigma_hat_i rounds monotonically, so the
+    largest quotient is the quotient of the largest maximum. Every other
+    draw keeps a value at most its exact one, below X_(screen_rank).
+
+    Norm screen. Every direction has unit norm, so draw i never exceeds
+    ||z_i|| / sigma_hat_i, and a draw with ||z_i|| / sigma_hat_i
+    (1 + 1e-9) < L ends below X_(screen_rank) whatever the remaining
+    directions give (the margin covers the rounding of unit directions and
+    of the products). Such draws keep their lower bound and leave the float32
+    copy once the live draws have fallen by 20% since the last rebuild: the
+    live columns then move, in place, to its front, padded to whole 16-column
+    groups.
+
+    A column's product does not depend on its position among the columns,
+    so every exact draw, and with it every order statistic of rank
+    ``screen_rank`` and above, is bitwise the value of the unscreened fold.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -252,49 +290,79 @@ def _fold(
         zt[:, sl] = z.T
         sigma[sl] = s
         bound[sl] = np.linalg.norm(z, axis=1) / s
-    best = np.full(cols, -1.0)
-    draws = np.empty(n_samples)
-    # live[c] is the draw held in column c of the fold; columns live.size and
-    # on are zero padding.
-    live = np.arange(n_samples)
     tiles = _fold_shares(cols, 1)[0]
     workers = 1
     if _candidate_pair_count(directions.design, directions.universe,
                              directions.predictor) * cols >= _PARALLEL_FOLD_MIN:
         workers = min(_blas.blas_threads() or 1, len(tiles))
-    shares = _fold_shares(cols, workers)
     width = max(hi - lo for lo, hi in tiles)
-    bufs = [np.empty((_DIRECTION_CHUNK, width)) for _ in shares]
+    # Every fold below covers at most cols columns, and _FOLD_DRAWS is a
+    # multiple of _DRAW_GROUP, so no tile is wider than these buffers.
+    bufs = [np.empty((_DIRECTION_CHUNK, width)) for _ in range(workers)]
+    if screen_rank is None:
+        best = np.full(cols, -1.0)
+    else:
+        # The float32 stage reuses the tile buffers' memory.
+        bufs32 = [buf.view(np.float32) for buf in bufs]
+        zt32 = zt.astype(np.float32)
+        chunk_max = np.empty(cols, dtype=np.float32)
+        slack = _float32_slack(d) * bound
+        # live[c] is the draw held in column c of zt32, low[c] its lower
+        # bound; columns live.size and on are zero padding.
+        live = np.arange(n_samples)
+        low = np.full(n_samples, -np.inf)
+        draws = np.empty(n_samples)
 
-    def fold(chunk, share, buf):
+    def fold_share(chunk, zt, best, share, buf):
         for lo, hi in share:
             _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
 
     with _fold_workers(workers) as run:
-        for i, (chunk, _) in enumerate(directions.chunks(_DIRECTION_CHUNK)):
-            if i and screen_rank is not None:
-                n_live = live.size
-                # The draws screened so far all lie below the floor, so its
-                # rank among the live ones is screen_rank less their number.
-                rank = screen_rank - (n_samples - n_live)
-                values = best[:n_live] / sigma
-                floor = np.partition(values, rank - 1)[rank - 1]
-                alive = bound * (1.0 + 1e-9) >= floor
-                keep = np.flatnonzero(alive)
-                if keep.size <= 0.8 * n_live:
-                    draws[live[~alive]] = values[~alive]
-                    live, sigma, bound = live[keep], sigma[keep], bound[keep]
-                    used = -(-keep.size // _DRAW_GROUP) * _DRAW_GROUP
-                    zt[:, :keep.size] = zt[:, keep]
-                    zt[:, keep.size:used] = 0.0
-                    best[:keep.size] = best[keep]
-                    # _FOLD_DRAWS is a multiple of _DRAW_GROUP, so no tile is
-                    # merged and none is wider than before: the buffers stay.
-                    shares = _fold_shares(used, workers)
+        def fold(chunk, zt, best, bufs):
+            # Folds chunk over every column of zt, whole 16-column groups,
+            # split into the workers' shares of whole tiles.
+            shares = _fold_shares(zt.shape[1], workers)
+            run(fold_share, [(chunk, zt, best, share, buf)
+                             for share, buf in zip(shares, bufs) if share])
+
+        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
             if chunk.shape[0] == 1:
                 chunk = np.vstack([chunk, np.zeros((1, d))])
-            run(fold, [(chunk, share, buf) for share, buf in zip(shares, bufs) if share])
-    draws[live] = best[:live.size] / sigma
+            if screen_rank is None:
+                fold(chunk, zt, best, bufs)
+                continue
+            n_live = live.size
+            used = -(-n_live // _DRAW_GROUP) * _DRAW_GROUP
+            chunk_max[:used] = 0.0
+            fold(chunk.astype(np.float32), zt32[:, :used], chunk_max[:used], bufs32)
+            m = chunk_max[:n_live] / sigma
+            np.maximum(low, m - slack, out=low)
+            # The draws screened so far all lie below the floor, so its rank
+            # among the live ones is screen_rank less their number.
+            rank = screen_rank - (n_samples - n_live)
+            floor = np.partition(low, rank - 1)[rank - 1]
+            upper = m + slack
+            exact = np.flatnonzero((upper >= floor) & (upper >= low))
+            if exact.size:
+                group = -(-exact.size // _DRAW_GROUP) * _DRAW_GROUP
+                zg = np.zeros((d, group))
+                zg[:, :exact.size] = zt[:, live[exact]]
+                bg = np.full(group, -1.0)
+                fold(chunk, zg, bg, bufs)
+                low[exact] = np.maximum(low[exact], bg[:exact.size] / sigma[exact])
+            alive = bound * (1.0 + 1e-9) >= floor
+            keep = np.flatnonzero(alive)
+            if keep.size <= 0.8 * n_live:
+                draws[live[~alive]] = low[~alive]
+                live, sigma, bound, slack, low = (
+                    a[keep] for a in (live, sigma, bound, slack, low))
+                used = -(-keep.size // _DRAW_GROUP) * _DRAW_GROUP
+                zt32[:, :keep.size] = zt32[:, keep]
+                zt32[:, keep.size:used] = 0.0
+    if screen_rank is None:
+        draws = best[:n_samples] / sigma
+    else:
+        draws[live] = low
     if draws.max() < 0:
         raise InfeasibleError("direction set is empty")
     return draws
@@ -309,8 +377,11 @@ def max_abs_t_draws(
 ) -> np.ndarray:
     """N Monte Carlo draws of max_l |l' Z| / sigma_hat over the direction set.
 
-    Every draw is returned exactly: this is the fold that posi_constant and
-    posi1_constant run, with no draw screened.
+    Every chunk is folded over every draw in float64, and every draw is
+    returned exactly. posi_constant and posi1_constant run the same fold
+    with a float32 bound stage and a norm screen in front of it, and compute
+    exactly only the draws that can reach the order statistics they read
+    (see _fold).
 
     Draw i is a pure function of (seed, i): Gaussian vectors and sigma-hat
     variates come from a counter-based generator in fixed-size blocks, so a
@@ -325,8 +396,9 @@ def max_abs_t_draws(
     rule, see design._candidate_pair_count), and otherwise as many as numpy's
     BLAS has threads, at most one per tile. The tiles are split into
     contiguous shares, and each worker folds every chunk over its own share
-    into its own tile buffer; the next chunk is enumerated once every
-    worker is done with this one. While the workers run, numpy's BLAS
+    into its own tile buffer: the calling thread folds the last share and a
+    pool of workers - 1 threads the others. The next chunk is enumerated
+    once every share is folded. While the workers run, numpy's BLAS
     is pinned to one thread for the whole process, other Python threads
     included, and its thread count is restored afterwards. Every product
     keeps its shape, so the draws are bitwise the same for every worker
@@ -377,10 +449,12 @@ def posi_constant(
 
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
-    every full-rank model in the universe. The fold screens out draws whose
-    norm bound proves them below the order statistics that K and its
-    standard error read (see _fold); those order statistics, and K with
-    them, are bitwise those of the exact draws of max_abs_t_draws.
+    every full-rank model in the universe. The fold bounds every draw from
+    float32 products, screens out draws whose norm bound proves them below
+    the order statistics that K and its standard error read, and redoes in
+    float64 only the draws whose bound can reach them (see _fold); those
+    order statistics, and K with them, are bitwise those of the exact draws
+    of max_abs_t_draws.
     ``mc_standard_error`` is the order-statistic spacing estimator (see
     _mc_standard_error). ``threads`` must be at least 1 and does not change
     work or output; the fold picks its own workers, and while they run
@@ -412,7 +486,8 @@ def posi1_constant(
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
-    K, its standard error and the screen are as in posi_constant.
+    K, its standard error, the float32 bound stage and the screen are as in
+    posi_constant.
     ``threads`` must be at least 1 and does not change work or output; the
     fold picks its own workers, and while they run numpy's BLAS is on one
     thread for the whole process (see max_abs_t_draws).

@@ -137,7 +137,13 @@ def t_ratio(fit: FitResult, predictor: int, target_value: float = 0.0) -> float:
     return (est - target_value) / (fit.sigma_hat / norm)
 
 
-def _check_constant_applies(k: ConstantEstimate, model: ModelId):
+def _check_constant_applies(k: ConstantEstimate, model: ModelId,
+                            error_model: ErrorModel):
+    if k.error_model != error_model:
+        raise InfeasibleError(
+            f"constant was computed for {k.error_model}, not {error_model}; "
+            "the simultaneous guarantee would be void"
+        )
     if k.name == "scheffe":
         return
     if k.name == "posi1":
@@ -160,8 +166,13 @@ def posi_intervals(
     k: ConstantEstimate,
     target: TargetSpec | None = None,
 ) -> IntervalReport:
-    """Simultaneous intervals estimate +- K sigma_hat / ||x_{j.M}|| for j in M."""
-    _check_constant_applies(k, model)
+    """Simultaneous intervals estimate +- K sigma_hat / ||x_{j.M}|| for j in M.
+
+    K must have been computed for ``error_model`` and, unless it is the
+    Scheffe constant, for a universe containing ``model``; otherwise the
+    guarantee would be void and InfeasibleError is raised.
+    """
+    _check_constant_applies(k, model, error_model)
     fit = fit_submodel(design, y, model, sigma_hat, error_model)
     beta = submodel_target(design, model, target) if target is not None else None
     rows = []

@@ -24,7 +24,7 @@ from posikit import (
     posi_constant,
     scheffe_constant,
 )
-from posikit import _blas, constants
+from posikit import _blas, _rng, constants
 from posikit.design import DesignMatrix
 
 Z975 = 1.959963984540054
@@ -313,6 +313,26 @@ def test_fold_workers_pin_blas_and_restore_it():
     assert threading.active_count() == threads_before
 
 
+def test_calling_thread_folds_a_share(monkeypatch):
+    # Two workers: the pool has one thread, and the caller folds the last
+    # share of every chunk itself.
+    pinnable()
+    cd = random_canonical(10, seed=3)
+    em = ErrorModel.known_sigma()
+    real, folders = constants._fold_chunk_max, set()
+
+    def noting(chunk, zt, best, buf):
+        folders.add(threading.get_ident())
+        real(chunk, zt, best, buf)
+
+    draws = max_abs_t_draws(direction_stream(cd), em, 2_000, 4)
+    monkeypatch.setattr(constants, "_fold_chunk_max", noting)
+    with fold_workers(2):
+        assert np.array_equal(max_abs_t_draws(direction_stream(cd), em, 2_000, 4), draws)
+    assert threading.get_ident() in folders
+    assert len(folders) == 2
+
+
 def test_screen_cuts_fold_work_and_keeps_k(monkeypatch):
     cd = random_canonical(10, seed=10, n=14)
     columns = []
@@ -327,7 +347,8 @@ def test_screen_cuts_fold_work_and_keeps_k(monkeypatch):
     unscreened = sum(columns)
     columns.clear()
     est = posi_constant(cd, n_samples=20_000, seed=3)
-    # The screened fold multiplies 41% of the columns here.
+    # The screened fold multiplies 39% of the columns here in float32 and
+    # 2% in float64.
     assert sum(columns) < 0.6 * unscreened
     idx = constants.conservative_quantile_index(0.05, 20_000)
     assert est.k == np.sort(exact)[idx - 1]
@@ -438,6 +459,56 @@ def test_concurrent_folds_restore_blas():
             assert np.array_equal(got, expected)
     assert BLAS_THREADS() == before
     assert threading.active_count() == threads_before
+
+
+@pytest.mark.parametrize("df", [math.inf, 20])
+@pytest.mark.parametrize("name", ["posi", "posi1"])
+def test_draws_tied_below_float32_resolution_keep_k_exact(monkeypatch, name, df):
+    # Around each of the ranks lo, idx and hi that K and its standard error
+    # read, seven draws become copies of one draw scaled by 1 + j 2^-40 for
+    # j = -3..3: equal in float32, so the bound stage cannot order them, and
+    # distinct in float64.
+    cd = random_canonical(6, seed=8)
+    em = ErrorModel(df)
+    n, alpha, seed = 2_000, 0.05, 5
+    lo, hi = constants._spacing_ranks(alpha, n)
+    idx = constants.conservative_quantile_index(alpha, n)
+    if name == "posi":
+        def make_set():
+            return direction_stream(cd)
+
+        def constant():
+            return posi_constant(cd, alpha=alpha, error_model=em, n_samples=n, seed=seed)
+    else:
+        def make_set():
+            return DirectionSet(cd, ModelUniverse.forcing(2), predictor=2)
+
+        def constant():
+            return posi1_constant(cd, predictor=2, alpha=alpha, error_model=em,
+                                  n_samples=n, seed=seed)
+    order = np.argsort(max_abs_t_draws(make_set(), em, n, seed), kind="stable")
+    groups = [order[rank - 4:rank + 3] for rank in (lo, idx, hi)]
+    real = _rng.gaussian_block
+
+    def tied_block(*args):
+        z, s = real(*args)
+        for group in groups:
+            center = group[3]
+            z[group] = z[center] * (1.0 + np.arange(-3, 4) * 2.0 ** -40)[:, None]
+            s[group] = s[center]
+        return z, s
+
+    monkeypatch.setattr(_rng, "gaussian_block", tied_block)
+    z = tied_block(seed, _rng.PURPOSE_MAX_T, 0, n, cd.d, df)[0]
+    exact = max_abs_t_draws(make_set(), em, n, seed)
+    ranked = np.argsort(exact, kind="stable")
+    for rank, group in zip((lo, idx, hi), groups):
+        assert np.all(z[group].astype(np.float32) == z[group[3]].astype(np.float32))
+        assert np.unique(exact[group]).size > 1
+        assert ranked[rank - 1] in group
+    est = constant()
+    assert est.k == np.sort(exact)[idx - 1]
+    assert est.mc_standard_error == constants._mc_standard_error(exact, alpha)
 
 
 @pytest.mark.parametrize("threads", [0, -1])

@@ -340,6 +340,22 @@ def test_intervals_universe_mismatch_is_hard_error():
         posi_intervals(cd, y, 1.0, KNOWN, ModelId([1, 2]), est)
 
 
+def test_intervals_error_model_mismatch_is_hard_error():
+    rng = np.random.default_rng(6)
+    cd = random_canonical(3, seed=6)
+    y = rng.standard_normal(cd.d)
+    model = ModelId([1, 2])
+    df10 = ErrorModel.with_df(10)
+    est = posi_constant(cd, error_model=df10, n_samples=5_000, seed=1)
+    ks = scheffe_constant(0.05, cd.d)
+    for k, em in ((est, KNOWN), (est, ErrorModel.with_df(20)), (ks, df10)):
+        with pytest.raises(InfeasibleError, match="constant was computed for"):
+            posi_intervals(cd, y, 1.0, em, model, k)
+    # The same models pass, however df was given.
+    assert posi_intervals(cd, y, 1.0, ErrorModel(10), model, est).rows
+    assert posi_intervals(cd, y, 1.0, KNOWN, model, ks).rows
+
+
 def test_intervals_covers_flag():
     cd = random_canonical(3, seed=7)
     mu = cd.values @ np.array([1.0, 0.5, 0.0])

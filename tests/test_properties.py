@@ -5,9 +5,10 @@ universe membership and spec round-trips, a pair count that matches the
 walk without walking, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, draws that
-depend neither on the fold's tile width nor on its worker count, and a
-screened fold whose K and order statistics around it are bitwise the
-unscreened ones."""
+depend neither on the fold's tile width nor on its worker count, a float32
+chunk maximum within the fold's bound of the float64 one, and a screened
+fold whose K and order statistics around it are bitwise the unscreened
+ones."""
 
 import itertools
 import math
@@ -29,6 +30,7 @@ from posikit import (
     canonicalize,
     direction_stream,
     enumerate_models,
+    exchangeable_design,
     fit_submodel,
     make_best_r2_selector,
     make_spar1_selector,
@@ -740,3 +742,47 @@ def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk
     idx = constants.conservative_quantile_index(alpha, n)
     assert est.k == np.sort(exact)[idx - 1]
     assert est.mc_standard_error == constants._mc_standard_error(exact, alpha)
+
+
+# ---------------------------------------------------------------------------
+# The float32 bound stage of the screened fold
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def bound_designs(draw) -> CanonicalDesign:
+    """Generic and rank-deficient designs, orthogonal ones, and exchangeable
+    designs from near-orthogonal to near-collinear (a close to -1/p, where
+    the design is near singular, or large, where the columns nearly
+    coincide)."""
+    kind = draw(st.sampled_from(["designs", "orthogonal", "exchangeable"]))
+    if kind == "designs":
+        return draw(designs())
+    if kind == "orthogonal":
+        return draw(orthogonal_designs())
+    p = draw(st.integers(2, 8))
+    a = draw(st.sampled_from([-1.0 / p + 1e-6, -1.0 / p + 1e-3, 0.01, 0.5, 1e3, 1e6]))
+    return exchangeable_design(p, a)
+
+
+@PROPERTY_SETTINGS
+@given(cd=bound_designs(), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-3.0, 3.0), n=st.integers(1, 100))
+def test_float32_chunk_maximum_is_within_the_bound(cd, seed, scale, n):
+    # Each draw's chunk maximum of |l'z| from float32 operands lies within
+    # c_d ||z_i|| of the float64 one, for draws scaled by 1e-3 to 1e3.
+    d = cd.d
+    z = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** scale
+    cols = -(-n // constants._DRAW_GROUP) * constants._DRAW_GROUP
+    zt = np.zeros((d, cols))
+    zt[:, :n] = z.T
+    slack = constants._float32_slack(d) * np.linalg.norm(z, axis=1)
+    directions = direction_stream(cd)
+    for chunk, _ in directions.chunks(7):
+        if chunk.shape[0] == 1:
+            chunk = np.vstack([chunk, np.zeros((1, d))])
+        m64, m32 = np.zeros(cols), np.zeros(cols, dtype=np.float32)
+        constants._fold_chunk_max(chunk, zt, m64, np.empty((chunk.shape[0], cols)))
+        constants._fold_chunk_max(chunk.astype(np.float32), zt.astype(np.float32), m32,
+                                  np.empty((chunk.shape[0], cols), dtype=np.float32))
+        assert np.all(np.abs(m32[:n] - m64[:n]) <= slack)
