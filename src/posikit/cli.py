@@ -54,17 +54,18 @@ _STREAM_WARN_P = 16
 # and 72 747 pairs per second in the enumeration spans of its
 # k1.p11.predictor3 job (a posi1 enumeration factorizes one model per pair
 # of its predictor). The fold rate is that of the screened folds that k
-# and k1 run (the float32 bound stage, the float64 refold and the norm
-# screen, see constants._fold) on the 2 workers they pick for folds this
-# large, less the walk and the draw generation, per nominal pair (counted
-# before the rank rule) x draw. On a 21 x 17 Gaussian design, medians of 5
-# rounds in one process: posi_constant (10 000 draws) 0.49 ns and
-# posi1_constant (predictor 3, 40 000 draws, where the screen drops few
-# draws) 0.80 ns, beside 1.15 and 1.17 ns for the unscreened
-# max_abs_t_draws of the same sets. The rate is the slower screened one.
+# and k1 run (the float32 bound stage with its cones, the float64 refold
+# and the norm screen, see constants._fold) on the 2 workers they pick for
+# folds this large, less the walk and the draw generation, per nominal pair
+# (counted before the rank rule) x draw. On a 21 x 17 Gaussian design,
+# medians of 5 rounds in one process: posi_constant (10 000 draws) 0.30 ns
+# and posi1_constant (predictor 3, 40 000 draws, where the screen drops few
+# draws and one cone spans each chunk) 0.64 ns, against 0.45 and 0.87 ns
+# for the fold without cones in the same session. The rate is the slower
+# one.
 _WALK_S_PER_DIRECTION = 1.0 / 518_373
 _WALK_S_PER_PREDICTOR_PAIR = 1.0 / 72_747
-_FOLD_S_PER_DIR_DRAW = 0.80e-9
+_FOLD_S_PER_DIR_DRAW = 0.64e-9
 
 
 class _Parser(argparse.ArgumentParser):

@@ -44,6 +44,17 @@ _DIRECTION_CHUNK = 512
 # the width is changed.
 _FOLD_DRAWS = 384
 _DRAW_GROUP = 16
+# The screened fold folds a chunk of fewer rows x live draws than this
+# whole, in float32, and larger ones through their cones (see _fold): below
+# it the cones' fit, test, gathers and per-group calls cost more than they
+# save. posi_constant on two Gaussian (p+4) x p designs per call, calls
+# alternating in one process, 16 rounds, 2-core Xeon KVM guest: cones in
+# every chunk were 28% slower than none at p = 10 with 1 000 draws, 7-11%
+# slower with 2 500 and 14% and 39% faster with 5 000 and 10 000. Against
+# no cones, a floor of 0.5 million was even at 1 000 draws (31.3 against
+# 32.4 ms), -4% at 2 500 and -8% at p = 11 with 2 500 (df 10); floors of
+# 0.25 million (+17% there) and 1 to 3 million were no better.
+_CONE_FOLD_MIN = 500_000
 # Folds of fewer directions x draw columns than this run on one worker:
 # starting the workers and pinning BLAS costs about what they save. Two
 # workers against one on a 2-core Xeon KVM guest with OpenBLAS on 2
@@ -52,7 +63,12 @@ _DRAW_GROUP = 16
 # the two-stage screened fold (posi_constant, calls alternating in one
 # process) was even at 41 million (+2%) and faster from 61 million (-2% at
 # 61, -7% at 82 and 102 million), with an earlier sweep even up to 82
-# million (see CHANGES.md).
+# million (see CHANGES.md). With the cones, which leave the float32 stage
+# 7-10% of the nominal pairs in many small products, two workers against
+# one (14-16 alternating calls) showed no crossover: slower by 37% at 12.9
+# million, 7-10% at 26-56 million, 6% at 102, 13% at 205 and 9% at 532
+# million; faster by 8-9% at 113 and 246 million; even at 225 and 492
+# million. The floor stays where the unscreened fold's sweep puts it.
 _PARALLEL_FOLD_MIN = 60_000_000
 
 MONTE_CARLO = "monte_carlo"
@@ -155,18 +171,16 @@ def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
                     buf: np.ndarray) -> None:
     """best[i] = max(best[i], max_j |chunk_j . zt[:, i]|), reusing a scratch buffer.
 
-    The product is direction-major, so the reductions run down its columns:
-    an elementwise max of contiguous rows. max |x| is folded as
-    max(max x, -min x) to avoid an extra elementwise pass; both routes give
-    bitwise-identical values.
+    The product is direction-major, so the reduction runs down its columns:
+    an elementwise max of contiguous rows. |x| is taken in place on the tile
+    and reduced once; that is one elementwise pass fewer than folding
+    max(max x, -min x), whose max and min each read the whole tile, and the
+    values are bitwise the same.
     """
     out = buf[: chunk.shape[0], : zt.shape[1]]
     np.matmul(chunk, zt, out=out)
-    hi = out.max(axis=0)
-    lo = out.min(axis=0)
-    np.negative(lo, out=lo)
-    np.maximum(best, hi, out=best)
-    np.maximum(best, lo, out=best)
+    np.abs(out, out=out)
+    np.maximum(best, out.max(axis=0), out=best)
 
 
 def _float32_slack(d: int) -> float:
@@ -177,6 +191,88 @@ def _float32_slack(d: int) -> float:
     (d u64), in the first order (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 3.1), and a factor 2 on top for safety."""
     return 2 * (d + 2) * (2.0 ** -24 + 2.0 ** -53)
+
+
+# Added to each cone's half-angle. arccos loses half the digits near 1: a
+# cosine off by delta moves the angle by up to sqrt(2 delta), and 2^-20
+# covers a float64 cosine off by up to 4e-13.
+_CONE_ANGLE_MARGIN = 2.0 ** -20
+
+
+def _cone_tests(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The (2G, d + 3) float32 rows of the cone test for the G groups of a
+    chunk's unit rows, group g in rows[starts[g]:starts[g + 1]].
+
+    Group g's cone has center c_g, the normalized sum of its rows with each
+    sign-aligned to the group's first row, and half-angle theta_g, the
+    largest angle between a member and +-c_g plus _CONE_ANGLE_MARGIN (at most
+    pi/2, which bounds nothing). A member l then has (Ram and Gray, Maximum
+    inner-product search using cone trees, KDD 2012)
+
+        |l'z| <= ||z|| cos(max(0, phi - theta_g)),  cos phi = |c_g'z| / ||z||.
+
+    That bound reaches t in [0, ||z||] exactly when phi <= theta_g + psi with
+    cos psi = t / ||z||, that is when
+
+        |c_g'z| - cos(theta_g) t + sin(theta_g) sqrt(||z||^2 - t^2) >= 0.
+
+    Rows g and G + g are (+-c_g, -cos theta_g, sin theta_g, 1); their product
+    with a draw's column (z, t, sqrt(||z||^2 - t^2), e) (see _cone_reach)
+    is this left side, plus the rounding margin e, for each sign of c_g.
+    """
+    sizes = np.diff(starts, append=rows.shape[0])
+    flip = np.einsum("ij,ij->i", rows, np.repeat(rows[starts], sizes, axis=0)) < 0
+    centers = np.add.reduceat(np.where(flip[:, None], -rows, rows), starts, axis=0)
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    cos = np.abs(np.einsum("ij,ij->i", rows, np.repeat(centers, sizes, axis=0)))
+    cos /= np.linalg.norm(rows, axis=1)
+    theta = np.arccos(np.minimum(np.minimum.reduceat(cos, starts), 1.0))
+    theta = np.minimum(theta + _CONE_ANGLE_MARGIN, math.pi / 2)
+    groups, d = centers.shape
+    tests = np.empty((2, groups, d + 3), dtype=np.float32)
+    tests[0, :, :d] = centers
+    tests[1, :, :d] = -centers
+    tests[:, :, d] = -np.cos(theta)
+    tests[:, :, d + 1] = np.sin(theta)
+    tests[:, :, d + 2] = 1.0
+    return tests.reshape(2 * groups, d + 3)
+
+
+def _cone_margin(d: int) -> float:
+    """eta_d with the float32 cone test (see _cone_tests) within eta_d ||z|| / 2
+    of its exact value wherever a direction of the group reaches t (so that t
+    <= ||z||): the rounding of both operands to float32 (2 u32) and
+    gamma_{d+3} for the dot product, in the first order, times a sum of
+    absolute terms of at most (2 + eta_d) ||z|| (|c'z| <= ||z||, and
+    cos(theta) t + sin(theta) sqrt(||z||^2 - t^2) <= ||z||), and a factor 2
+    for safety. Where no direction reaches t, any test value prunes rightly."""
+    return 4 * (d + 5) * 2.0 ** -24
+
+
+def _cone_reach(rows: np.ndarray, starts: np.ndarray, zt32: np.ndarray,
+                norm: np.ndarray, sigma: np.ndarray, slack: np.ndarray,
+                floor) -> np.ndarray:
+    """The (G, n) cone-test values (see _cone_tests) of the groups of rows for
+    the draws in the first d rows of the (d + 3, n) float32 ``zt32``: negative
+    where a group holds no direction with |l'z| / sigma_hat at or above
+    floor - slack. Each draw's column tail (t, sqrt(||z||^2 - t^2), e) is
+    written into the last three rows of ``zt32`` first, with t = sigma_hat
+    (floor - slack), at least 0, the root 0 where t exceeds ||z||, and
+    e = eta_d ||z|| (see _cone_margin)."""
+    d = zt32.shape[0] - 3
+    t = np.subtract(floor, slack)
+    t *= sigma
+    np.maximum(t, 0.0, out=t)
+    zt32[d] = t
+    s = norm - t
+    t += norm
+    s *= t
+    np.maximum(s, 0.0, out=s)
+    zt32[d + 1] = np.sqrt(s, out=s)
+    zt32[d + 2] = _cone_margin(d) * norm
+    reach = _cone_tests(rows, starts) @ zt32
+    groups = starts.size
+    return np.maximum(reach[:groups], reach[groups:], out=reach[:groups])
 
 
 @contextmanager
@@ -207,6 +303,13 @@ def _fold_workers(workers: int):
 
     with _blas.pinned_to_one_thread(), ThreadPoolExecutor(workers - 1) as pool:
         yield run_pooled
+
+
+def _padded(chunk: np.ndarray) -> np.ndarray:
+    """The chunk, with a zero direction below it when it has one row."""
+    if chunk.shape[0] == 1:
+        return np.vstack([chunk, np.zeros_like(chunk)])
+    return chunk
 
 
 def _fold_shares(cols: int, workers: int) -> list[list[tuple[int, int]]]:
@@ -246,6 +349,20 @@ def _fold(
     which all lie below it), so it never exceeds the exact order statistic
     X_(screen_rank).
 
+    Cones. A chunk of at least _CONE_FOLD_MIN rows x live draws is split
+    into groups by predictor, and each group is folded only over the draws
+    that its cone can bring to L (see _cone_tests and _cone_reach): one
+    float32 product tests every live draw against every cone. A pruned
+    group holds no direction with |l'z_i| / sigma_hat_i >= L - e_i, so it
+    could raise neither the lower bound nor, past L, the upper one; m_i is
+    then the maximum over the groups folded for draw i. Each group is
+    folded over its draws in group tiles of at most a quarter of a whole
+    tile's products (and at least _FOLD_DRAWS draws), each gathered into
+    its worker's tile buffer; the tiles are split over the workers by their
+    products. The first such chunk starts with a pilot: the first direction
+    of each group is folded over every live draw and sets the first floor.
+    Smaller chunks are folded whole.
+
     Exact stage. The draws with u_i >= L and u_i at or above their lower
     bound are gathered, in float64, into whole 16-column groups, and the
     chunk is folded over them; their exact chunk maximum over sigma_hat_i
@@ -267,6 +384,9 @@ def _fold(
     A column's product does not depend on its position among the columns,
     so every exact draw, and with it every order statistic of rank
     ``screen_rank`` and above, is bitwise the value of the unscreened fold.
+    The float32 products need no such care, since only their bound is used;
+    their tiles do not depend on the worker count, so neither do the values
+    that the screened draws keep.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -282,14 +402,14 @@ def _fold(
     cols = -(-n_samples // _DRAW_GROUP) * _DRAW_GROUP
     zt = np.zeros((d, cols))
     sigma = np.empty(n_samples)
-    bound = np.empty(n_samples)
+    norm = np.empty(n_samples)
     for b in range(_rng.block_count(n_samples)):
         z, s = _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n_samples, d,
                                    error_model.df)
         sl = _rng.block_slice(b, n_samples)
         zt[:, sl] = z.T
         sigma[sl] = s
-        bound[sl] = np.linalg.norm(z, axis=1) / s
+        norm[sl] = np.linalg.norm(z, axis=1)
     tiles = _fold_shares(cols, 1)[0]
     workers = 1
     if _candidate_pair_count(directions.design, directions.universe,
@@ -304,43 +424,102 @@ def _fold(
     else:
         # The float32 stage reuses the tile buffers' memory.
         bufs32 = [buf.view(np.float32) for buf in bufs]
-        zt32 = zt.astype(np.float32)
+        # Column c of zt32 holds draw live[c] in float32 and, in its last
+        # three rows, its cone-test column tail (see _cone_reach); columns
+        # live.size and on are zero padding.
+        zt32 = np.zeros((d + 3, cols), dtype=np.float32)
+        zt32[:d] = zt
         chunk_max = np.empty(cols, dtype=np.float32)
+        bound = norm / sigma
         slack = _float32_slack(d) * bound
-        # live[c] is the draw held in column c of zt32, low[c] its lower
-        # bound; columns live.size and on are zero padding.
+        # live[c] is the draw held in column c of zt32, low[c] its lower bound.
         live = np.arange(n_samples)
         low = np.full(n_samples, -np.inf)
         draws = np.empty(n_samples)
+        floor = None
 
     def fold_share(chunk, zt, best, share, buf):
         for lo, hi in share:
             _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
 
+    def fold_groups(share, flat, group_max, buf):
+        # flat[lo:hi] - offset are the draws of a group tile. They are
+        # gathered into the tail of the worker's tile buffer, and the product
+        # is written to its head.
+        for rows, offset, lo, hi in share:
+            k, w = rows.shape[0], hi - lo
+            zg = buf[k * w:(k + d) * w].reshape(d, w)
+            np.take(zt32[:d], flat[lo:hi] - offset, axis=1, out=zg, mode="clip")
+            _fold_chunk_max(rows, zg, group_max[lo:hi], buf[:k * w].reshape(k, w))
+
+    def raise_floor():
+        # The chunk's float32 maximum over sigma_hat, less the slack, raises
+        # each live draw's lower bound. The draws screened so far all lie
+        # below the floor, so its rank among the live ones is screen_rank
+        # less their number.
+        m = chunk_max[:live.size] / sigma
+        np.maximum(low, m - slack, out=low)
+        rank = screen_rank - (n_samples - live.size)
+        return m, np.partition(low, rank - 1)[rank - 1]
+
     with _fold_workers(workers) as run:
+        def fold_cones(rows, rows32, starts, n_live):
+            # Folds each group of rows over the live draws that its cone
+            # test passes, in group tiles, and raises chunk_max by the result.
+            reach = _cone_reach(rows, starts, zt32[:, :n_live], norm, sigma, slack, floor)
+            n_groups = starts.size
+            flat = np.flatnonzero(reach >= 0)
+            ends = np.searchsorted(flat, np.arange(n_groups + 1) * n_live).tolist()
+            jobs, cost = [], []
+            for g, (rows_g, lo_g, hi_g) in enumerate(
+                    zip(np.split(rows32, starts[1:]), ends, ends[1:])):
+                k = rows_g.shape[0]
+                step = min(bufs32[0].size // (k + d),
+                           max(_FOLD_DRAWS, _DIRECTION_CHUNK * _FOLD_DRAWS // (4 * k)))
+                for lo in range(lo_g, hi_g, step):
+                    hi = min(lo + step, hi_g)
+                    jobs.append((rows_g, g * n_live, lo, hi))
+                    cost.append(k * (hi - lo))
+            if not jobs:
+                return
+            group_max = np.zeros(flat.size, dtype=np.float32)
+            cuts = np.searchsorted(np.cumsum(cost), sum(cost) * np.arange(1, workers) / workers)
+            shares = np.split(np.arange(len(jobs)), cuts)
+            run(fold_groups, [([jobs[j] for j in share], flat, group_max, buf.reshape(-1))
+                              for share, buf in zip(shares, bufs32) if share.size])
+            # A draw's test values are negative where it is pruned.
+            reach.reshape(-1)[flat] = group_max
+            np.maximum(chunk_max[:n_live], reach.max(axis=0), out=chunk_max[:n_live])
+
         def fold(chunk, zt, best, bufs):
             # Folds chunk over every column of zt, whole 16-column groups,
             # split into the workers' shares of whole tiles.
             shares = _fold_shares(zt.shape[1], workers)
-            run(fold_share, [(chunk, zt, best, share, buf)
+            run(fold_share, [(_padded(chunk), zt, best, share, buf)
                              for share, buf in zip(shares, bufs) if share])
 
-        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
-            if chunk.shape[0] == 1:
-                chunk = np.vstack([chunk, np.zeros((1, d))])
+        for chunk, keys in directions.chunks(_DIRECTION_CHUNK):
             if screen_rank is None:
                 fold(chunk, zt, best, bufs)
                 continue
             n_live = live.size
             used = -(-n_live // _DRAW_GROUP) * _DRAW_GROUP
             chunk_max[:used] = 0.0
-            fold(chunk.astype(np.float32), zt32[:, :used], chunk_max[:used], bufs32)
-            m = chunk_max[:n_live] / sigma
-            np.maximum(low, m - slack, out=low)
-            # The draws screened so far all lie below the floor, so its rank
-            # among the live ones is screen_rank less their number.
-            rank = screen_rank - (n_samples - n_live)
-            floor = np.partition(low, rank - 1)[rank - 1]
+            if chunk.shape[0] * used < _CONE_FOLD_MIN:
+                fold(chunk.astype(np.float32), zt32[:d, :used], chunk_max[:used], bufs32)
+            else:
+                # The chunk's rows grouped by predictor, one cone per group.
+                order = np.argsort(keys[:, 1], kind="stable")
+                rows = chunk[order]
+                starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
+                rows32 = rows.astype(np.float32)
+                if floor is None:
+                    # Pilot: the first direction of each group sets the
+                    # first floor, so the first chunk is pruned too.
+                    fold(rows32[starts], zt32[:d, :used], chunk_max[:used], bufs32)
+                    _, floor = raise_floor()
+                fold_cones(rows, rows32, starts, n_live)
+            m, floor = raise_floor()
             upper = m + slack
             exact = np.flatnonzero((upper >= floor) & (upper >= low))
             if exact.size:
@@ -354,9 +533,8 @@ def _fold(
             keep = np.flatnonzero(alive)
             if keep.size <= 0.8 * n_live:
                 draws[live[~alive]] = low[~alive]
-                live, sigma, bound, slack, low = (
-                    a[keep] for a in (live, sigma, bound, slack, low))
-                used = -(-keep.size // _DRAW_GROUP) * _DRAW_GROUP
+                live, sigma, norm, bound, slack, low = (
+                    a[keep] for a in (live, sigma, norm, bound, slack, low))
                 zt32[:, :keep.size] = zt32[:, keep]
                 zt32[:, keep.size:used] = 0.0
     if screen_rank is None:
@@ -379,9 +557,9 @@ def max_abs_t_draws(
 
     Every chunk is folded over every draw in float64, and every draw is
     returned exactly. posi_constant and posi1_constant run the same fold
-    with a float32 bound stage and a norm screen in front of it, and compute
-    exactly only the draws that can reach the order statistics they read
-    (see _fold).
+    with a float32 bound stage, pruned by per-predictor cones, and a norm
+    screen in front of it, and compute exactly only the draws that can reach
+    the order statistics they read (see _fold).
 
     Draw i is a pure function of (seed, i): Gaussian vectors and sigma-hat
     variates come from a counter-based generator in fixed-size blocks, so a
@@ -451,10 +629,12 @@ def posi_constant(
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
     every full-rank model in the universe. The fold bounds every draw from
     float32 products, screens out draws whose norm bound proves them below
-    the order statistics that K and its standard error read, and redoes in
-    float64 only the draws whose bound can reach them (see _fold); those
-    order statistics, and K with them, are bitwise those of the exact draws
-    of max_abs_t_draws.
+    the order statistics that K and its standard error read, folds each
+    predictor's directions in float32 only over the draws that their cone
+    can bring to those order statistics, and redoes in float64 only the
+    draws whose bound can reach them (see _fold); those order statistics,
+    and K with them, are bitwise those of the exact draws of
+    max_abs_t_draws.
     ``mc_standard_error`` is the order-statistic spacing estimator (see
     _mc_standard_error). ``threads`` must be at least 1 and does not change
     work or output; the fold picks its own workers, and while they run
@@ -486,8 +666,8 @@ def posi1_constant(
     """Constant protecting a single designated predictor across all models
     that contain it: the quantile runs over directions of (predictor, M) pairs
     only, for M in the universe restricted to models containing the predictor.
-    K, its standard error, the float32 bound stage and the screen are as in
-    posi_constant.
+    K, its standard error, the float32 bound stage, its cone (one group per
+    chunk here) and the screen are as in posi_constant.
     ``threads`` must be at least 1 and does not change work or output; the
     fold picks its own workers, and while they run numpy's BLAS is on one
     thread for the whole process (see max_abs_t_draws).

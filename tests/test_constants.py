@@ -334,7 +334,10 @@ def test_calling_thread_folds_a_share(monkeypatch):
 
 
 def test_screen_cuts_fold_work_and_keeps_k(monkeypatch):
-    cd = random_canonical(10, seed=10, n=14)
+    # posi_constant's fold work as a share of the unscreened fold's, bounded
+    # by the measured share plus 3 points. On the 14 x 10 design the float32
+    # stage multiplies 11% of the direction x draw columns and the float64
+    # stage 2%; on the 10 x 10 identity, 0.7% and 5.3%.
     columns = []
     real = constants._fold_chunk_max
 
@@ -343,15 +346,67 @@ def test_screen_cuts_fold_work_and_keeps_k(monkeypatch):
         real(chunk, zt, best, buf)
 
     monkeypatch.setattr(constants, "_fold_chunk_max", counting)
-    exact = max_abs_t_draws(direction_stream(cd), n_samples=20_000, seed=3)
-    unscreened = sum(columns)
-    columns.clear()
-    est = posi_constant(cd, n_samples=20_000, seed=3)
-    # The screened fold multiplies 39% of the columns here in float32 and
-    # 2% in float64.
-    assert sum(columns) < 0.6 * unscreened
     idx = constants.conservative_quantile_index(0.05, 20_000)
+    for cd, share in ((random_canonical(10, seed=10, n=14), 0.13 + 0.03),
+                      (CanonicalDesign.from_canonical(np.eye(10)), 0.06 + 0.03)):
+        columns.clear()
+        exact = max_abs_t_draws(direction_stream(cd), n_samples=20_000, seed=3)
+        unscreened = sum(columns)
+        columns.clear()
+        est = posi_constant(cd, n_samples=20_000, seed=3)
+        assert sum(columns) < share * unscreened
+        assert est.k == np.sort(exact)[idx - 1]
+
+
+def test_one_direction_cone_is_its_direction():
+    # A group of one direction has that direction as its center and the
+    # angle margin alone as its half-angle, so its test is tight: a floor at
+    # |l'z| / sigma keeps it and a floor 1e-4 above prunes it.
+    d = 5
+    row = np.random.default_rng(1).standard_normal((1, d))
+    row /= np.linalg.norm(row)
+    tests = constants._cone_tests(row, np.array([0]))
+    assert tests.shape == (2, d + 3)
+    assert np.array_equal(tests[0, :d], row[0].astype(np.float32))
+    assert np.array_equal(tests[1, :d], -row[0].astype(np.float32))
+    theta = math.atan2(tests[0, d + 1], -tests[0, d])
+    assert theta == pytest.approx(constants._CONE_ANGLE_MARGIN, rel=1e-3)
+    z = np.vstack([3.0 * row[0], -2.0 * row[0] + 0.5 * np.eye(d)[0]])
+    norm = np.linalg.norm(z, axis=1)
+    sigma = np.array([1.0, 0.7])
+    slack = constants._float32_slack(d) * norm / sigma
+    zt32 = np.zeros((d + 3, 2), dtype=np.float32)
+    zt32[:d] = z.T
+    exact = np.abs(z @ row[0]) / sigma
+    assert np.all(constants._cone_reach(row, np.array([0]), zt32, norm, sigma, slack,
+                                        exact) >= 0)
+    assert np.all(constants._cone_reach(row, np.array([0]), zt32, norm, sigma, slack,
+                                        exact * (1 + 1e-4)) < 0)
+
+
+def test_one_row_chunk_folds_through_its_cone(monkeypatch):
+    # 12 directions in chunks of 11 leave a last chunk of one row, pruned by
+    # its cone. The zero direction that pads its float64 product belongs to
+    # no cone: the group product has the chunk's one row. K and its standard
+    # error are those of the exact draws.
+    cd = random_canonical(3, seed=2)
+    exact = max_abs_t_draws(direction_stream(cd), n_samples=3_000, seed=9)
+    real, rows = constants._fold_chunk_max, []
+
+    def noting(chunk, zt, best, buf):
+        rows.append((chunk.dtype.name, chunk.shape[0], bool(np.any(chunk[-1]))))
+        real(chunk, zt, best, buf)
+
+    monkeypatch.setattr(constants, "_DIRECTION_CHUNK", 11)
+    monkeypatch.setattr(constants, "_CONE_FOLD_MIN", 0)
+    monkeypatch.setattr(constants, "_fold_chunk_max", noting)
+    est = posi_constant(cd, n_samples=3_000, seed=9)
+    idx = constants.conservative_quantile_index(0.05, 3_000)
     assert est.k == np.sort(exact)[idx - 1]
+    assert est.mc_standard_error == constants._mc_standard_error(exact, 0.05)
+    # The products after the first chunk's exact stage, of 11 rows.
+    last = rows[[i for i, (_, k, _) in enumerate(rows) if k == 11][-1] + 1:]
+    assert last == [("float32", 1, True), ("float64", 2, False)]
 
 
 def test_screened_fold_raises_a_workers_error(monkeypatch):

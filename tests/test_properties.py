@@ -6,9 +6,10 @@ walk without walking, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, draws that
 depend neither on the fold's tile width nor on its worker count, a float32
-chunk maximum within the fold's bound of the float64 one, and a screened
-fold whose K and order statistics around it are bitwise the unscreened
-ones."""
+chunk maximum within the fold's bound of the float64 one, a cone test that
+bounds every member of its group and never prunes a group that reaches the
+floor, and a screened fold whose K and order statistics around it are
+bitwise the unscreened ones."""
 
 import itertools
 import math
@@ -786,3 +787,43 @@ def test_float32_chunk_maximum_is_within_the_bound(cd, seed, scale, n):
         constants._fold_chunk_max(chunk.astype(np.float32), zt.astype(np.float32), m32,
                                   np.empty((chunk.shape[0], cols), dtype=np.float32))
         assert np.all(np.abs(m32[:n] - m64[:n]) <= slack)
+
+
+# ---------------------------------------------------------------------------
+# The cone test of the float32 bound stage
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(cd=bound_designs(), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-3.0, 3.0), n=st.integers(1, 60),
+       df=st.one_of(st.just(math.inf), st.integers(5, 20)),
+       chunk=st.sampled_from([1, 7, constants._DIRECTION_CHUNK]))
+def test_cone_test_keeps_every_group_that_reaches_the_floor(cd, seed, scale, n, df,
+                                                            chunk):
+    # For every (chunk, predictor) group, each member's float64 |l'z| / sigma
+    # lies within the cone bound plus the slack and the margin that the fold
+    # tests against, and a floor at the group's exact maximum never prunes
+    # the group, for draws scaled by 1e-3 to 1e3.
+    d = cd.d
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d)) * 10.0 ** scale
+    sigma = np.ones(n) if math.isinf(df) else np.sqrt(rng.chisquare(df, n) / df)
+    norm = np.linalg.norm(z, axis=1)
+    slack = constants._float32_slack(d) * norm / sigma
+    margin = constants._cone_margin(d) * norm / sigma
+    zt32 = np.zeros((d + 3, n), dtype=np.float32)
+    zt32[:d] = z.T
+    for chunk_rows, keys in direction_stream(cd).chunks(chunk):
+        order = np.argsort(keys[:, 1], kind="stable")
+        rows = chunk_rows[order]
+        starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
+        tests = constants._cone_tests(rows, starts).astype(np.float64)
+        for g, members in enumerate(np.split(rows, starts[1:])):
+            exact = np.abs(members @ z.T).max(axis=0) / sigma
+            theta = math.atan2(tests[g, d + 1], -tests[g, d])
+            phi = np.arccos(np.minimum(np.abs(z @ tests[g, :d]) / norm, 1.0))
+            bound = norm * np.cos(np.maximum(0.0, phi - theta)) / sigma
+            assert np.all(exact <= bound + slack + margin)
+            reach = constants._cone_reach(rows, starts, zt32, norm, sigma, slack, exact)
+            assert np.all(reach[g] >= 0)
