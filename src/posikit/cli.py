@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage or validation problem, 2 data error (parsing,
 rank), 3 infeasible request. All results go to stdout; diagnostics and
 warnings go to stderr. JSON output is byte-identical for identical
 configurations including the seed. --threads is accepted and validated but
-does not change work or output: the Monte Carlo fold picks its own workers.
+does not change work or output: the Monte Carlo fold runs in the calling
+thread.
 """
 
 from __future__ import annotations
@@ -55,17 +56,16 @@ _STREAM_WARN_P = 16
 # k1.p11.predictor3 job (a posi1 enumeration factorizes one model per pair
 # of its predictor). The fold rate is that of the screened folds that k
 # and k1 run (the float32 bound stage with its cones, the float64 refold
-# and the norm screen, see constants._fold) on the 2 workers they pick for
-# folds this large, less the walk and the draw generation, per nominal pair
-# (counted before the rank rule) x draw. On a 21 x 17 Gaussian design,
-# medians of 5 rounds in one process: posi_constant (10 000 draws) 0.30 ns
-# and posi1_constant (predictor 3, 40 000 draws, where the screen drops few
-# draws and one cone spans each chunk) 0.64 ns, against 0.45 and 0.87 ns
-# for the fold without cones in the same session. The rate is the slower
-# one.
+# and the norm screen, see constants._fold), in the calling thread, less
+# the walk and the draw generation, per nominal pair (counted before the
+# rank rule) x draw. On a 21 x 17 Gaussian design, medians of 5 rounds in
+# one process, three sessions: posi_constant (10 000 draws) 0.39, 0.43 and
+# 0.34 ns, and posi1_constant (predictor 3, 40 000 draws, where the screen
+# drops few draws and one cone spans each chunk) 0.73, 0.76 and 0.63 ns.
+# The rate is the slower one, the median of its sessions.
 _WALK_S_PER_DIRECTION = 1.0 / 518_373
 _WALK_S_PER_PREDICTOR_PAIR = 1.0 / 72_747
-_FOLD_S_PER_DIR_DRAW = 0.64e-9
+_FOLD_S_PER_DIR_DRAW = 0.73e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,9 +93,9 @@ def _usage_error(message: str) -> SystemExit:
 
 
 def _threads_arg(text: str) -> str:
-    # Kept so existing command lines still parse. The fold sets its worker
-    # count from its size and numpy's BLAS thread count, and draws depend
-    # only on the seed, so the value is checked and then ignored.
+    # Kept so existing command lines still parse. The fold runs in the
+    # calling thread and draws depend only on the seed, so the value is
+    # checked and then ignored.
     if text != "auto" and not (text.strip().isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError("--threads must be a positive integer or 'auto'")
     return text
@@ -500,9 +500,9 @@ def _add_common(sub, design=True, mc=True):
                      help="error degrees of freedom, integer or 'inf'")
     sub.add_argument("--output", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--threads", default="auto", type=_threads_arg,
-                     help="accepted for compatibility; the Monte Carlo fold "
-                          "picks its own workers, and output does not depend "
-                          "on it")
+                     help="accepted for compatibility and ignored; the Monte "
+                          "Carlo fold runs in the calling thread, and output "
+                          "does not depend on it")
     if design:
         sub.add_argument("--design", help="design matrix file (CSV or whitespace)")
         sub.add_argument("--header", action="store_true",

@@ -20,19 +20,12 @@ and its asymptotic limit.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas, _rng
-from .design import (
-    CanonicalDesign,
-    DirectionSet,
-    ModelUniverse,
-    _candidate_pair_count,
-    direction_stream,
-)
+from . import _rng
+from .design import CanonicalDesign, DirectionSet, ModelUniverse, direction_stream
 from .errors import InfeasibleError
 
 _DIRECTION_CHUNK = 512
@@ -55,21 +48,6 @@ _DRAW_GROUP = 16
 # 32.4 ms), -4% at 2 500 and -8% at p = 11 with 2 500 (df 10); floors of
 # 0.25 million (+17% there) and 1 to 3 million were no better.
 _CONE_FOLD_MIN = 500_000
-# Folds of fewer directions x draw columns than this run on one worker:
-# starting the workers and pinning BLAS costs about what they save. Two
-# workers against one on a 2-core Xeon KVM guest with OpenBLAS on 2
-# threads, counting nominal pairs (before the rank rule) x padded draws:
-# the unscreened fold was even at 38-51 million and faster from 64 million;
-# the two-stage screened fold (posi_constant, calls alternating in one
-# process) was even at 41 million (+2%) and faster from 61 million (-2% at
-# 61, -7% at 82 and 102 million), with an earlier sweep even up to 82
-# million (see CHANGES.md). With the cones, which leave the float32 stage
-# 7-10% of the nominal pairs in many small products, two workers against
-# one (14-16 alternating calls) showed no crossover: slower by 37% at 12.9
-# million, 7-10% at 26-56 million, 6% at 102, 13% at 205 and 9% at 532
-# million; faster by 8-9% at 113 and 246 million; even at 225 and 492
-# million. The floor stays where the unscreened fold's sweep puts it.
-_PARALLEL_FOLD_MIN = 60_000_000
 
 MONTE_CARLO = "monte_carlo"
 CLOSED_FORM = "closed_form"
@@ -275,36 +253,6 @@ def _cone_reach(rows: np.ndarray, starts: np.ndarray, zt32: np.ndarray,
     return np.maximum(reach[:groups], reach[groups:], out=reach[:groups])
 
 
-@contextmanager
-def _fold_workers(workers: int):
-    """Yield run(fn, calls), which calls fn(*args) for each args in calls and
-    returns once every call has returned, re-raising the first error in call
-    order. With one worker the calls run inline, in the caller's thread.
-    With more, the last call runs in the caller's thread and the others on a
-    pool of workers - 1 threads, while numpy's BLAS is pinned to one thread;
-    the pool is joined and the BLAS count restored on the way out, also when
-    the block raises."""
-    if workers == 1:
-        def run_inline(fn, calls):
-            for args in calls:
-                fn(*args)
-        yield run_inline
-        return
-    from concurrent.futures import ThreadPoolExecutor, wait
-
-    def run_pooled(fn, calls):
-        futures = [pool.submit(fn, *args) for args in calls[:-1]]
-        try:
-            fn(*calls[-1])
-        finally:
-            wait(futures)
-            for future in futures:
-                future.result()
-
-    with _blas.pinned_to_one_thread(), ThreadPoolExecutor(workers - 1) as pool:
-        yield run_pooled
-
-
 def _padded(chunk: np.ndarray) -> np.ndarray:
     """The chunk, with a zero direction below it when it has one row."""
     if chunk.shape[0] == 1:
@@ -312,16 +260,14 @@ def _padded(chunk: np.ndarray) -> np.ndarray:
     return chunk
 
 
-def _fold_shares(cols: int, workers: int) -> list[list[tuple[int, int]]]:
-    """The fold tiles of ``cols`` draw columns, split into ``workers``
-    contiguous shares."""
+def _fold_tiles(cols: int) -> list[tuple[int, int]]:
+    """The (lo, hi) column ranges of the fold tiles of ``cols`` draw columns."""
     tiles = [(lo, min(lo + _FOLD_DRAWS, cols)) for lo in range(0, cols, _FOLD_DRAWS)]
     if tiles[-1][1] - tiles[-1][0] == 1 < len(tiles):
         # A tile width that is not a multiple of _DRAW_GROUP can leave one
         # column over; it joins the tile before it.
         tiles[-2:] = [(tiles[-2][0], cols)]
-    return [tiles[w * len(tiles) // workers:(w + 1) * len(tiles) // workers]
-            for w in range(workers)]
+    return tiles
 
 
 def _fold(
@@ -358,10 +304,9 @@ def _fold(
     then the maximum over the groups folded for draw i. Each group is
     folded over its draws in group tiles of at most a quarter of a whole
     tile's products (and at least _FOLD_DRAWS draws), each gathered into
-    its worker's tile buffer; the tiles are split over the workers by their
-    products. The first such chunk starts with a pilot: the first direction
-    of each group is folded over every live draw and sets the first floor.
-    Smaller chunks are folded whole.
+    the tile buffer. The first such chunk starts with a pilot: the first
+    direction of each group is folded over every live draw and sets the
+    first floor. Smaller chunks are folded whole.
 
     Exact stage. The draws with u_i >= L and u_i at or above their lower
     bound are gathered, in float64, into whole 16-column groups, and the
@@ -384,9 +329,10 @@ def _fold(
     A column's product does not depend on its position among the columns,
     so every exact draw, and with it every order statistic of rank
     ``screen_rank`` and above, is bitwise the value of the unscreened fold.
-    The float32 products need no such care, since only their bound is used;
-    their tiles do not depend on the worker count, so neither do the values
-    that the screened draws keep.
+    The float32 products need no such care, since only their bound is used.
+
+    The fold runs in the calling thread, one tile at a time; ``threads`` is
+    checked (at least 1) and ignored.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -410,20 +356,15 @@ def _fold(
         zt[:, sl] = z.T
         sigma[sl] = s
         norm[sl] = np.linalg.norm(z, axis=1)
-    tiles = _fold_shares(cols, 1)[0]
-    workers = 1
-    if _candidate_pair_count(directions.design, directions.universe,
-                             directions.predictor) * cols >= _PARALLEL_FOLD_MIN:
-        workers = min(_blas.blas_threads() or 1, len(tiles))
-    width = max(hi - lo for lo, hi in tiles)
+    width = max(hi - lo for lo, hi in _fold_tiles(cols))
     # Every fold below covers at most cols columns, and _FOLD_DRAWS is a
-    # multiple of _DRAW_GROUP, so no tile is wider than these buffers.
-    bufs = [np.empty((_DIRECTION_CHUNK, width)) for _ in range(workers)]
+    # multiple of _DRAW_GROUP, so no tile is wider than this buffer.
+    buf = np.empty((_DIRECTION_CHUNK, width))
     if screen_rank is None:
         best = np.full(cols, -1.0)
     else:
-        # The float32 stage reuses the tile buffers' memory.
-        bufs32 = [buf.view(np.float32) for buf in bufs]
+        # The float32 stage reuses the tile buffer's memory.
+        buf32 = buf.view(np.float32)
         # Column c of zt32 holds draw live[c] in float32 and, in its last
         # three rows, its cone-test column tail (see _cone_reach); columns
         # live.size and on are zero padding.
@@ -438,19 +379,40 @@ def _fold(
         draws = np.empty(n_samples)
         floor = None
 
-    def fold_share(chunk, zt, best, share, buf):
-        for lo, hi in share:
+    def fold(chunk, zt, best, buf):
+        # Folds chunk over every column of zt, whole 16-column groups, one
+        # tile at a time.
+        chunk = _padded(chunk)
+        for lo, hi in _fold_tiles(zt.shape[1]):
             _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
 
-    def fold_groups(share, flat, group_max, buf):
-        # flat[lo:hi] - offset are the draws of a group tile. They are
-        # gathered into the tail of the worker's tile buffer, and the product
-        # is written to its head.
-        for rows, offset, lo, hi in share:
-            k, w = rows.shape[0], hi - lo
-            zg = buf[k * w:(k + d) * w].reshape(d, w)
-            np.take(zt32[:d], flat[lo:hi] - offset, axis=1, out=zg, mode="clip")
-            _fold_chunk_max(rows, zg, group_max[lo:hi], buf[:k * w].reshape(k, w))
+    def fold_cones(rows, rows32, starts, n_live):
+        # Folds each group of rows over the live draws that its cone test
+        # passes, in group tiles, and raises chunk_max by the result.
+        reach = _cone_reach(rows, starts, zt32[:, :n_live], norm, sigma, slack, floor)
+        flat = np.flatnonzero(reach >= 0)
+        if not flat.size:
+            return
+        ends = np.searchsorted(flat, np.arange(starts.size + 1) * n_live).tolist()
+        group_max = np.zeros(flat.size, dtype=np.float32)
+        scratch = buf32.reshape(-1)
+        for g, (rows_g, lo_g, hi_g) in enumerate(
+                zip(np.split(rows32, starts[1:]), ends, ends[1:])):
+            k = rows_g.shape[0]
+            step = min(scratch.size // (k + d),
+                       max(_FOLD_DRAWS, _DIRECTION_CHUNK * _FOLD_DRAWS // (4 * k)))
+            for lo in range(lo_g, hi_g, step):
+                # flat[lo:hi] - g n_live are the draws of a group tile. They
+                # are gathered into the tail of the tile buffer, and the
+                # product is written to its head.
+                hi = min(lo + step, hi_g)
+                w = hi - lo
+                zg = scratch[k * w:(k + d) * w].reshape(d, w)
+                np.take(zt32[:d], flat[lo:hi] - g * n_live, axis=1, out=zg, mode="clip")
+                _fold_chunk_max(rows_g, zg, group_max[lo:hi], scratch[:k * w].reshape(k, w))
+        # A draw's test values are negative where it is pruned.
+        reach.reshape(-1)[flat] = group_max
+        np.maximum(chunk_max[:n_live], reach.max(axis=0), out=chunk_max[:n_live])
 
     def raise_floor():
         # The chunk's float32 maximum over sigma_hat, less the slack, raises
@@ -462,81 +424,45 @@ def _fold(
         rank = screen_rank - (n_samples - live.size)
         return m, np.partition(low, rank - 1)[rank - 1]
 
-    with _fold_workers(workers) as run:
-        def fold_cones(rows, rows32, starts, n_live):
-            # Folds each group of rows over the live draws that its cone
-            # test passes, in group tiles, and raises chunk_max by the result.
-            reach = _cone_reach(rows, starts, zt32[:, :n_live], norm, sigma, slack, floor)
-            n_groups = starts.size
-            flat = np.flatnonzero(reach >= 0)
-            ends = np.searchsorted(flat, np.arange(n_groups + 1) * n_live).tolist()
-            jobs, cost = [], []
-            for g, (rows_g, lo_g, hi_g) in enumerate(
-                    zip(np.split(rows32, starts[1:]), ends, ends[1:])):
-                k = rows_g.shape[0]
-                step = min(bufs32[0].size // (k + d),
-                           max(_FOLD_DRAWS, _DIRECTION_CHUNK * _FOLD_DRAWS // (4 * k)))
-                for lo in range(lo_g, hi_g, step):
-                    hi = min(lo + step, hi_g)
-                    jobs.append((rows_g, g * n_live, lo, hi))
-                    cost.append(k * (hi - lo))
-            if not jobs:
-                return
-            group_max = np.zeros(flat.size, dtype=np.float32)
-            cuts = np.searchsorted(np.cumsum(cost), sum(cost) * np.arange(1, workers) / workers)
-            shares = np.split(np.arange(len(jobs)), cuts)
-            run(fold_groups, [([jobs[j] for j in share], flat, group_max, buf.reshape(-1))
-                              for share, buf in zip(shares, bufs32) if share.size])
-            # A draw's test values are negative where it is pruned.
-            reach.reshape(-1)[flat] = group_max
-            np.maximum(chunk_max[:n_live], reach.max(axis=0), out=chunk_max[:n_live])
-
-        def fold(chunk, zt, best, bufs):
-            # Folds chunk over every column of zt, whole 16-column groups,
-            # split into the workers' shares of whole tiles.
-            shares = _fold_shares(zt.shape[1], workers)
-            run(fold_share, [(_padded(chunk), zt, best, share, buf)
-                             for share, buf in zip(shares, bufs) if share])
-
-        for chunk, keys in directions.chunks(_DIRECTION_CHUNK):
-            if screen_rank is None:
-                fold(chunk, zt, best, bufs)
-                continue
-            n_live = live.size
-            used = -(-n_live // _DRAW_GROUP) * _DRAW_GROUP
-            chunk_max[:used] = 0.0
-            if chunk.shape[0] * used < _CONE_FOLD_MIN:
-                fold(chunk.astype(np.float32), zt32[:d, :used], chunk_max[:used], bufs32)
-            else:
-                # The chunk's rows grouped by predictor, one cone per group.
-                order = np.argsort(keys[:, 1], kind="stable")
-                rows = chunk[order]
-                starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
-                rows32 = rows.astype(np.float32)
-                if floor is None:
-                    # Pilot: the first direction of each group sets the
-                    # first floor, so the first chunk is pruned too.
-                    fold(rows32[starts], zt32[:d, :used], chunk_max[:used], bufs32)
-                    _, floor = raise_floor()
-                fold_cones(rows, rows32, starts, n_live)
-            m, floor = raise_floor()
-            upper = m + slack
-            exact = np.flatnonzero((upper >= floor) & (upper >= low))
-            if exact.size:
-                group = -(-exact.size // _DRAW_GROUP) * _DRAW_GROUP
-                zg = np.zeros((d, group))
-                zg[:, :exact.size] = zt[:, live[exact]]
-                bg = np.full(group, -1.0)
-                fold(chunk, zg, bg, bufs)
-                low[exact] = np.maximum(low[exact], bg[:exact.size] / sigma[exact])
-            alive = bound * (1.0 + 1e-9) >= floor
-            keep = np.flatnonzero(alive)
-            if keep.size <= 0.8 * n_live:
-                draws[live[~alive]] = low[~alive]
-                live, sigma, norm, bound, slack, low = (
-                    a[keep] for a in (live, sigma, norm, bound, slack, low))
-                zt32[:, :keep.size] = zt32[:, keep]
-                zt32[:, keep.size:used] = 0.0
+    for chunk, keys in directions.chunks(_DIRECTION_CHUNK):
+        if screen_rank is None:
+            fold(chunk, zt, best, buf)
+            continue
+        n_live = live.size
+        used = -(-n_live // _DRAW_GROUP) * _DRAW_GROUP
+        chunk_max[:used] = 0.0
+        if chunk.shape[0] * used < _CONE_FOLD_MIN:
+            fold(chunk.astype(np.float32), zt32[:d, :used], chunk_max[:used], buf32)
+        else:
+            # The chunk's rows grouped by predictor, one cone per group.
+            order = np.argsort(keys[:, 1], kind="stable")
+            rows = chunk[order]
+            starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
+            rows32 = rows.astype(np.float32)
+            if floor is None:
+                # Pilot: the first direction of each group sets the first
+                # floor, so the first chunk is pruned too.
+                fold(rows32[starts], zt32[:d, :used], chunk_max[:used], buf32)
+                _, floor = raise_floor()
+            fold_cones(rows, rows32, starts, n_live)
+        m, floor = raise_floor()
+        upper = m + slack
+        exact = np.flatnonzero((upper >= floor) & (upper >= low))
+        if exact.size:
+            group = -(-exact.size // _DRAW_GROUP) * _DRAW_GROUP
+            zg = np.zeros((d, group))
+            zg[:, :exact.size] = zt[:, live[exact]]
+            bg = np.full(group, -1.0)
+            fold(chunk, zg, bg, buf)
+            low[exact] = np.maximum(low[exact], bg[:exact.size] / sigma[exact])
+        alive = bound * (1.0 + 1e-9) >= floor
+        keep = np.flatnonzero(alive)
+        if keep.size <= 0.8 * n_live:
+            draws[live[~alive]] = low[~alive]
+            live, sigma, norm, bound, slack, low = (
+                a[keep] for a in (live, sigma, norm, bound, slack, low))
+            zt32[:, :keep.size] = zt32[:, keep]
+            zt32[:, keep.size:used] = 0.0
     if screen_rank is None:
         draws = best[:n_samples] / sigma
     else:
@@ -568,20 +494,8 @@ def max_abs_t_draws(
     and each chunk is folded into a running per-draw maximum one cache-sized
     tile of draws at a time.
 
-    ``threads`` must be at least 1 and does not change work or output. The
-    fold picks its worker count from what it is given: one worker below
-    _PARALLEL_FOLD_MIN directions x draws (the pairs counted before the rank
-    rule, see design._candidate_pair_count), and otherwise as many as numpy's
-    BLAS has threads, at most one per tile. The tiles are split into
-    contiguous shares, and each worker folds every chunk over its own share
-    into its own tile buffer: the calling thread folds the last share and a
-    pool of workers - 1 threads the others. The next chunk is enumerated
-    once every share is folded. While the workers run, numpy's BLAS
-    is pinned to one thread for the whole process, other Python threads
-    included, and its thread count is restored afterwards. Every product
-    keeps its shape, so the draws are bitwise the same for every worker
-    count. Where numpy's BLAS thread count cannot be controlled, the fold
-    runs on one worker.
+    The fold runs in the calling thread. ``threads`` must be at least 1 and
+    does not change work or output.
     """
     return _fold(directions, error_model, n_samples, seed, threads, None)
 
@@ -637,9 +551,7 @@ def posi_constant(
     max_abs_t_draws.
     ``mc_standard_error`` is the order-statistic spacing estimator (see
     _mc_standard_error). ``threads`` must be at least 1 and does not change
-    work or output; the fold picks its own workers, and while they run
-    numpy's BLAS is on one thread for the whole process (see
-    max_abs_t_draws).
+    work or output (see max_abs_t_draws).
     """
     _validate_alpha(alpha)
     if universe is None:
@@ -668,9 +580,8 @@ def posi1_constant(
     only, for M in the universe restricted to models containing the predictor.
     K, its standard error, the float32 bound stage, its cone (one group per
     chunk here) and the screen are as in posi_constant.
-    ``threads`` must be at least 1 and does not change work or output; the
-    fold picks its own workers, and while they run numpy's BLAS is on one
-    thread for the whole process (see max_abs_t_draws).
+    ``threads`` must be at least 1 and does not change work or output (see
+    max_abs_t_draws).
     """
     _validate_alpha(alpha)
     if universe is None:

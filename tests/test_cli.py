@@ -338,13 +338,27 @@ def test_closed_forms_load_no_scipy_stats(files):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
-def test_import_loads_no_thread_pool():
-    # The fold imports concurrent.futures when it first runs on workers.
-    code = "import sys, posikit; print('concurrent.futures' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+def test_import_loads_no_thread_pool(tmp_path):
+    # Neither the import nor a fold loads a thread pool, and the fold starts
+    # no thread: a k run at p = 10 with 20 000 draws (5 120 directions x
+    # 20 000 draws) folds in the calling thread, whatever --threads and the
+    # BLAS thread count say.
+    design = tmp_path / "g10.csv"
+    np.savetxt(design, np.random.default_rng(1).standard_normal((14, 10)), delimiter=",")
+    code = ("import sys, threading, posikit; "
+            "print('concurrent.futures' in sys.modules); "
+            "from posikit.cli import run; started = []; start = threading.Thread.start; "
+            "threading.Thread.start = lambda self: started.append(self) or start(self); "
+            f"assert run(['k', '--design', {str(design)!r}, '--mc-samples', '20000', "
+            "'--threads', '2']) == 0; "
+            "print('concurrent.futures' in sys.modules, len(started), "
+            "threading.active_count())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="2")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "False 0 1"
 
 
 def test_import_loads_no_scipy():

@@ -1,8 +1,6 @@
 import math
 import sys
 import threading
-import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -24,7 +22,7 @@ from posikit import (
     posi_constant,
     scheffe_constant,
 )
-from posikit import _blas, _rng, constants
+from posikit import _rng, constants
 from posikit.design import DesignMatrix
 
 Z975 = 1.959963984540054
@@ -223,114 +221,17 @@ def test_determinism_across_threads_and_modes():
     assert np.array_equal(max_abs_t_draws(direction_stream(cd), em, 30_000, 21, 2), draws)
 
 
-class RecordingSet(DirectionSet):
-    """A direction set whose chunk stream notes numpy's BLAS thread count
-    while the fold runs, can wait at a barrier, and can fail midway."""
+class BarrierSet(DirectionSet):
+    """A direction set whose chunk stream waits at a barrier before its
+    first chunk."""
 
-    def __init__(self, *args, barrier=None, fail=False, **kwargs):
+    def __init__(self, *args, barrier, **kwargs):
         super().__init__(*args, **kwargs)
-        self.barrier, self.fail = barrier, fail
-        self.blas_seen = []
+        self.barrier = barrier
 
     def chunks(self, size=None):
-        if self.barrier is not None:
-            self.barrier.wait()
-        for i, item in enumerate(super().chunks(size)):
-            self.blas_seen.append(BLAS_THREADS())
-            if self.fail and i == 1:
-                raise RuntimeError("chunk stream failed")
-            yield item
-
-
-BLAS_THREADS = _blas.blas_threads
-
-
-def pinnable():
-    if BLAS_THREADS() is None:
-        pytest.skip("numpy's BLAS thread count cannot be controlled here")
-
-
-@contextmanager
-def fold_workers(count):
-    """Fold on ``count`` workers (at most one per tile), whatever the fold's
-    size and numpy's BLAS thread count; the pin itself stays real."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constants, "_PARALLEL_FOLD_MIN", 0)
-        mp.setattr(_blas, "blas_threads", lambda: count)
-        yield
-
-
-def test_fold_worker_count_follows_size_and_blas(monkeypatch):
-    pinnable()
-    chosen = []
-    real = constants._fold_workers
-    monkeypatch.setattr(constants, "_fold_workers",
-                        lambda workers: chosen.append(workers) or real(workers))
-    cd = random_canonical(10, seed=3)
-    em = ErrorModel.known_sigma()
-    get, put = _blas._controls()
-    before = get()
-
-    def fold(n):
-        return max_abs_t_draws(direction_stream(cd), em, n, 4, 5)
-
-    # 5 120 directions x 2 512 draw columns is below the floor; 5 120 x
-    # 20 000 is above it, and 53 tiles allow every BLAS thread a worker.
-    assert 5_120 * 2_512 < constants._PARALLEL_FOLD_MIN <= 5_120 * 20_000
-    small = fold(2_500)
-    assert chosen == [1]
-    try:
-        for count in (1, 3):
-            put(count)
-            large = fold(20_000)
-            assert np.array_equal(large[:2_500], small)
-    finally:
-        put(before)
-    monkeypatch.setattr(_blas, "_controls", lambda: None)
-    assert np.array_equal(fold(20_000), large)
-    assert chosen == [1, 1, 3, 1]
-    assert get() == before
-
-
-def test_fold_workers_pin_blas_and_restore_it():
-    pinnable()
-    cd = random_canonical(10, seed=3)
-    em = ErrorModel.known_sigma()
-    before, threads_before = BLAS_THREADS(), threading.active_count()
-    serial = RecordingSet(cd)
-    draws = max_abs_t_draws(serial, em, 2_000, 4)
-    assert serial.blas_seen == [before] * 10
-    pinned = RecordingSet(cd)
-    with fold_workers(2):
-        assert np.array_equal(max_abs_t_draws(pinned, em, 2_000, 4), draws)
-        assert pinned.blas_seen == [1] * 10
-        assert BLAS_THREADS() == before
-        assert threading.active_count() == threads_before
-        # The stream raises after its first chunk was handed to the workers.
-        with pytest.raises(RuntimeError, match="chunk stream failed"):
-            max_abs_t_draws(RecordingSet(cd, fail=True), em, 2_000, 4)
-    assert BLAS_THREADS() == before
-    assert threading.active_count() == threads_before
-
-
-def test_calling_thread_folds_a_share(monkeypatch):
-    # Two workers: the pool has one thread, and the caller folds the last
-    # share of every chunk itself.
-    pinnable()
-    cd = random_canonical(10, seed=3)
-    em = ErrorModel.known_sigma()
-    real, folders = constants._fold_chunk_max, set()
-
-    def noting(chunk, zt, best, buf):
-        folders.add(threading.get_ident())
-        real(chunk, zt, best, buf)
-
-    draws = max_abs_t_draws(direction_stream(cd), em, 2_000, 4)
-    monkeypatch.setattr(constants, "_fold_chunk_max", noting)
-    with fold_workers(2):
-        assert np.array_equal(max_abs_t_draws(direction_stream(cd), em, 2_000, 4), draws)
-    assert threading.get_ident() in folders
-    assert len(folders) == 2
+        self.barrier.wait()
+        yield from super().chunks(size)
 
 
 def test_screen_cuts_fold_work_and_keeps_k(monkeypatch):
@@ -361,7 +262,8 @@ def test_screen_cuts_fold_work_and_keeps_k(monkeypatch):
 def test_one_direction_cone_is_its_direction():
     # A group of one direction has that direction as its center and the
     # angle margin alone as its half-angle, so its test is tight: a floor at
-    # |l'z| / sigma keeps it and a floor 1e-4 above prunes it.
+    # |l'z| / sigma keeps it and a floor 1e-4 above prunes it. The rounding
+    # margins alone keep it at zero slack.
     d = 5
     row = np.random.default_rng(1).standard_normal((1, d))
     row /= np.linalg.norm(row)
@@ -378,10 +280,11 @@ def test_one_direction_cone_is_its_direction():
     zt32 = np.zeros((d + 3, 2), dtype=np.float32)
     zt32[:d] = z.T
     exact = np.abs(z @ row[0]) / sigma
-    assert np.all(constants._cone_reach(row, np.array([0]), zt32, norm, sigma, slack,
-                                        exact) >= 0)
-    assert np.all(constants._cone_reach(row, np.array([0]), zt32, norm, sigma, slack,
-                                        exact * (1 + 1e-4)) < 0)
+    for s in (slack, np.zeros(2)):
+        assert np.all(constants._cone_reach(row, np.array([0]), zt32, norm, sigma, s,
+                                            exact) >= 0)
+        assert np.all(constants._cone_reach(row, np.array([0]), zt32, norm, sigma, s,
+                                            exact * (1 + 1e-4)) < 0)
 
 
 def test_one_row_chunk_folds_through_its_cone(monkeypatch):
@@ -410,9 +313,10 @@ def test_one_row_chunk_folds_through_its_cone(monkeypatch):
 
 
 def test_screened_fold_raises_a_workers_error(monkeypatch):
-    pinnable()
+    # A tile that fails midway through a cone-pruned chunk stops the fold
+    # with its error, and the fold leaves no thread behind.
     cd = random_canonical(10, seed=3)
-    before, threads_before = BLAS_THREADS(), threading.active_count()
+    threads_before = threading.active_count()
     real = constants._fold_chunk_max
     calls = []
 
@@ -423,96 +327,42 @@ def test_screened_fold_raises_a_workers_error(monkeypatch):
         real(chunk, zt, best, buf)
 
     monkeypatch.setattr(constants, "_fold_chunk_max", failing)
-    for workers in (1, 2):
-        calls.clear()
-        with fold_workers(workers), pytest.raises(FloatingPointError, match="tile failed"):
-            posi_constant(cd, n_samples=20_000, seed=4)
-    assert BLAS_THREADS() == before
+    with pytest.raises(FloatingPointError, match="tile failed"):
+        posi_constant(cd, n_samples=20_000, seed=4)
+    assert len(calls) == 80
     assert threading.active_count() == threads_before
 
 
-class BoundaryCheckingSet(DirectionSet):
-    """A direction set whose chunk stream asserts, before each chunk after
-    the first, that no chunk fold is running."""
-
-    def __init__(self, *args, folding, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.folding = folding
-
-    def chunks(self, size=None):
-        for i, item in enumerate(super().chunks(size)):
-            assert not (i and self.folding), f"a fold runs at the start of chunk {i}"
-            yield item
-
-
-def test_no_fold_runs_at_a_chunk_boundary():
-    # Each chunk fold sleeps 10 ms, so a fold left running while the next
-    # chunk is enumerated is certain to show.
-    pinnable()
+def test_concurrent_folds_match_the_serial_draws():
+    # Three caller threads fold at once on a short switch interval, behind a
+    # barrier: state shared between calls would change their draws. The
+    # folds run unscreened, then screened at the rank posi_constant uses,
+    # which compacts the draws between chunks.
     cd = random_canonical(10, seed=3)
     em = ErrorModel.known_sigma()
-    real, lock, folding = constants._fold_chunk_max, threading.Lock(), []
-
-    def slow(chunk, zt, best, buf):
-        with lock:
-            folding.append(None)
-        try:
-            time.sleep(0.01)
-            real(chunk, zt, best, buf)
-        finally:
-            with lock:
-                folding.pop()
-
-    chosen = []
-    workers = constants._fold_workers
-    for rank in (None, constants._spacing_ranks(0.05, 2_000)[0]):
-        expected = constants._fold(direction_stream(cd), em, 2_000, 6, 1, rank)
-        with fold_workers(2), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(constants, "_fold_chunk_max", slow)
-            mp.setattr(constants, "_fold_workers",
-                       lambda count: chosen.append(count) or workers(count))
-            got = constants._fold(BoundaryCheckingSet(cd, folding=folding), em, 2_000,
-                                  6, 1, rank)
-        assert np.array_equal(got, expected)
-    assert chosen == [2, 2]
-
-
-def test_concurrent_folds_restore_blas():
-    # Three folds of three workers each on a short switch interval: more
-    # threads than cores, all pinned at once behind a barrier. A lost update
-    # of a share of the running maximum or of the pin's depth count would
-    # change the draws or leave BLAS pinned. The folds run unscreened, then
-    # screened at the rank posi_constant uses, which compacts the draws
-    # between the workers' chunks.
-    pinnable()
-    cd = random_canonical(10, seed=3)
-    em = ErrorModel.known_sigma()
-    before, threads_before = BLAS_THREADS(), threading.active_count()
+    threads_before = threading.active_count()
     for rank in (None, constants._spacing_ranks(0.05, 3_000)[0]):
         expected = constants._fold(direction_stream(cd), em, 3_000, 6, 1, rank)
         barrier = threading.Barrier(3, timeout=60)
-        sets = [RecordingSet(cd, barrier=barrier) for _ in range(3)]
         results = [None] * 3
 
         def fold(i):
-            results[i] = constants._fold(sets[i], em, 3_000, 6, 1, rank)
+            results[i] = constants._fold(BarrierSet(cd, barrier=barrier), em, 3_000, 6,
+                                         1, rank)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with fold_workers(3):
-                callers = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
-                for caller in callers:
-                    caller.start()
-                for caller in callers:
-                    caller.join(timeout=120)
-                    assert not caller.is_alive()
+            callers = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+                assert not caller.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        for s, got in zip(sets, results):
-            assert s.blas_seen[0] == 1
+        for got in results:
             assert np.array_equal(got, expected)
-    assert BLAS_THREADS() == before
     assert threading.active_count() == threads_before
 
 

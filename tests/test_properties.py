@@ -5,11 +5,11 @@ universe membership and spec round-trips, a pair count that matches the
 walk without walking, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, draws that
-depend neither on the fold's tile width nor on its worker count, a float32
-chunk maximum within the fold's bound of the float64 one, a cone test that
-bounds every member of its group and never prunes a group that reaches the
-floor, and a screened fold whose K and order statistics around it are
-bitwise the unscreened ones."""
+do not depend on the fold's tile width, a float32 chunk maximum within the
+fold's bound of the float64 one, a cone test that bounds every member of its
+group and never prunes a group that reaches the floor, also at zero slack,
+and a screened fold whose K and order statistics around it are bitwise the
+unscreened ones."""
 
 import itertools
 import math
@@ -44,7 +44,7 @@ from posikit import (
     spar_select,
     verify_duality,
 )
-from posikit import _blas, _rng, constants
+from posikit import _rng, constants
 from posikit.design import _candidate_pair_count, _model_blocks, _model_directions
 from posikit.inference import _argmax_over_directions
 
@@ -631,43 +631,6 @@ def test_fold_tile_width_does_not_change_draws(cd, seed, df, n):
     assert np.all(np.abs(draws[FOLD_DRAWS] - brute) <= 1e-13 * scale)
 
 
-# Tile and 16-column group edges, the generator's block edges, and fewer
-# tiles than 3 or 7 workers.
-THREAD_NS = sorted({1, 15, 16, 17, 100, FOLD_DRAWS - 1, FOLD_DRAWS, FOLD_DRAWS + 1,
-                    2 * FOLD_DRAWS + 1, 7 * FOLD_DRAWS + 16, _rng.BLOCK - 1,
-                    _rng.BLOCK, _rng.BLOCK + 1})
-
-
-@st.composite
-def fold_sets(draw):
-    """A rank-deficient or generic design with all its directions or one; or
-    1 300 directions of a 10 x 10 design, three direction chunks."""
-    if draw(st.booleans()):
-        return PREFIX_DESIGN, ModelUniverse.of_max_size(4)
-    cd = draw(designs())
-    one = draw(st.booleans())
-    return cd, ModelUniverse.explicit([[1]]) if one else ModelUniverse.all()
-
-
-@PROPERTY_SETTINGS
-@given(case=fold_sets(), seed=st.integers(0, 2**32 - 1),
-       df=st.sampled_from([math.inf, 5]), n=st.sampled_from(THREAD_NS))
-def test_fold_workers_do_not_change_draws(case, seed, df, n):
-    if _blas.blas_threads() is None:
-        pytest.skip("numpy's BLAS thread count cannot be controlled here")
-    cd, universe = case
-    em = ErrorModel(df)
-    serial = max_abs_t_draws(direction_stream(cd, universe), em, n, seed)
-    for workers in (2, 3, 7):
-        # Every fold on this many workers, at most one per tile, whatever
-        # its size and numpy's BLAS thread count.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(constants, "_PARALLEL_FOLD_MIN", 0)
-            mp.setattr(_blas, "blas_threads", lambda: workers)
-            draws = max_abs_t_draws(direction_stream(cd, universe), em, n, seed)
-        assert np.array_equal(draws, serial), workers
-
-
 # ---------------------------------------------------------------------------
 # The screened fold keeps K and the order statistics around it exact
 # ---------------------------------------------------------------------------
@@ -702,10 +665,8 @@ def screen_cases(draw):
 @given(case=screen_cases(), seed=st.integers(0, 2**32 - 1),
        df=st.sampled_from([math.inf, 5]), n=st.sampled_from(SCREEN_NS),
        alpha=st.sampled_from([0.05, 0.2, 0.5]),
-       chunk=st.sampled_from([2, 3, 7, constants._DIRECTION_CHUNK]),
-       workers=st.sampled_from([1, 3]))
-def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk,
-                                                 workers):
+       chunk=st.sampled_from([2, 3, 7, constants._DIRECTION_CHUNK]))
+def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk):
     cd, universe, predictor = case
     em = ErrorModel(df)
     if predictor is None:
@@ -732,9 +693,6 @@ def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk
                 constant()
             return
         est = constant()
-        if workers > 1 and _blas.blas_threads() is not None:
-            mp.setattr(constants, "_PARALLEL_FOLD_MIN", 0)
-            mp.setattr(_blas, "blas_threads", lambda: workers)
         screened = constants._fold(make_set(), em, n, seed, 1, lo)
     # A screened draw keeps its partial maximum; every draw ranked lo or
     # above, X_(lo) ... X_(hi) included, is exact.
@@ -804,7 +762,8 @@ def test_cone_test_keeps_every_group_that_reaches_the_floor(cd, seed, scale, n, 
     # For every (chunk, predictor) group, each member's float64 |l'z| / sigma
     # lies within the cone bound plus the slack and the margin that the fold
     # tests against, and a floor at the group's exact maximum never prunes
-    # the group, for draws scaled by 1e-3 to 1e3.
+    # the group, for draws scaled by 1e-3 to 1e3. At zero slack the rounding
+    # margins alone must keep it.
     d = cd.d
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, d)) * 10.0 ** scale
@@ -825,5 +784,6 @@ def test_cone_test_keeps_every_group_that_reaches_the_floor(cd, seed, scale, n, 
             phi = np.arccos(np.minimum(np.abs(z @ tests[g, :d]) / norm, 1.0))
             bound = norm * np.cos(np.maximum(0.0, phi - theta)) / sigma
             assert np.all(exact <= bound + slack + margin)
-            reach = constants._cone_reach(rows, starts, zt32, norm, sigma, slack, exact)
-            assert np.all(reach[g] >= 0)
+            for s in (slack, np.zeros(n)):
+                reach = constants._cone_reach(rows, starts, zt32, norm, sigma, s, exact)
+                assert np.all(reach[g] >= 0)
