@@ -51,10 +51,12 @@ _STREAM_WARN_P = 16
 # Measured rates for the cost warning on a 2-core Intel Xeon KVM guest with
 # OpenBLAS on 2 threads. The walk rates come from a traced benchmark run
 # (perfbench/run.py --workload calibrate --seed 104 --trace 1):
-# design.directions_per_s.all = 518 373 (enumeration, all-subsets universe),
-# and 72 747 pairs per second in the enumeration spans of its
-# k1.p11.predictor3 job (a posi1 enumeration factorizes one model per pair
-# of its predictor). The fold rate is that of the screened folds that k
+# design.directions_per_s.all = 1 224 484 (enumeration, all-subsets
+# universe), and 219 536 pairs per second in the enumeration spans of its
+# k1.p11.predictor3 job (a posi1 enumeration factors one model per pair of
+# its predictor). Both walks run at p = 10 and 11, where the per-block
+# numpy calls weigh most; the full lattice at p = 16 walks at about 2 M
+# directions per second. The fold rate is that of the screened folds that k
 # and k1 run (the float32 bound stage with its cones, the float64 refold
 # and the norm screen, see constants._fold), in the calling thread, less
 # the walk and the draw generation, per nominal pair (counted before the
@@ -63,8 +65,8 @@ _STREAM_WARN_P = 16
 # 0.34 ns, and posi1_constant (predictor 3, 40 000 draws, where the screen
 # drops few draws and one cone spans each chunk) 0.73, 0.76 and 0.63 ns.
 # The rate is the slower one, the median of its sessions.
-_WALK_S_PER_DIRECTION = 1.0 / 518_373
-_WALK_S_PER_PREDICTOR_PAIR = 1.0 / 72_747
+_WALK_S_PER_DIRECTION = 1.0 / 1_224_484
+_WALK_S_PER_PREDICTOR_PAIR = 1.0 / 219_536
 _FOLD_S_PER_DIR_DRAW = 0.73e-9
 
 

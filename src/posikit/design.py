@@ -6,10 +6,14 @@ adjusted predictor: the residual of column j regressed on the other columns of
 M. The normalized adjusted predictors are the unit "directions" over which all
 simultaneous max-|t| computations run. This module owns that pipeline and its
 performance core: a level-wise enumeration that takes the models of one size
-in blocks of up to 4 096, factorizes each block with one batched QR call, and
-reads every member's direction off the dual design X_M (X_M'X_M)^-1 = Q R^-T.
-Pairs come out by model size, then lexicographically by members, then by
-predictor.
+in blocks of up to 4 096 and reads every member's direction off the dual
+design X_M (X_M'X_M)^-1 = R^-1 Q. A model of size k is its lexicographic
+prefix of size k - 1 plus one larger member, so its factors Q and R^-1 come
+from the prefix's by one Gram-Schmidt step with one re-orthogonalization,
+vectorized over the block; the previous level's factors are held up to a byte
+cap. Fits, adjusted_predictor and vif factor their models by the same steps,
+bit for bit. Pairs come out by model size, then lexicographically by members,
+then by predictor.
 """
 
 from __future__ import annotations
@@ -578,25 +582,30 @@ def adjusted_predictor(
     """Residual of column j on the other columns of the submodel, plus its norm.
 
     The residual is the norm times the unit direction that the enumeration
-    emits for the pair (j, M) (see _model_factors), so it is exactly what K
+    emits for the pair (j, M) (see _level_batches), so it is exactly what K
     is computed over. Raises DataError when the model has more than d
-    columns, the others are rank deficient (some |R_ii| <= tau ||x_i||, with
-    tau the design's rank tolerance) or the residual is degenerate
-    (norm <= tau ||x_j||), as the enumerator counts them.
+    columns, the others are rank deficient (the residual of some x_i against
+    the members before it is at most tau ||x_i||, with tau the design's rank
+    tolerance) or the residual is degenerate (norm <= tau ||x_j||), as the
+    enumerator counts them.
     """
     if j not in model:
         raise ValueError(f"predictor {j} is not a member of {model}")
-    factors = _one_model_factors(design, model)
-    at = model.members.index(j)
-    if factors is None or not factors[0][at]:
+    members = np.array(model.members, dtype=np.intp) - 1
+    if members[-1] >= design.p:
+        raise ValueError(f"model {model} references columns beyond p={design.p}")
+    if members.size > design.d:
         raise DataError(f"submodel {model} is rank deficient")
-    _, emitted, norms, vectors = factors
-    if not emitted[at]:
+    at = model.members.index(j)
+    counted, emitted, norm, vector = (a[0, at] for a in
+                                      _models_pairs(design, members[None, :]))
+    if not counted:
+        raise DataError(f"submodel {model} is rank deficient")
+    if not emitted:
         raise DataError(
             f"adjusted predictor {j} in {model} is numerically degenerate"
         )
-    norm = float(norms[at])
-    return norm * vectors[at], norm
+    return float(norm) * vector, float(norm)
 
 
 def vif(design: CanonicalDesign, model: ModelId, j: int) -> float:
@@ -610,8 +619,8 @@ def vif(design: CanonicalDesign, model: ModelId, j: int) -> float:
 # Level-wise enumeration of (predictor, model) pairs
 # ---------------------------------------------------------------------------
 
-# Models per block: at d = 20 and 10 members, each of a block's factor arrays
-# (gathered columns, Q, the dual, the directions) takes 6.5 MB.
+# Models per block: at d = 20 and 10 members, each of a block's (B, k, d)
+# arrays (Q, the dual rows, the directions) takes 6.5 MB.
 _LEVEL_BLOCK = 4096
 
 
@@ -666,8 +675,8 @@ def _model_plan(universe: ModelUniverse, p: int, max_size: int,
 def _explicit_levels(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
                      sizes: range) -> Iterator[np.ndarray]:
     """The explicit universe's models of each size in turn, as (B, k) arrays
-    of ascending 0-based members in lexicographic order: those within 1..p
-    that hold every forced member and, for a nested universe, are a prefix."""
+    of ascending 0-based members: those within 1..p that hold every forced
+    member and, for a nested universe, are a prefix."""
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for mask in universe.explicit_masks:
         by_size.setdefault(mask.bit_count(), []).append(ModelId.from_mask(mask).members)
@@ -678,31 +687,31 @@ def _explicit_levels(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
             keep &= (rows == j).any(axis=1)
         if universe.nested:
             keep &= (rows == np.arange(k)).all(axis=1)
-        rows = rows[keep]
-        yield rows[np.lexsort(rows.T[::-1])]
+        yield rows[keep]
 
 
 def _model_blocks(universe: ModelUniverse, p: int, max_size: int,
-                  predictor: int | None = None) -> Iterator[np.ndarray]:
+                  predictor: int | None = None):
     """The universe's models of at most max_size columns among 1..p, as
     (B, k) arrays of ascending 0-based members: by size, then
     lexicographically, at most _LEVEL_BLOCK rows an array. With a predictor,
-    only the models that contain it."""
+    only the models that contain it. Each array comes with the (B,) flags of
+    the rows that are models, or None when all are: the levels of an
+    explicit universe also hold the prefixes of its larger models (see
+    _explicit_blocks)."""
     forced_idx, sizes = _model_plan(universe, p, max_size, predictor)
     if universe.explicit_masks is not None:
-        for rows in _explicit_levels(universe, p, forced_idx, sizes):
-            for start in range(0, rows.shape[0], _LEVEL_BLOCK):
-                yield rows[start:start + _LEVEL_BLOCK]
+        yield from _explicit_blocks(universe, p, forced_idx, sizes)
         return
     if universe.nested:
         for k in sizes:
-            yield np.arange(k)[None, :]
+            yield np.arange(k)[None, :], None
         return
     others = np.setdiff1d(np.arange(p), forced_idx).tolist()
     for k in sizes:
         free = k - forced_idx.size
         if free == 0:
-            yield forced_idx[None, :]
+            yield forced_idx[None, :], None
             continue
         combos = itertools.combinations(others, free)
         while True:
@@ -716,7 +725,33 @@ def _model_blocks(universe: ModelUniverse, p: int, max_size: int,
                 rows = np.sort(np.hstack(
                     [rows, np.broadcast_to(forced_idx, (rows.shape[0], forced_idx.size))]),
                     axis=1)
-            yield rows
+            yield rows, None
+
+
+def _explicit_blocks(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
+                     sizes: range):
+    """_model_blocks of an explicit universe: every level from size 1 up to
+    the largest model's, each with the prefixes of the larger models merged
+    into its models in lexicographic order, so that every row's prefix lies
+    one level down and the walk steps each level once from the one below."""
+    levels = {rows.shape[1]: rows for rows in
+              _explicit_levels(universe, p, forced_idx, sizes) if rows.size}
+    merged = []
+    above = np.empty((0, max(levels, default=0) + 1), dtype=np.intp)
+    for k in range(above.shape[1] - 1, 0, -1):
+        models = levels.get(k, np.empty((0, k), dtype=np.intp))
+        rows = np.vstack([models, above[:, :k]])
+        flags = np.arange(rows.shape[0]) < models.shape[0]
+        # Sorted with a model ahead of the same rows as a prefix, then deduplicated.
+        order = np.lexsort((~flags, *rows.T[::-1]))
+        rows, flags = rows[order], flags[order]
+        first = np.ones(rows.shape[0], dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        above = rows[first]
+        merged.append((above, flags[first]))
+    for rows, flags in reversed(merged):
+        for start in range(0, rows.shape[0], _LEVEL_BLOCK):
+            yield rows[start:start + _LEVEL_BLOCK], flags[start:start + _LEVEL_BLOCK]
 
 
 def _candidate_pair_count(design: CanonicalDesign, universe: ModelUniverse,
@@ -745,58 +780,211 @@ def _row_masks(rows: np.ndarray, p: int) -> np.ndarray:
     return np.array([sum(1 << j for j in row) for row in rows.tolist()], dtype=object)
 
 
-def _factor_models(design: CanonicalDesign, rows: np.ndarray):
-    """Batched QR of the models in ``rows`` (B, k), each's 0-based members in
-    column order. Returns Q (B, d, k), R (B, k, k) and the rank test ok
-    (B, k): whether |R_ii|, the residual of member i against the members
-    before it, is above tau * ||x_i||."""
-    Q, R = np.linalg.qr(design.values.T[rows].transpose(0, 2, 1))
-    ok = np.abs(np.diagonal(R, axis1=1, axis2=2)) > design.rank_limits[rows]
-    return Q, R, ok
+@dataclass(frozen=True)
+class _Factors:
+    """Factors of B models of k members each, by Gram-Schmidt over the
+    members in order, X_M = Q'R: Q (B, k, d) orthonormal rows, Rinv (B, k, k)
+    the upper triangular inverse of R, and reach (B,) the number of leading
+    members whose residual against those before it clears the rank rule
+    (see _level_batches). Past a model's reach the rows are finite filler.
+    The rows of the dual design X_M (X_M'X_M)^-1 are those of Rinv Q."""
+
+    Q: np.ndarray
+    Rinv: np.ndarray
+    reach: np.ndarray
+
+    def take(self, index: np.ndarray) -> "_Factors":
+        return _Factors(self.Q[index], self.Rinv[index], self.reach[index])
 
 
-def _moved_last(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Each row with its member at position t[i] moved to the end."""
-    n, k = rows.shape
-    base = np.arange(k - 1)
-    cols = np.empty((n, k), dtype=np.intp)
-    cols[:, :-1] = base + (base >= t[:, None])
-    cols[:, -1] = t
-    return np.take_along_axis(rows, cols, axis=1)
+def _extend(design: CanonicalDesign, factors: _Factors, cols: np.ndarray) -> _Factors:
+    """Each model's factors extended by one column x, cols (B,) 0-based: one
+    classical Gram-Schmidt step with one re-orthogonalization against Q
+    ("twice is enough") gives R's new column c = Qx and the residual r, so
+    Q gains the row r/|r| and Rinv the column (-Rinv c/|r|, 1/|r|). Every
+    kernel treats the models one by one, so a model's factors do not depend
+    on its block."""
+    Q, Rinv, reach = factors.Q, factors.Rinv, factors.reach
+    B, k, d = Q.shape
+    x = design.values.T[cols]
+    r = x
+    if k:
+        c = np.vecdot(Q, x[:, None, :])
+        r = x - np.matmul(c[:, None, :], Q)[:, 0]
+        c2 = np.vecdot(Q, r[:, None, :])
+        r -= np.matmul(c2[:, None, :], Q)[:, 0]
+        c += c2
+    norm = np.sqrt(np.vecdot(r, r))
+    step = norm > design.rank_limits[cols]
+    inverse = 1.0 / np.where(step, norm, 1.0)
+    grown = _Factors(np.empty((B, k + 1, d)), np.zeros((B, k + 1, k + 1)),
+                     reach + ((reach == k) & step))
+    np.multiply(r, inverse[:, None], out=grown.Q[:, k])
+    grown.Rinv[:, k, k] = inverse
+    if k:
+        grown.Q[:, :k] = Q
+        grown.Rinv[:, :k, :k] = Rinv
+        grown.Rinv[:, :k, k] = np.vecdot(Rinv, c[:, None, :]) * -inverse[:, None]
+    return grown
 
 
-def _model_factors(design: CanonicalDesign, rows: np.ndarray):
-    """Every member's pair in each model of ``rows`` (B, k): counted and
-    emitted flags and adjusted norms shaped (B, k), unit directions shaped
-    (B, k, d) (see _level_batches)."""
-    k = rows.shape[1]
-    Q, R, ok = _factor_models(design, rows)
-    reach = ok.all(axis=1)
+class _HeldLevel:
+    """The factors of one level's blocks in walk order, kept for the next
+    level to extend while they fit a byte budget."""
+
+    def __init__(self, k: int, budget: int):
+        self.k = k
+        self.budget = budget
+        self.nbytes = 0
+        self.blocks: list[_Factors] = []
+        self._masks: list[np.ndarray] = []
+        self._index = self._starts = None
+
+    def keep(self, masks: np.ndarray, factors: _Factors):
+        # The masks are held three times over: as kept, sorted and ordered.
+        size = factors.Q.nbytes + factors.Rinv.nbytes + 3 * masks.nbytes
+        if self.nbytes + size <= self.budget:
+            self.blocks.append(factors)
+            self._masks.append(masks)
+            self.nbytes += size
+
+    def find(self, masks: np.ndarray) -> np.ndarray:
+        """Each model's index among the held ones (in walk order), or -1."""
+        if self._index is None:
+            held = np.concatenate(self._masks) if self._masks else np.empty(0, np.int64)
+            order = np.argsort(held)
+            self._index = held[order], order
+            self._starts = np.cumsum([0] + [f.reach.size for f in self.blocks])
+        held, order = self._index
+        if not held.size:
+            return np.full(masks.size, -1)
+        at = np.minimum(np.searchsorted(held, masks), held.size - 1)
+        return np.where(held[at] == masks, order[at], -1)
+
+    def take(self, index: np.ndarray) -> _Factors:
+        """The factors at these indices (see find)."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].take(index)
+        block = np.searchsorted(self._starts, index, side="right") - 1
+        first = self.blocks[0]
+        out = _Factors(np.empty((index.size, *first.Q.shape[1:])),
+                       np.empty((index.size, *first.Rinv.shape[1:])),
+                       np.empty(index.size, dtype=first.reach.dtype))
+        for i, factors in enumerate(self.blocks):
+            sel = block == i
+            _assign(out, sel, factors.take(index[sel] - self._starts[i]))
+        return out
+
+
+def _assign(out: _Factors, where: np.ndarray, factors: _Factors):
+    out.Q[where], out.Rinv[where], out.reach[where] = factors.Q, factors.Rinv, factors.reach
+
+
+def _prefix_factors(design: CanonicalDesign, rows: np.ndarray,
+                    held: _HeldLevel | None = None) -> _Factors:
+    """_Factors of the models in rows (B, k): from held where it has them,
+    otherwise extended from their own prefixes, each run of equal rows once."""
+    B, k = rows.shape
+    if k == 0:
+        return _Factors(np.empty((B, 0, design.d)), np.empty((B, 0, 0)),
+                        np.zeros(B, dtype=np.intp))
+    wanted = rows
+    if held is not None:
+        at = held.find(_row_masks(rows, design.p))
+        missing = at < 0
+        if not missing.any():
+            return held.take(at)
+        wanted = rows[missing]
+    if wanted.shape[0] == 1:
+        computed = _factors(design, wanted)
+    else:
+        # Repeats of a prefix are adjacent in lexicographically ordered rows.
+        new = np.ones(wanted.shape[0], dtype=bool)
+        new[1:] = (wanted[1:] != wanted[:-1]).any(axis=1)
+        computed = _factors(design, wanted[new]).take(np.cumsum(new) - 1)
+    if held is None or missing.all():
+        return computed
+    out = held.take(np.where(missing, 0, at))
+    _assign(out, missing, computed)
+    return out
+
+
+def _factors(design: CanonicalDesign, rows: np.ndarray,
+             held: _HeldLevel | None = None) -> _Factors:
+    """_Factors of the models in rows (B, k), ascending 0-based members: each
+    is its prefix's factors (held, or found the same way) extended by its
+    last member, so a model's factors are the same bits along every path."""
+    return _extend(design, _prefix_factors(design, rows[:, :-1], held), rows[:, -1])
+
+
+# Byte budget for the factors the walk holds at once: the previous level's,
+# which the current level's models extend, and the current level's, kept for
+# the next. A model of k members takes (k d + k^2) 8 bytes and its mask 24.
+# Models whose prefixes are not held get them by the recurrence. The two
+# largest adjacent levels of the full lattice take 0.7 MB at p = d = 11,
+# 41 MB at p = d = 16 and 0.9 GB at p = d = 20.
+_HELD_BYTES = 64 << 20
+
+
+def _walk_factors(design: CanonicalDesign, universe: ModelUniverse,
+                  predictor: int | None = None):
+    """The models of _model_blocks for the design, block by block, each
+    block with its masks, its _Factors and the previous level's held factors
+    (or None)."""
+    held = kept = None
+    for rows, models in _model_blocks(universe, design.p, min(design.d, design.p),
+                                      predictor):
+        k = rows.shape[1]
+        if kept is None or kept.k != k:
+            held = kept if kept is not None and kept.k == k - 1 else None
+            kept = _HeldLevel(k, _HELD_BYTES - (held.nbytes if held is not None else 0))
+        masks = _row_masks(rows, design.p)
+        factors = _factors(design, rows, held)
+        kept.keep(masks, factors)
+        if models is None:
+            yield rows, masks, factors, held
+        elif models.any():
+            yield rows[models], masks[models], factors.take(models), held
+
+
+def _pairs(design: CanonicalDesign, rows: np.ndarray, factors: _Factors,
+           held: _HeldLevel | None, at: np.ndarray | None = None):
+    """Counted and emitted flags, adjusted norms and unit directions of the
+    pairs (j, M), M a model of rows (B, k), in (model, member) order: for
+    every member j, or for member at[i] of model i alone (see
+    _level_batches)."""
+    B, k = rows.shape
+    # The dual rows of all members, so each pair rounds as in the full walk.
+    dual = np.matmul(factors.Rinv, factors.Q)
+    if at is None:
+        b, t = np.divmod(np.arange(B * k), k)
+        dual = dual.reshape(B * k, -1)
+    else:
+        b, t = np.arange(B), at
+        dual = dual[b, t]
+    reach = factors.reach[b]
     # When every ascending prefix of M clears its limit, so does every prefix
     # of each M \ {j} (a residual against fewer columns is no smaller), and
-    # the directions are the normalized columns of the dual design
-    # X_M (X_M'X_M)^-1 = Q R^-T, whose column norms are the reciprocal
-    # adjusted norms. Other models solve against an identity in place of R.
-    counted = np.repeat(reach[:, None], k, axis=1)
-    dual = np.linalg.solve(np.where(reach[:, None, None], R, np.eye(k)),
-                           Q.transpose(0, 2, 1))
-    inverse_norms = np.linalg.norm(dual, axis=2)
-    norms = 1.0 / inverse_norms
-    vectors = dual / inverse_norms[..., None]
+    # the directions are the normalized rows of the dual design, whose norms
+    # are the reciprocal adjusted norms.
+    counted = reach == k
+    valid = counted.copy()
     # Otherwise M \ {j} keeps M's first failing prefix unless j lies in it;
-    # those pairs are factorized again, one by one, with j last: the pair is
-    # counted when the members before j pass, and |R_kk| is its adjusted norm.
-    bad = np.flatnonzero(~reach)
-    if bad.size:
-        first_failure = np.argmin(ok[bad], axis=1)
-        b, t = np.nonzero(np.arange(k) <= first_failure[:, None])
-        b = bad[b]
-        Q, R, ok = _factor_models(design, _moved_last(rows[b], t))
-        last = R[:, -1, -1]
-        counted[b, t] = ok[:, :-1].all(axis=1)
-        norms[b, t] = np.abs(last)
-        vectors[b, t] = Q[:, :, -1] * np.sign(last)[:, None]
-    emitted = counted & (norms > design.rank_limits[rows])
+    # such a pair extends the factors of M \ {j} by j: it is counted when
+    # M \ {j} is reachable, and the new dual row gives its direction.
+    redo = np.flatnonzero(~counted & (t <= reach))
+    if redo.size:
+        models = rows[b[redo]]
+        others = models[np.arange(k) != t[redo, None]].reshape(redo.size, k - 1)
+        prefix = _prefix_factors(design, others, held)
+        grown = _extend(design, prefix, models[np.arange(redo.size), t[redo]])
+        counted[redo] = prefix.reach == k - 1
+        valid[redo] = grown.reach == k
+        dual[redo] = np.matmul(grown.Rinv, grown.Q)[:, -1]
+    inverse_norms = np.where(valid, np.sqrt(np.vecdot(dual, dual)), 1.0)
+    vectors = dual / inverse_norms[:, None]
+    norms = 1.0 / inverse_norms
+    emitted = valid & (norms > design.rank_limits[rows[b, t]])
     return counted, emitted, norms, vectors
 
 
@@ -813,57 +1001,80 @@ def _level_batches(design: CanonicalDesign, universe: ModelUniverse,
     tau * ||x_j||, and is a degenerate skip otherwise. With a 1-based
     ``predictor`` only that predictor's pairs are enumerated, and each
     direction is bitwise the one the full enumeration gives.
+
+    Each model of size k is its lexicographic prefix of size k - 1 plus one
+    larger member, so its factors are one vectorized Gram-Schmidt step from
+    the prefix's (see _extend); the previous level's factors are held up to
+    _HELD_BYTES, and prefixes not held are factored by the same recurrence.
     """
-    d, p = design.values.shape
-    for rows in _model_blocks(universe, p, min(d, p), predictor):
-        B, k = rows.shape
-        masks = _row_masks(rows, p)
+    for rows, masks, factors, held in _walk_factors(design, universe, predictor):
         if predictor is None:
-            counted, emitted, norms, vectors = (
-                a.reshape(B * k, *a.shape[2:]) for a in _model_factors(design, rows))
-            members, masks = rows.ravel(), np.repeat(masks, k)
+            at, members = None, rows.ravel()
+            masks = np.repeat(masks, rows.shape[1])
         else:
-            at = (np.arange(B), np.argmax(rows == predictor - 1, axis=1))
-            counted, emitted, norms, vectors = (a[at] for a in _model_factors(design, rows))
-            members = rows[at]
+            at = np.argmax(rows == predictor - 1, axis=1)
+            members = rows[np.arange(rows.shape[0]), at]
+        counted, emitted, norms, vectors = _pairs(design, rows, factors, held, at)
         yield LevelBatch(masks[emitted], members[emitted] + 1, vectors[emitted],
                          norms[emitted], int(counted.sum() - emitted.sum()))
+
+
+def _models_pairs(design: CanonicalDesign, rows: np.ndarray):
+    """Every member's pair in each model of rows (B, k), bitwise as the
+    enumeration emits them: counted and emitted flags and adjusted norms
+    shaped (B, k), unit directions shaped (B, k, d)."""
+    return tuple(a.reshape(*rows.shape, *a.shape[1:])
+                 for a in _pairs(design, rows, _factors(design, rows), None))
 
 
 def _model_directions(design: CanonicalDesign,
                       model: ModelId) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions (k, d) and adjusted norms (k,) of the model's members,
-    bitwise as the enumeration emits them. Raises InfeasibleError unless it
-    emits every pair of the model (see _level_batches)."""
-    factors = _one_model_factors(design, model)
-    if factors is None:
-        raise InfeasibleError(f"submodel {model} has more columns than d={design.d}")
-    _, emitted, norms, vectors = factors
+    bitwise as the enumeration emits them: the model's chain of Gram-Schmidt
+    steps is the one the walk takes, and no step depends on the other models
+    of its block. Raises InfeasibleError unless the enumeration emits every
+    pair of the model (see _level_batches)."""
+    _check_fit(design, model)
+    _, emitted, norms, vectors = (a[0] for a in _models_pairs(
+        design, np.array([model.members], dtype=np.intp) - 1))
     if not emitted.all():
         raise InfeasibleError(f"submodel {model} is rank deficient")
     return vectors, norms
 
 
-def _one_model_factors(design: CanonicalDesign, model: ModelId):
-    """Row 0 of _model_factors for the one model: counted and emitted flags
-    and adjusted norms (k,), unit directions (k, d); None when the model has
-    more columns than d. Raises ValueError for members beyond p."""
-    members = np.array(model.members, dtype=np.intp) - 1
-    if members[-1] >= design.p:
+def _models_directions(design: CanonicalDesign, models: Iterable[ModelId]
+                       ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """_model_directions of each distinct model, by mask, from one walk of
+    the explicit universe of the models."""
+    models = list(models)
+    for model in models:
+        _check_fit(design, model)
+    out = {}
+    for rows, masks, factors, held in _walk_factors(design, ModelUniverse.explicit(models)):
+        _, emitted, norms, vectors = (a.reshape(*rows.shape, *a.shape[1:]) for a in
+                                      _pairs(design, rows, factors, held))
+        for mask, ok, v, n in zip(masks.tolist(), emitted.all(axis=1), vectors, norms):
+            if not ok:
+                raise InfeasibleError(f"submodel {ModelId.from_mask(mask)} is rank deficient")
+            out[mask] = (v, n)
+    return out
+
+
+def _check_fit(design: CanonicalDesign, model: ModelId):
+    if model.members[-1] > design.p:
         raise ValueError(f"model {model} references columns beyond p={design.p}")
-    if members.size > design.d:
-        return None
-    return tuple(a[0] for a in _model_factors(design, members[None, :]))
+    if model.size > design.d:
+        raise InfeasibleError(f"submodel {model} has more columns than d={design.d}")
 
 
 def _full_rank_blocks(design: CanonicalDesign, universe: ModelUniverse):
-    """The universe's full-rank models (every |R_ii| above its limit), by
-    size and then lexicographically, in blocks: (B, k) ascending 0-based
-    member rows with their (B, d, k) Q factors."""
-    for rows in _model_blocks(universe, design.p, min(design.d, design.p)):
-        Q, _, ok = _factor_models(design, rows)
-        full = ok.all(axis=1)
-        yield rows[full], Q[full]
+    """The universe's full-rank models (every ascending prefix clears the rank
+    rule), by size and then lexicographically, in blocks: their (B,) masks
+    (as _row_masks gives them) with the (B, k, d) orthonormal rows of their
+    bases."""
+    for rows, masks, factors, _ in _walk_factors(design, universe):
+        full = factors.reach == rows.shape[1]
+        yield masks[full], factors.Q[full]
 
 
 def _joined(batches: list[LevelBatch], d: int) -> LevelBatch:
@@ -885,8 +1096,8 @@ def enumerate_models(
     InfeasibleError if nothing survives the filtering.
     """
     count = 0
-    for rows, _ in _full_rank_blocks(design, universe):
-        for mask in _row_masks(rows, design.p).tolist():
+    for masks, _ in _full_rank_blocks(design, universe):
+        for mask in masks.tolist():
             count += 1
             yield ModelId.from_mask(mask)
     if count == 0:

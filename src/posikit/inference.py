@@ -18,7 +18,7 @@ import numpy as np
 from . import _rng
 from .constants import _DIRECTION_CHUNK, ConstantEstimate, ErrorModel
 from .design import (CanonicalDesign, DirectionSet, ModelId, ModelUniverse,
-                     _full_rank_blocks, _model_directions, _row_masks,
+                     _full_rank_blocks, _model_directions, _models_directions,
                      direction_stream)
 from .errors import InfeasibleError
 
@@ -351,23 +351,22 @@ def make_stepwise_selector(
 
 def _size_projectors(design: CanonicalDesign, universe: ModelUniverse, size: int):
     """The full-rank models of a universe that admits only this size, and
-    the stacked (B, size, d) transposes of their orthonormal bases."""
-    blocks = [(rows, Q) for rows, Q in _full_rank_blocks(design, universe) if rows.size]
+    the stacked (B, size, d) orthonormal rows of their bases."""
+    blocks = [(masks, Q) for masks, Q in _full_rank_blocks(design, universe) if masks.size]
     if not blocks:
         raise InfeasibleError(f"universe has no full-rank model of size {size}")
-    rows, Q = (np.concatenate(parts) for parts in zip(*blocks))
-    models = [ModelId.from_mask(mask) for mask in _row_masks(rows, design.p).tolist()]
-    return models, np.ascontiguousarray(Q.transpose(0, 2, 1))
+    masks, Q = (np.concatenate(parts) for parts in zip(*blocks))
+    return [ModelId.from_mask(mask) for mask in masks.tolist()], Q
 
 
 def make_best_r2_selector(size: int, universe: ModelUniverse | None = None) -> Selector:
     """Largest-R^2 model of a fixed size (exhaustive; deterministic ties).
 
     The design's full-rank models of this size are enumerated once per
-    design, and the transposes Q_M' of their orthonormal bases are kept from
-    the enumeration's QR; these hold d * size * 8 bytes per model. Each call
-    then scores every model by ||Q_M' y||^2 in one pass, and on an exact tie
-    the smallest mask wins (ModelId orders by mask).
+    design, and the orthonormal rows Q_M of their bases are kept from the
+    enumeration's Gram-Schmidt; these hold d * size * 8 bytes per model. Each
+    call then scores every model by ||Q_M y||^2 in one pass, and on an exact
+    tie the smallest mask wins (ModelId orders by mask).
     """
     u = universe if universe is not None else ModelUniverse.all()
     u = u & ModelUniverse(min_size=size, max_size=size)
@@ -375,8 +374,8 @@ def make_best_r2_selector(size: int, universe: ModelUniverse | None = None) -> S
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
         _check_response(y, sigma_hat)
-        models, Qt = factors(design)
-        proj = Qt @ y
+        models, Q = factors(design)
+        proj = Q @ y
         scores = np.vecdot(proj, proj)
         return min(models[i] for i in np.flatnonzero(scores == scores.max()))
 
@@ -438,13 +437,15 @@ def coverage_experiment(
         eps, sigma = _rng.gaussian_block(
             seed, _rng.PURPOSE_COVERAGE, b, replications, design.d, error_model.df
         )
-        for e, sigma_hat in zip(eps, sigma.tolist()):
-            model = select(design, mu + e, sigma_hat)
+        selected = [select(design, mu + e, sigma_hat)
+                    for e, sigma_hat in zip(eps, sigma.tolist())]
+        # The block's refits, one factorization per distinct model.
+        directions = _models_directions(design, selected)
+        for model, e, sigma_hat in zip(selected, eps, sigma.tolist()):
             # |beta_j - target_j| = |l_j'e| / ||x_{j.M}|| <= K sigma_hat / ||x_{j.M}||
-            vectors, _ = _model_directions(design, model)
-            t = np.abs(np.vecdot(vectors, e))
+            t = np.abs(np.vecdot(directions[model.mask][0], e))
             covered.append(bool(t.max() <= k_value * sigma_hat))
-            models.append(model)
+        models.extend(selected)
     coverage = float(np.mean(covered))
     se = math.sqrt(max(coverage * (1.0 - coverage), 0.0) / replications)
     return CoverageResult(

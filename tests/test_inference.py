@@ -484,19 +484,21 @@ def test_named_selectors_walk_once_per_design(monkeypatch):
     import posikit.design
 
     factorized = []
-    factor_models = posikit.design._factor_models
+    factors = posikit.design._factors
 
-    def counting(design, rows):
+    def counting(design, rows, held=None):
         factorized.append(design)
-        return factor_models(design, rows)
+        return factors(design, rows, held)
 
-    monkeypatch.setattr(posikit.design, "_factor_models", counting)
+    monkeypatch.setattr(posikit.design, "_factors", counting)
     rng = np.random.default_rng(18)
     pair = [random_canonical(5, seed=18), random_canonical(5, seed=19)]
-    # One walk factorizes each block of same-size models once: five sizes
-    # for spar and spar1, and size 2 alone for best-R^2.
-    for select, blocks in ((make_spar_selector(), 5), (make_spar1_selector(3), 5),
-                           (make_best_r2_selector(2), 1)):
+    # One walk factors each block of same-size models once, and each set of
+    # prefixes it does not hold once per size: five blocks for spar; five
+    # for spar1, plus {1}, {2} for {1, 3}, {2, 3} and {1, 2} and {1} for
+    # {1, 2, 3}; for best-R^2, the block of size 2 and its prefixes of size 1.
+    for select, blocks in ((make_spar_selector(), 5), (make_spar1_selector(3), 8),
+                           (make_best_r2_selector(2), 2)):
         for cd in pair:
             factorized.clear()
             for _ in range(4):

@@ -1,7 +1,10 @@
 """Property tests: the level-wise enumerator against brute-force subset
-enumeration and against an independent QR residual pair by pair, submodel
-fits and adjusted_predictor that read the enumerator's directions bitwise,
-universe membership and spec round-trips, a pair count that matches the
+enumeration and against a Householder QR and triangular solve per model,
+near-collinear models against exact rationals, submodel fits and
+adjusted_predictor that read the enumerator's directions bitwise, factors
+that are the same bits alone, in a block, from held prefixes and by the
+recurrence, held prefixes under their byte cap, universe membership and
+spec round-trips, a pair count that matches the
 walk without walking, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
 per-candidate least squares, prefix-stable Monte Carlo draws, draws that
@@ -13,6 +16,8 @@ unscreened ones."""
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,8 +49,10 @@ from posikit import (
     spar_select,
     verify_duality,
 )
+import posikit.design
 from posikit import _rng, constants
-from posikit.design import _candidate_pair_count, _model_blocks, _model_directions
+from posikit.design import (_candidate_pair_count, _model_blocks, _model_directions,
+                            _models_pairs)
 from posikit.inference import _argmax_over_directions
 
 PROPERTY_SETTINGS = settings(
@@ -174,53 +181,52 @@ def test_walker_matches_brute_force(case):
     assert set(enumerated) == models == {m for _, m in pairs}
 
 
-def reachable(cd, members) -> bool:
-    """Every ascending prefix of members leaves its last column a residual
-    above the rank tolerance against the columns before it."""
-    return all(_adjusted_or_none(cd, members[:i + 1], members[i]) is not None
-               for i in range(len(members)))
+def _householder(cd, cols):
+    """Householder QR (LAPACK) of the columns, in order, and the rank test
+    |R_ii| > tau ||x_i|| of each against those before it."""
+    Q, R = np.linalg.qr(cd.values[:, cols])
+    return Q, R, np.abs(np.diagonal(R)) > cd.rank_limits[cols]
 
 
-def _adjusted_or_none(cd, members, j):
-    """Residual of column j on the other members and its norm, or None where
-    it is degenerate, from a QR of the others alone (not the enumerator's
-    factorization): x_j - Q Q'x_j. None when the others are more than d or
-    rank deficient (some |R_ii| <= tau ||x_i||), or the residual's norm is
-    at most tau ||x_j||."""
-    x = cd.column(j)
-    others = [k - 1 for k in members if k != j]
-    r = x.copy()
-    if others:
-        A = cd.values[:, others]
-        Q, R = np.linalg.qr(A)
-        limits = cd.rank_tolerance * np.linalg.norm(A, axis=0)
-        if len(others) > cd.d or np.any(np.abs(np.diagonal(R)) <= limits):
-            return None
-        r -= Q @ (Q.T @ x)
-    norm = float(np.linalg.norm(r))
-    if norm <= cd.rank_tolerance * float(np.linalg.norm(x)):
-        return None
-    return r, norm
+def lapack_model_pairs(cd, members):
+    """The pairs (j, M) of one model by the rank rule of _level_batches, from
+    a Householder QR and a triangular solve per model (not the enumerator's
+    Gram-Schmidt): {j: (unit vector, norm) or None when degenerate} for the
+    counted pairs. A model whose ascending prefixes all pass reads its
+    directions off the dual design Q R^-T; otherwise each member j of its
+    first failing prefix is factored last, after M \\ {j}."""
+    cols = [j - 1 for j in members]
+    Q, R, ok = _householder(cd, cols)
+    if ok.all():
+        dual = np.linalg.solve(R, Q.T)
+        norms = 1.0 / np.linalg.norm(dual, axis=1)
+        return {j: (dual[i] * norms[i], norms[i]) if norms[i] > cd.rank_limits[j - 1]
+                else None for i, j in enumerate(members)}
+    found = {}
+    for t in range(int(np.argmin(ok)) + 1):
+        Q, R, ok = _householder(cd, cols[:t] + cols[t + 1:] + [cols[t]])
+        if ok[:-1].all():
+            last = R[-1, -1]
+            found[members[t]] = ((Q[:, -1] * np.sign(last), abs(last)) if ok[-1]
+                                 else None)
+    return found
 
 
 def adjusted_predictor_oracle(cd, admitted, predictor=None):
     """{(mask, j): (unit vector, norm)} of the emitted pairs and the number
-    of degenerate skips, pair by pair from the QR residual."""
+    of degenerate skips, model by model from lapack_model_pairs."""
     emitted, skips = {}, 0
     for m in admitted:
         members = sorted(m)
         if len(members) > cd.d:
             continue
-        for j in members:
+        for j, found in lapack_model_pairs(cd, members).items():
             if predictor not in (None, j):
                 continue
-            if not reachable(cd, [k for k in members if k != j]):
-                continue
-            found = _adjusted_or_none(cd, members, j)
             if found is None:
                 skips += 1
             else:
-                emitted[ModelId(members).mask, j] = (found[0] / found[1], found[1])
+                emitted[ModelId(members).mask, j] = found
     return emitted, skips
 
 
@@ -245,8 +251,8 @@ def test_level_batches_match_adjusted_predictor(case):
         assert ds.degenerate_skips == want_skips
         assert ds.count == len(want)
         for key, (vector, norm) in got.items():
-            # The oracle subtracts the projection from x_j, which leaves its
-            # residual rounding errors ||x_j|| / ||x_{j.M}|| times eps.
+            # Both factorizations are backward stable; the tolerance grows
+            # with the pair's conditioning ||x_j|| / ||x_{j.M}||.
             tol = 1e-13 * max(1.0, np.linalg.norm(cd.column(key[1])) / want[key][1])
             assert np.max(np.abs(vector - want[key][0])) <= tol, key
             assert abs(norm - want[key][1]) <= tol * want[key][1], key
@@ -273,6 +279,162 @@ def test_level_batches_match_adjusted_predictor(case):
             # The predictor form rounds each of its pairs as the full set does.
             for key, (vector, norm) in got.items():
                 assert np.array_equal(vector, every[key][0]) and norm == every[key][1]
+
+
+def exact_dual_rows(A: np.ndarray) -> list[list[Fraction]]:
+    """Rows of the dual design A (A'A)^-1 of a d x k matrix of full column
+    rank, in rational arithmetic: Gauss-Jordan on the Gram matrix, which is
+    positive definite, so no pivot is zero."""
+    A = [[Fraction(v) for v in row] for row in A.tolist()]
+    d, k = len(A), len(A[0])
+    G = [[sum(A[r][i] * A[r][j] for r in range(d)) for j in range(k)]
+         + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for c in range(k):
+        G[c] = [v / G[c][c] for v in G[c]]
+        for r in range(k):
+            if r != c:
+                G[r] = [a - G[r][c] * b for a, b in zip(G[r], G[c])]
+    return [[sum(A[r][j] * G[j][k + i] for j in range(k)) for r in range(d)]
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("members", [(2, 4), (1, 2, 4)])
+def test_near_collinear_models_off_the_axes_match_exact_rationals(members):
+    # x4 = x2 + 1e-9 e: neither column lies on a canonical axis, and the
+    # models clear the rank rule. Directions and norms must be within
+    # kappa_M eps of the rational ones, kappa_M = max_i ||x_i|| / ||x_{i.M}||:
+    # the error that any backward-stable factorization leaves.
+    model = ModelId(members)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((6, 4))
+        X[:, 3] = X[:, 1] + 1e-9 * rng.standard_normal(6)
+        cd = canonicalize(DesignMatrix(X, ("x1", "x2", "x3", "x4")))
+        vectors, norms = _model_directions(cd, model)
+        dual = exact_dual_rows(cd.submatrix(model))
+        exact_norms = np.array([1.0 / math.sqrt(sum(v * v for v in row)) for row in dual])
+        kappa = max(np.linalg.norm(cd.column(j)) / n
+                    for j, n in zip(members, exact_norms))
+        assert kappa > 1e8
+        tol = kappa * np.finfo(float).eps
+        for i, row in enumerate(dual):
+            exact = np.array([float(v) for v in row]) * exact_norms[i]
+            assert np.max(np.abs(vectors[i] - exact)) <= tol, (seed, i)
+            assert abs(norms[i] - exact_norms[i]) <= tol * exact_norms[i], (seed, i)
+
+
+# ---------------------------------------------------------------------------
+# The prefix recurrence gives one set of bits along every path
+# ---------------------------------------------------------------------------
+
+
+def walk_pairs(cd, universe=None, predictor=None):
+    """{(mask, j): (unit vector, norm)} of a walk, and its skip count."""
+    ds = DirectionSet(cd, universe, predictor=predictor)
+    pairs = {(d.model.mask, d.predictor): (d.vector, d.raw_norm) for d in ds}
+    return pairs, ds.degenerate_skips
+
+
+def assert_same_bits(got, want):
+    assert got.keys() == want.keys()
+    for key, (vector, norm) in got.items():
+        assert np.array_equal(vector, want[key][0]) and norm == want[key][1], key
+
+
+@st.composite
+def gaussian_designs(draw) -> CanonicalDesign:
+    """Generic designs with up to 9 rows in canonical form, so a model's
+    factor rows start at every alignment in a block."""
+    p = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 9))
+    return gaussian_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, p)
+
+
+@st.composite
+def factor_designs(draw) -> CanonicalDesign:
+    return draw(designs() | orthogonal_designs() | gaussian_designs())
+
+
+@PROPERTY_SETTINGS
+@given(factor_designs())
+def test_factors_are_the_same_bits_along_every_path(cd):
+    want, skips = walk_pairs(cd)
+    # Every prefix by the recurrence, in blocks of three models.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(posikit.design, "_HELD_BYTES", 0)
+        patch.setattr(posikit.design, "_LEVEL_BLOCK", 3)
+        got, got_skips = walk_pairs(cd)
+    assert_same_bits(got, want)
+    assert got_skips == skips
+    # Each model in one block with every model of its size, and alone.
+    for k in range(1, min(cd.d, cd.p) + 1):
+        rows = np.array(list(itertools.combinations(range(cd.p), k)), dtype=np.intp)
+        block = _models_pairs(cd, rows)
+        for i, row in enumerate(rows):
+            alone = _models_pairs(cd, row[None, :])
+            counted, emitted = block[0][i], block[1][i]
+            assert np.array_equal(alone[0][0], counted)
+            assert np.array_equal(alone[1][0], emitted)
+            mask = ModelId(row + 1).mask
+            for t in np.flatnonzero(emitted):
+                pair = (block[3][i, t], block[2][i, t])
+                assert np.array_equal(alone[3][0, t], pair[0])
+                assert alone[2][0, t] == pair[1]
+                assert np.array_equal(want[mask, row[t] + 1][0], pair[0])
+                assert want[mask, row[t] + 1][1] == pair[1]
+
+
+def test_capped_walk_is_bitwise_the_default_walk(monkeypatch):
+    """A byte cap on the held prefixes that leaves some levels, or some
+    blocks of a level, to the recurrence changes no bit of any batch."""
+    cd = gaussian_design(np.random.default_rng(10), 14, 10)
+    found = []
+    find = posikit.design._HeldLevel.find
+
+    def recording(self, masks):
+        found.append(find(self, masks))
+        return found[-1]
+
+    monkeypatch.setattr(posikit.design._HeldLevel, "find", recording)
+    for block in (posikit.design._LEVEL_BLOCK, 40):
+        monkeypatch.setattr(posikit.design, "_LEVEL_BLOCK", block)
+        for universe, predictor in [(ModelUniverse.all(), None),
+                                    (ModelUniverse.from_spec("size<=6&forced=4"), None),
+                                    (ModelUniverse.all(), 3)]:
+            want = list(posikit.design._level_batches(cd, universe, predictor))
+            found.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                # Level 5 of the full lattice alone takes 151 kB.
+                patch.setattr(posikit.design, "_HELD_BYTES", 60_000)
+                got = list(posikit.design._level_batches(cd, universe, predictor))
+            found_at = np.concatenate(found)
+            assert (found_at >= 0).any() and (found_at < 0).any()
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                for name in ("masks", "predictors", "vectors", "norms"):
+                    assert np.array_equal(getattr(g, name), getattr(w, name))
+                assert g.skips == w.skips
+
+
+def test_held_prefixes_stay_under_the_cap(monkeypatch):
+    """Between batches, a walk holds at most the cap in traced memory over a
+    walk that holds no prefixes; at p = 12 whole levels would take more."""
+    cd = gaussian_design(np.random.default_rng(12), 16, 12)
+
+    def traced(cap):
+        monkeypatch.setattr(posikit.design, "_HELD_BYTES", cap)
+        tracemalloc.start()
+        try:
+            return np.array([tracemalloc.get_traced_memory()[0] for _ in
+                             posikit.design._level_batches(cd, ModelUniverse.all())])
+        finally:
+            tracemalloc.stop()
+
+    cap = 200_000
+    traced(0)  # first-call allocations that persist
+    bare = traced(0)
+    assert np.max(traced(cap) - bare) <= cap
+    assert np.max(traced(64 << 20) - bare) > 4 * cap
 
 
 @st.composite
@@ -325,8 +487,10 @@ def count_cases(draw):
 def walked_pairs(cd, universe, predictor) -> int:
     """The pairs of the models _model_blocks yields: every member, or the
     predictor alone."""
-    return sum(rows.shape[0] * (1 if predictor is not None else rows.shape[1])
-               for rows in _model_blocks(universe, cd.p, min(cd.d, cd.p), predictor))
+    return sum((rows.shape[0] if models is None else int(models.sum()))
+               * (1 if predictor is not None else rows.shape[1])
+               for rows, models in _model_blocks(universe, cd.p, min(cd.d, cd.p),
+                                                 predictor))
 
 
 @PROPERTY_SETTINGS
