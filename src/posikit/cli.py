@@ -6,11 +6,19 @@ warnings go to stderr. JSON output is byte-identical for identical
 configurations including the seed. --threads is accepted and validated but
 does not change work or output: the Monte Carlo fold runs in the calling
 thread.
+
+``run`` parses with one parser, built on its first call and kept for the
+life of the process, so repeated in-process calls do not rebuild the
+subcommands. Parsing leaves no state in it: each call gets a fresh
+namespace, and handlers look up what they call at call time.
+``build_parser`` returns a new parser on every call. ``python -m posikit``
+runs ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +40,7 @@ from .design import (
     ModelId,
     ModelUniverse,
     _candidate_pair_count,
+    _dedup_up_to_sign,
     canonicalize,
     direction_stream,
     load_design,
@@ -284,7 +293,7 @@ def _cmd_closed_form(args) -> int:
 
 
 def _dimension_for(args) -> int:
-    if getattr(args, "d", None):
+    if getattr(args, "d", None) is not None:
         return args.d
     if getattr(args, "design", None):
         design, _ = _load_canonical(args)
@@ -420,17 +429,16 @@ def _cmd_coverage(args) -> int:
 def _cmd_analyze(args) -> int:
     design, universe = _load_canonical(args)
     _warn_large_stream(design, universe, 0)
+    # One walk gives the count, the skips, the distinct directions and the census.
     streamed = direction_stream(design, universe)
-    count = streamed.count
-    skips = streamed.degenerate_skips
-    distinct = direction_stream(design, universe, dedup="up_to_sign").count
-    census = orthogonality_census(direction_stream(design, universe))
+    whole = streamed.whole()
+    census = orthogonality_census(whole.vectors)
     payload = _base_payload(
-        d=design.d, p=design.p, direction_count=count,
+        d=design.d, p=design.p, direction_count=whole.predictors.size,
         universe=universe.spec_string(),
     )
-    payload["distinct_directions"] = distinct
-    payload["degenerate_skips"] = skips
+    payload["distinct_directions"] = _dedup_up_to_sign(whole).predictors.size
+    payload["degenerate_skips"] = streamed.degenerate_skips
     payload["orthogonality_histogram"] = {
         str(k): v for k, v in census.histogram.items()
     }
@@ -593,9 +601,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except DataError as exc:

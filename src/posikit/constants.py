@@ -638,7 +638,9 @@ def orth_constant(
     Known sigma solves (2 Phi(K) - 1)^d = 1 - alpha (computed by exact
     quantile inversion). Finite df solves E[(2 Phi(K sigma_hat) - 1)^d] =
     1 - alpha with the expectation taken by adaptive quadrature over the
-    density of sigma_hat = sqrt(chi2_r / r).
+    density of sigma_hat = sqrt(chi2_r / r). The integrand is a scalar
+    function of scalars, so it is evaluated with the ``math`` module, using
+    2 Phi(x) - 1 = erf(x / sqrt(2)).
     """
     from scipy import integrate, optimize, special
 
@@ -654,9 +656,16 @@ def orth_constant(
                     - special.gammaln(0.5 * r))
 
         def coverage(k: float) -> float:
+            scale = k / math.sqrt(2.0)
+
+            def integrand(s: float) -> float:
+                if s == 0.0:  # erf(0) = 0; math.log(0) would raise
+                    return 0.0
+                return math.erf(scale * s) ** d * math.exp(
+                    log_norm + (r - 1.0) * math.log(s) - 0.5 * r * s * s)
+
             val, _ = integrate.quad(
-                lambda s: (2.0 * special.ndtr(k * s) - 1.0) ** d
-                * math.exp(log_norm + special.xlogy(r - 1.0, s) - 0.5 * r * s * s),
+                integrand,
                 0.0,
                 np.inf,
                 epsabs=1e-12,

@@ -1113,6 +1113,18 @@ def _sign_canonical_keys(vectors: np.ndarray) -> np.ndarray:
     return np.round(vectors * flip[:, None] * (1 << _DEDUP_GRID_BITS)).astype(np.int64)
 
 
+def _dedup_up_to_sign(whole: LevelBatch) -> LevelBatch:
+    """The batch's rows with duplicates up to sign on the 2^-20 grid collapsed
+    to their first occurrence, each vector replaced by its grid
+    representative, renormalized."""
+    keys = _sign_canonical_keys(whole.vectors)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    first.sort()
+    kept = keys[first] * _DEDUP_GRID
+    kept /= np.linalg.norm(kept, axis=1, keepdims=True)
+    return LevelBatch(whole.masks[first], whole.predictors[first], kept, whole.norms[first])
+
+
 class DirectionSet:
     """Re-iterable set of adjusted-predictor directions for (design, universe).
 
@@ -1159,14 +1171,8 @@ class DirectionSet:
 
     def _materialize_dedup(self) -> LevelBatch:
         if self._materialized is None:
-            whole = _joined(list(self._walk()), self.design.d)
-            keys = _sign_canonical_keys(whole.vectors)
-            _, first = np.unique(keys, axis=0, return_index=True)
-            first.sort()
-            kept = keys[first] * _DEDUP_GRID
-            kept /= np.linalg.norm(kept, axis=1, keepdims=True)
-            self._materialized = LevelBatch(whole.masks[first], whole.predictors[first],
-                                            kept, whole.norms[first])
+            self._materialized = _dedup_up_to_sign(_joined(list(self._walk()),
+                                                           self.design.d))
         return self._materialized
 
     def batches(self) -> Iterator[LevelBatch]:

@@ -24,6 +24,10 @@ from .design import (
 )
 from .errors import DataError, InfeasibleError
 
+# Rows of inner products the census forms at a time: a 128 x count float64
+# block is 1 MiB at count = 1 024.
+_CENSUS_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class PolytopeSpec:
@@ -128,20 +132,33 @@ def directions_match_up_to_sign(
 
 
 def orthogonality_census(
-    directions: DirectionSet, tolerance: float = 1e-8
+    directions: DirectionSet | np.ndarray, tolerance: float = 1e-8
 ) -> CensusReport:
     """Count, per direction, how many other streamed directions it is
-    orthogonal to (|<v, w>| < tolerance), duplicates included."""
-    L = directions.matrix()
+    orthogonal to (|<v, w>| < tolerance), duplicates included.
+
+    ``directions`` is a DirectionSet or its (count, d) matrix of unit rows.
+    The inner products are formed _CENSUS_BLOCK rows at a time into one
+    reused (_CENSUS_BLOCK, count) buffer, so the work space grows linearly
+    with the count, not with its square.
+    """
+    if isinstance(directions, DirectionSet):
+        L = directions.matrix()
+    else:
+        L = np.asarray(directions, dtype=float)
     n = L.shape[0]
     counts = np.zeros(n, dtype=int)
-    block = 1024
-    for lo in range(0, n, block):
-        inner = np.abs(L[lo:lo + block] @ L.T)
-        hits = inner < tolerance
-        counts[lo:lo + block] = hits.sum(axis=1)
+    inner = np.empty((min(_CENSUS_BLOCK, n), n))
+    hits = np.empty(inner.shape, dtype=bool)
+    for lo in range(0, n, _CENSUS_BLOCK):
+        rows = L[lo:lo + _CENSUS_BLOCK]
+        block, block_hits = inner[:len(rows)], hits[:len(rows)]
+        np.matmul(rows, L.T, out=block)
+        np.abs(block, out=block)
+        np.less(block, tolerance, out=block_hits)
         # A direction is never orthogonal to itself (unit norm), so the
         # diagonal contributes nothing; no correction needed.
+        counts[lo:lo + len(rows)] = np.count_nonzero(block_hits, axis=1)
     values, freq = np.unique(counts, return_counts=True)
     histogram = {int(v): int(f) for v, f in zip(values, freq)}
     return CensusReport(partner_counts=counts, histogram=histogram, tolerance=tolerance)

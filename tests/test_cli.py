@@ -12,8 +12,11 @@ from posikit import (
     InfeasibleError,
     ModelUniverse,
     canonicalize,
+    direction_stream,
     enumerate_models,
     load_design,
+    orthogonality_census,
+    scheffe_constant,
 )
 from posikit import cli
 from posikit.cli import _warn_large_stream, run
@@ -185,6 +188,101 @@ def test_exit_code_usage(capsys):
     assert exc.value.code == 1
 
 
+def test_analyze_walks_its_universe_once(files, tmp_path, capsys, monkeypatch):
+    import posikit.design
+
+    # A duplicated column: degenerate skips and duplicate directions, d < p.
+    X = np.loadtxt(files["generic3"], delimiter=",")
+    duplicated = tmp_path / "dup.csv"
+    np.savetxt(duplicated, np.hstack([X, X[:, :1]]), delimiter=",")
+    walks = []
+    walker = posikit.design._level_batches
+
+    def counting(*args, **kwargs):
+        walks.append(args[0].p)
+        yield from walker(*args, **kwargs)
+
+    monkeypatch.setattr(posikit.design, "_level_batches", counting)
+    for path, universe, expected_walks in [
+        (str(duplicated), "all", 1),
+        (str(duplicated), "size<=2", 1),
+        (files["identity4"], "all", 3),  # the universe, then duality's two
+    ]:
+        walks.clear()
+        payload = run_json(capsys, ["analyze", "--design", path, "--universe", universe])
+        assert len(walks) == expected_walks
+        design = canonicalize(load_design(path))
+        u = ModelUniverse.from_spec(universe, p=design.p)
+        streamed = direction_stream(design, u)
+        assert payload["direction_count"] == streamed.count
+        assert payload["degenerate_skips"] == streamed.degenerate_skips
+        assert payload["distinct_directions"] == direction_stream(
+            design, u, dedup="up_to_sign").count
+        census = orthogonality_census(direction_stream(design, u))
+        assert payload["orthogonality_histogram"] == {
+            str(k): v for k, v in census.histogram.items()}
+    assert payload["direction_count"] == 32 and payload["distinct_directions"] == 4
+    dup = run_json(capsys, ["analyze", "--design", str(duplicated)])
+    assert dup["degenerate_skips"] > 0
+    assert dup["distinct_directions"] < dup["direction_count"]
+    assert dup["duality"] is None
+
+
+def test_run_builds_its_parser_once(files, capsys, monkeypatch):
+    builds = []
+    builder = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return builder()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        k = ["k", "--design", files["generic3"], "--mc-samples", "2000", "--seed", "3"]
+        spar = ["spar", "--design", files["generic3"], "--response", files["response"],
+                "--sigma-hat", "1"]
+        calls = [k + ["--df", "20"], k, spar + ["--predictor", "2"], spar,
+                 ["k", "--design"], k + ["--df", "20"], spar, ["scheffe", "--d", "3"],
+                 spar + ["--predictor", "1"], k]
+        for argv in calls:
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            reused = capsys.readouterr()
+            # The same call parsed by a parser of its own.
+            try:
+                args = builder().parse_args(argv)
+                fresh_code = args.handler(args)
+            except SystemExit as exc:
+                fresh_code = exc.code
+            fresh = capsys.readouterr()
+            assert (code, reused.out, reused.err) == (fresh_code, fresh.out, fresh.err)
+            assert code == (1 if argv == ["k", "--design"] else 0)
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_python_m_posikit():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-m", "posikit", "scheffe", "--d", "3"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["d"] == 3
+    assert payload["K"] == scheffe_constant(0.05, 3).k
+    usage = subprocess.run([sys.executable, "-m", "posikit", "scheffe", "--alpha"],
+                           capture_output=True, text=True, env=env, timeout=120)
+    assert usage.returncode == 1
+    assert usage.stdout == "" and "usage: posikit scheffe" in usage.stderr
+
+
 def test_exit_code_data_error(files, capsys):
     assert run(["k", "--design", files["ragged"]]) == 2
     assert run(["k", "--design", "does-not-exist.csv"]) == 2
@@ -209,6 +307,15 @@ def test_text_output(files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "K:" in out
+
+
+@pytest.mark.parametrize("command", ["orth", "scheffe"])
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_closed_forms_reject_d_below_one(capsys, command, d):
+    assert run([command, "--d", d]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize("sigma_hat", ["-1", "0", "nan"])

@@ -516,8 +516,8 @@ def test_orth_finite_df_matches_t_quantile_at_d1():
         assert k == pytest.approx(stats.t.ppf(0.975, r), abs=1e-8)
 
 
-@pytest.mark.parametrize("d", [1, 4, 11])
-@pytest.mark.parametrize("r", [1, 6, 20])
+@pytest.mark.parametrize("d", [1, 4, 11, 30])
+@pytest.mark.parametrize("r", [1, 6, 20, 200])
 def test_orth_finite_df_matches_frozen_distribution_integrand(d, r):
     # The integrand as first written, with frozen scipy.stats distributions,
     # under the same quadrature, bracket and root-finding tolerances.

@@ -7,6 +7,7 @@ import pytest
 from posikit import (
     CanonicalDesign,
     InfeasibleError,
+    ModelUniverse,
     PolytopeSpec,
     direction_stream,
     directions_match_up_to_sign,
@@ -152,6 +153,30 @@ def test_census_generic_p3_counts_by_model_size():
         expected = (s * 2 ** (s - 1) if s else 0) + (k * 2 ** (k - 1) if k else 0)
         assert count == expected
     assert report.histogram == {2: 6, 4: 6}
+
+
+@pytest.mark.parametrize("seed", [5, 31, 77])
+def test_census_generic_p8_spans_blocks(seed):
+    # 8 * 2^7 = 1 024 directions: eight 128-row blocks of the census.
+    rng = np.random.default_rng(seed)
+    cd = CanonicalDesign.from_canonical(rng.standard_normal((8, 8)))
+    batch = direction_stream(cd).whole()
+    report = orthogonality_census(direction_stream(cd))
+    assert report.partner_counts.size == 1024
+    inner = np.abs(batch.vectors @ batch.vectors.T)
+    assert report.partner_counts.tolist() == np.count_nonzero(
+        inner < report.tolerance, axis=1).tolist()
+    sizes = np.array([bin(mask).count("1") for mask in batch.masks.tolist()])
+    s, k = sizes - 1, 8 - sizes
+    expected = np.where(s > 0, s * 2.0 ** (s - 1), 0) + np.where(k > 0, k * 2.0 ** (k - 1), 0)
+    assert report.partner_counts.tolist() == expected.astype(int).tolist()
+    assert orthogonality_census(batch.vectors).partner_counts.tolist() == \
+        report.partner_counts.tolist()
+    # 8 + 2 * 28 + 3 * 56 = 232 directions: a full block and a partial one.
+    vectors = direction_stream(cd, ModelUniverse.of_max_size(3)).matrix()
+    inner = np.abs(vectors @ vectors.T)
+    assert orthogonality_census(vectors).partner_counts.tolist() == np.count_nonzero(
+        inner < report.tolerance, axis=1).tolist()
 
 
 def test_census_orthogonal_design_all_pairs():
