@@ -77,6 +77,15 @@ _STREAM_WARN_P = 16
 _WALK_S_PER_DIRECTION = 1.0 / 1_224_484
 _WALK_S_PER_PREDICTOR_PAIR = 1.0 / 219_536
 _FOLD_S_PER_DIR_DRAW = 0.73e-9
+# analyze's orthogonality census forms every inner product of the streamed
+# directions, count^2 of them. On the same machine, on the directions of a
+# (p+4) x p Gaussian design, three runs each: 1.82-1.93 ns per product at
+# p = 12 (24 576 directions, 1.1 s) and 2.01-2.11 ns at p = 13 (53 248
+# directions, 5.7-6.0 s); the rate is the larger median. analyze warns when
+# the census alone is projected to take longer than _CENSUS_WARN_S, which a
+# full lattice reaches at p = 13.
+_CENSUS_S_PER_PAIR = 2.03e-9
+_CENSUS_WARN_S = 5.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,17 +164,24 @@ def _load_canonical(args) -> tuple[CanonicalDesign, ModelUniverse]:
 
 
 def _warn_large_stream(design: CanonicalDesign, universe: ModelUniverse,
-                       n_samples: int, predictor: int | None = None):
+                       n_samples: int, predictor: int | None = None,
+                       census: bool = False):
+    """Warn on stderr when the walk, or with census=True analyze's quadratic
+    orthogonality census, is projected to be large."""
     hint = _candidate_pair_count(design, universe, predictor)
-    if design.p > _STREAM_WARN_P and hint > (1 << 20):
+    census_s = hint * hint * _CENSUS_S_PER_PAIR if census else 0.0
+    if (design.p > _STREAM_WARN_P and hint > (1 << 20)) or census_s > _CENSUS_WARN_S:
         per_pair = (_WALK_S_PER_DIRECTION if predictor is None
                     else _WALK_S_PER_PREDICTOR_PAIR)
         gen_s = hint * per_pair
         mc_s = hint * n_samples * _FOLD_S_PER_DIR_DRAW
+        parts = f"~{gen_s:.0f}s enumeration + ~{mc_s:.0f}s Monte Carlo"
+        if census:
+            parts += f" + ~{census_s:.0f}s orthogonality census"
         print(
             f"warning: p={design.p} with this universe streams about {hint} "
-            f"directions; projected time ~{gen_s + mc_s:.0f}s "
-            f"(~{gen_s:.0f}s enumeration + ~{mc_s:.0f}s Monte Carlo)",
+            f"directions; projected time ~{gen_s + mc_s + census_s:.0f}s "
+            f"({parts})",
             file=sys.stderr,
         )
 
@@ -428,7 +444,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_analyze(args) -> int:
     design, universe = _load_canonical(args)
-    _warn_large_stream(design, universe, 0)
+    _warn_large_stream(design, universe, 0, census=True)
     # One walk gives the count, the skips, the distinct directions and the census.
     streamed = direction_stream(design, universe)
     whole = streamed.whole()

@@ -168,6 +168,26 @@ def test_family_worst_posi1_command(capsys):
     assert payload["sup_ratio"] > 0.3
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["family", "worst-posi1", "--p", "10", "--c-grid", "0.5"],
+     "error: need c^2 < 1/(p-1) = 0.111111 for full rank"),
+    (["family", "worst-posi1", "--p", "10", "--c-grid", "0.1,-0.34"],
+     "error: need c^2 < 1/(p-1) = 0.111111 for full rank"),
+    (["family", "worst-posi1", "--p", "1"], "error: p must be >= 2"),
+    (["family", "exchangeable", "--p-list", "1"], "error: p must be >= 2"),
+    (["family", "exchangeable", "--p-list", "0"], "error: p must be >= 2"),
+    (["family", "exchangeable", "--p-list", "5,1", "--a-grid", "0"],
+     "error: p must be >= 2"),
+])
+def test_family_rejects_bad_p_or_c(argv, message, capsys):
+    # Checked before any draw: one error line on stderr, exit 1, no
+    # RuntimeWarning from a negative square root and no traceback.
+    assert run(argv + ["--mc-samples", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_universe_spec_round_trip_through_cli(files, capsys):
     payload = run_json(capsys, [
         "k", "--design", files["identity4"], "--universe", "size<=2&forced=1",
@@ -380,6 +400,44 @@ def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch)
     assert f"p=22 with this universe streams about {pairs} directions" in err
     total = walk_s + fold_s
     assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err
+
+
+def test_large_stream_warning_counts_the_census(capsys, tmp_path, monkeypatch):
+    # analyze's census forms count^2 inner products. A full lattice at
+    # p = 13 (53 248 directions) is projected past _CENSUS_WARN_S, p = 12
+    # (24 576) is not; the walk-only warning stays silent at both. Only
+    # the nominal count is computed; no walk or census runs.
+    for p, warns in ((12, False), (13, True)):
+        _warn_large_stream(CanonicalDesign.from_canonical(np.eye(p)),
+                           ModelUniverse.all(), 0, census=True)
+        err = capsys.readouterr().err
+        pairs = p * 2 ** (p - 1)
+        census_s = pairs * pairs * cli._CENSUS_S_PER_PAIR
+        walk_s = pairs * cli._WALK_S_PER_DIRECTION
+        assert (census_s > cli._CENSUS_WARN_S) == warns
+        if not warns:
+            assert err == ""
+            continue
+        assert f"p={p} with this universe streams about {pairs} directions" in err
+        assert (f"projected time ~{walk_s + census_s:.0f}s (~{walk_s:.0f}s "
+                f"enumeration + ~0s Monte Carlo + ~{census_s:.0f}s "
+                f"orthogonality census)") in err
+        _warn_large_stream(CanonicalDesign.from_canonical(np.eye(p)),
+                           ModelUniverse.all(), 0)
+        assert capsys.readouterr().err == ""
+
+    # The analyze command asks for the census term; its walk is stubbed out.
+    def no_walk(*args, **kwargs):
+        raise InfeasibleError("stub")
+
+    monkeypatch.setattr(cli, "direction_stream", no_walk)
+    design = tmp_path / "I13.csv"
+    np.savetxt(design, np.eye(13), delimiter=",")
+    assert run(["analyze", "--design", str(design)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "orthogonality census" in captured.err
+    assert captured.err.count("warning") == 1
 
 
 def test_large_stream_warning_counts_models_of_at_most_d_columns(tmp_path, capsys,

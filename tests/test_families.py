@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from posikit import (
@@ -24,13 +26,19 @@ from posikit import (
     worst_posi1_design,
     worst_posi1_table,
 )
-from posikit import _rng
+from posikit import _rng, families
 from posikit.constants import _mc_standard_error, conservative_quantile_index
 from posikit.families import (
     _fast_worst_posi1_batch,
+    _pruned_envelope,
+    _size_tables,
     _worst_coefficients,
     default_c_grid,
     exchangeable_adjustment_coefficient,
+)
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
@@ -310,6 +318,234 @@ def test_worst_posi1_two_reductions_match_four(p, n):
                                 -math.sqrt(0.99 / (p - 1)))
     for c, got in zip(grid, _fast_worst_posi1_batch(p, grid, z), strict=True):
         assert np.array_equal(got, four_reduction_worst_posi1_batch(p, c, z)), c
+
+
+def full_scan_worst_posi1_batch(p: int, cs, z_block: np.ndarray) -> np.ndarray:
+    """The kernel before size pruning, kept verbatim as the oracle: every
+    model size of both tails, in sub-blocks of 512 draws."""
+    b = z_block.shape[0]
+    zp = z_block[:, p - 1]
+    # Column i holds the sum of the i smallest of z_1..z_{p-1}.
+    prefix = np.zeros((b, p))
+    prefix[:, 1:] = np.sort(z_block[:, : p - 1], axis=1)
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    # Column m - 1: the sums of the p - m smallest and of the p - m largest.
+    bottom, top = prefix[:, ::-1], prefix[:, -1:] - prefix
+    best = np.zeros((len(cs), b))
+    for out_c, c in zip(best, cs):
+        on_zp, on_rest = _worst_coefficients(p, c)
+        upper, lower = (top, bottom) if c >= 0 else (bottom, top)
+        for lo in range(0, b, 512):
+            rows = slice(lo, lo + 512)
+            base = on_zp * zp[rows, None]
+            out = out_c[rows]
+            value = on_rest * upper[rows]
+            value += base
+            np.maximum(out, value.max(axis=1), out=out)
+            value = on_rest * lower[rows]
+            value += base
+            np.maximum(out, -value.min(axis=1), out=out)
+    return best
+
+
+def grid_values(p: int):
+    """c values inside the full-rank range: 0 and -0, both extremes of the
+    default grid and their negatives, and arbitrary values between."""
+    edge = math.sqrt(1.0 / (p - 1))
+    grid = default_c_grid(p)
+    special = [0.0, -0.0, grid[0], grid[-1], -grid[0], -grid[-1]]
+    return st.one_of(st.sampled_from(special),
+                     st.floats(-0.999 * edge, 0.999 * edge))
+
+
+# Values that make ties, exact zeros, and running sums that rounding leaves
+# unchanged or cancels.
+SPECIAL_ENTRIES = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-20, -1e-20, 3.0,
+                   -5e4, 1e20, -1e20)
+
+
+@st.composite
+def worst_rows(draw, p: int) -> np.ndarray:
+    """A (rows, p) block mixing Gaussian rows with adversarial ones: all
+    positive, all negative, with exact zeros, with ties, with z_p = 0."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((n, p))
+    for row in z:
+        kind = draw(st.sampled_from(
+            ["gaussian", "positive", "negative", "zeros", "ties", "zp0", "mixed"]))
+        if kind == "positive":
+            row[:] = np.abs(row)
+        elif kind == "negative":
+            row[:] = -np.abs(row)
+        elif kind == "zeros":
+            row[rng.random(p) < 0.5] = 0.0
+        elif kind == "ties":
+            row[:] = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], p)
+        elif kind == "mixed":
+            row[:] = rng.choice(SPECIAL_ENTRIES, p)
+        if draw(st.booleans()):
+            row[p - 1] = draw(st.sampled_from([0.0, -0.0]))
+    return z
+
+
+@st.composite
+def kernel_cases(draw):
+    p = draw(st.integers(2, 40))
+    cs = draw(st.lists(grid_values(p), min_size=1, max_size=4))
+    return p, cs, draw(worst_rows(p))
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases(), st.sampled_from([1, 3, 8, 512]),
+       st.sampled_from([1, 5, 64, 1 << 16]))
+def test_pruned_kernel_is_bitwise_the_full_scan(case, sub_block, tile):
+    # Small sub-blocks and tiles exercise many sub-blocks, ragged last
+    # ones and sizes split over several tiles; the bits are compared, so a
+    # zero must carry the full scan's sign too.
+    p, cs, z = case
+    saved = families._WORST_SUB_BLOCK, families._WORST_TILE
+    families._WORST_SUB_BLOCK, families._WORST_TILE = sub_block, tile
+    try:
+        got = _fast_worst_posi1_batch(p, cs, z)
+    finally:
+        families._WORST_SUB_BLOCK, families._WORST_TILE = saved
+    assert got.tobytes() == full_scan_worst_posi1_batch(p, cs, z).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pruned_kernel_is_bitwise_the_full_scan_at_p100(seed):
+    # Whole Gaussian blocks, with an adversarial tail of rows appended, on
+    # the default grid plus c = 0 and negative c.
+    p = 100
+    z = _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, 0, 3_000, p)[0]
+    rng = np.random.default_rng(seed)
+    odd = rng.standard_normal((64, p))
+    odd[:16] = np.abs(odd[:16])
+    odd[16:32] = -np.abs(odd[16:32])
+    odd[32:48, ::3] = 0.0
+    odd[48:] = rng.choice(SPECIAL_ENTRIES, (16, p))
+    odd[::5, p - 1] = 0.0
+    z = np.concatenate([z, odd])
+    grid = default_c_grid(p) + (0.0, -0.0, -default_c_grid(p)[0],
+                                -default_c_grid(p)[-1])
+    got = _fast_worst_posi1_batch(p, grid, z)
+    assert got.tobytes() == full_scan_worst_posi1_batch(p, grid, z).tobytes()
+
+
+def tail_scores(p, cs, z):
+    """Per c, row and complement size k: fl(fl(rho_k S_k) + fl(alpha_k z_p))
+    for the top sums S = T and for the bottom sums S = B, formed as the
+    kernel forms them, with T_k = fl(S - C_{p-1-k}) and B_k = C_k."""
+    low = np.zeros((z.shape[0], p))
+    low[:, 1:] = np.cumsum(np.sort(z[:, : p - 1], axis=1), axis=1)
+    high = low[:, -1:] - low[:, ::-1]
+    rho, alpha = _size_tables(p, cs)
+    shift = alpha[:, None, :] * z[None, :, p - 1, None]
+    return (rho[:, None, :] * high + shift, rho[:, None, :] * low + shift,
+            high, low, rho, alpha)
+
+
+def assert_envelopes_bound(p, cs, z):
+    """Check every boundary at or past P (the count of positive
+    z_1..z_{p-1}) for the top sums, and at or past p - 1 - P for the bottom
+    sums: the envelope must bound the score of every size beyond it."""
+    top, bottom, high, low, rho, alpha = tail_scores(p, cs, z)
+    zp = z[:, p - 1]
+    positive = np.count_nonzero(z[:, : p - 1] > 0, axis=1)
+    for i, p_i in enumerate(positive):
+        for k in range(p_i, p - 1):
+            bound = _pruned_envelope(np.maximum, rho, alpha, k, high[i, k], zp[i])
+            assert np.all(bound[:, 0] >= top[:, i, k + 1:].max(axis=1)), (i, k)
+        for k in range(p - 1 - p_i, p - 1):
+            bound = _pruned_envelope(np.minimum, rho, alpha, k, low[i, k], zp[i])
+            assert np.all(bound[:, 0] <= bottom[:, i, k + 1:].min(axis=1)), (i, k)
+
+
+@PROPERTY_SETTINGS
+@given(kernel_cases())
+def test_pruned_envelope_bounds_every_pruned_score(case):
+    assert_envelopes_bound(*case)
+
+
+@st.composite
+def monotone_tails(draw):
+    """A grid, a boundary k, a boundary sum S of either sign, z_p, and
+    non-negative steps for the sizes past k, often zero so that the sums
+    stay at S."""
+    p = draw(st.integers(2, 40))
+    cs = draw(st.lists(grid_values(p), min_size=1, max_size=4))
+    k = draw(st.integers(0, p - 2))
+    s = draw(st.sampled_from([-3.5, -1.0, 0.0, 2.0]) | st.floats(-1e3, 1e3))
+    zp = draw(st.sampled_from([0.0, -1.25, 2.0]) | st.floats(-5.0, 5.0))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.5]) | st.floats(0.0, 10.0),
+                          min_size=p - 1 - k, max_size=p - 1 - k))
+    return p, cs, k, s, zp, steps
+
+
+@PROPERTY_SETTINGS
+@given(monotone_tails())
+@example((8, [0.3], 2, -1.0, 0.0, [0.0] * 5))
+@example((40, [default_c_grid(40)[-1], -0.01], 0, -2.0, 1.0, [0.0] * 39))
+def test_pruned_envelope_bounds_any_monotone_tail(case):
+    # The kernel relies only on the sums past a boundary being no larger
+    # (top tail) or no smaller (bottom tail) than the boundary sum S, so the
+    # envelope must bound every such tail. When S < 0 and the sums stay at
+    # S while rho falls, rho_hi S lies below the scores; the envelope takes
+    # the larger of rho_lo S and rho_hi S.
+    p, cs, k, s, zp, steps = case
+    rho, alpha = _size_tables(p, cs)
+    shift = alpha[:, k + 1:] * zp
+    drop = np.cumsum(steps)
+    top = rho[:, k + 1:] * (s - drop) + shift
+    bound = _pruned_envelope(np.maximum, rho, alpha, k, s, zp)
+    assert np.all(bound[:, 0] >= top.max(axis=1))
+    bottom = rho[:, k + 1:] * (s + drop) + shift
+    bound = _pruned_envelope(np.minimum, rho, alpha, k, s, zp)
+    assert np.all(bound[:, 0] <= bottom.min(axis=1))
+
+
+def test_fallback_rescores_draws_at_the_smallest_c(monkeypatch):
+    # At p = 100 the envelope exceeds about 1.5% of results at the smallest
+    # default c, whose sizes are the least separated, and those draws are
+    # scored again in full.
+    p = 100
+    grid = default_c_grid(p)
+    z = _rng.gaussian_block(3, _rng.PURPOSE_MAX_T, 0, 8_192, p)[0]
+    calls = []
+    score_every_size = families._score_every_size
+
+    def counted(p_, c, rows):
+        calls.append((c, rows.shape[0]))
+        return score_every_size(p_, c, rows)
+
+    monkeypatch.setattr(families, "_score_every_size", counted)
+    got = _fast_worst_posi1_batch(p, grid, z)
+    rescored = {c: n for c, n in calls}
+    assert rescored.get(grid[0], 0) > 0
+    assert sum(rescored.values()) < 0.05 * z.shape[0] * len(grid)
+    assert got.tobytes() == full_scan_worst_posi1_batch(p, grid, z).tobytes()
+
+
+def test_worst_posi1_table_checks_its_grid_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the grid")
+
+    monkeypatch.setattr(_rng, "gaussian_block", no_draws)
+    with pytest.raises(ValueError, match=r"need c\^2 < 1/\(p-1\)"):
+        worst_posi1_table(10, n_samples=100, c_grid=[0.1, 0.5])
+    with pytest.raises(ValueError, match=r"need c\^2"):
+        worst_posi1_table(10, n_samples=100, c_grid=[-1.0 / 3.0])
+    with pytest.raises(ValueError, match=r"need c\^2"):
+        worst_posi1_table(10, n_samples=100, c_grid=[float("nan")])
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_family_tables_reject_p_below_two(p):
+    with pytest.raises(ValueError, match="p must be >= 2"):
+        worst_posi1_table(p, n_samples=100)
+    with pytest.raises(ValueError, match="p must be >= 2"):
+        exchangeable_ratio_table([4, p], n_samples=100)
 
 
 def test_posi1_dominance_on_worst_design():
