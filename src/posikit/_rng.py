@@ -24,8 +24,10 @@ _SIGMA_STREAM = 1
 
 def block_generator(seed: int, purpose: int, block_index: int,
                     stream: int = _GAUSSIAN_STREAM) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(purpose)],
-                   dtype=np.uint64)
+    # Philox's key word holds 64 bits; a seed outside them would alias another.
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
+    key = np.array([np.uint64(seed), np.uint64(purpose)], dtype=np.uint64)
     counter = np.array([0, block_index, stream, 0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 

@@ -13,6 +13,10 @@ subcommands. Parsing leaves no state in it: each call gets a fresh
 namespace, and handlers look up what they call at call time.
 ``build_parser`` returns a new parser on every call. ``python -m posikit``
 runs ``main``.
+
+Each handler imports the modules it runs when it runs: ``inference`` in
+intervals, spar and coverage, ``geometry`` in analyze and ``families`` in
+family. So k, k1, scheffe, orth and bound load none of the three.
 """
 
 from __future__ import annotations
@@ -46,15 +50,6 @@ from .design import (
     load_design,
 )
 from .errors import DataError, InfeasibleError
-from .families import exchangeable_ratio_table, worst_posi1_table
-from .geometry import orthogonality_census, verify_duality
-from .inference import (
-    TargetSpec,
-    coverage_experiment,
-    posi_intervals,
-    spar1_select,
-    spar_select,
-)
 
 _STREAM_WARN_P = 16
 # Measured rates for the cost warning on a 2-core Intel Xeon KVM guest with
@@ -344,6 +339,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_intervals(args) -> int:
+    from .inference import TargetSpec, posi_intervals
+
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
     y = _load_vector(args.response, design, "response")
@@ -378,6 +375,8 @@ def _cmd_intervals(args) -> int:
 
 
 def _cmd_spar(args) -> int:
+    from .inference import spar1_select, spar_select
+
     design, universe = _load_canonical(args)
     y = _load_vector(args.response, design, "response")
     if args.predictor is not None:
@@ -397,8 +396,18 @@ def _cmd_spar(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    from .inference import TargetSpec, coverage_experiment
+
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
+    selector: str | tuple = "spar"
+    if args.selector.startswith("spar1:"):
+        try:
+            selector = ("spar1", int(args.selector.split(":", 1)[1]))
+        except ValueError:
+            raise _usage_error(f"unknown --selector {args.selector!r}") from None
+    elif args.selector != "spar":
+        raise _usage_error(f"unknown --selector {args.selector!r}")
     if args.k_source == "scheffe":
         est: ConstantEstimate | float = scheffe_constant(args.alpha, design.d, em)
     elif args.k_source == "naive":
@@ -414,11 +423,6 @@ def _cmd_coverage(args) -> int:
             design, universe, alpha=args.alpha, error_model=em,
             n_samples=args.mc_samples, seed=args.seed,
         )
-    selector: str | tuple = "spar"
-    if args.selector.startswith("spar1:"):
-        selector = ("spar1", int(args.selector.split(":", 1)[1]))
-    elif args.selector != "spar":
-        raise _usage_error(f"unknown --selector {args.selector!r}")
     target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     result = coverage_experiment(
         design, universe, selector, args.alpha, em, est,
@@ -443,6 +447,8 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .geometry import orthogonality_census, verify_duality
+
     design, universe = _load_canonical(args)
     _warn_large_stream(design, universe, 0, census=True)
     # One walk gives the count, the skips, the distinct directions and the census.
@@ -472,6 +478,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .families import exchangeable_ratio_table, worst_posi1_table
+
     em = ErrorModel.known_sigma()
     if args.family == "exchangeable":
         p_list = [int(t) for t in args.p_list.split(",")]

@@ -108,6 +108,8 @@ def _validate_alpha(alpha: float):
 
 def conservative_quantile_index(alpha: float, n: int) -> int:
     """1-based order-statistic index ceil((1-alpha)(n+1))."""
+    if n < 1:
+        raise ValueError("n_samples must be >= 1")
     idx = math.ceil((1.0 - alpha) * (n + 1))
     if idx > n:
         raise ValueError(

@@ -225,6 +225,8 @@ def _argmax_over_directions(
 def _spar1_directions(
     design: CanonicalDesign, universe: ModelUniverse | None, predictor: int
 ) -> DirectionSet:
+    if not 1 <= predictor <= design.p:
+        raise ValueError(f"predictor {predictor} out of range 1..{design.p}")
     if universe is None:
         universe = ModelUniverse.all()
     restricted = universe & ModelUniverse.forcing(predictor)

@@ -188,6 +188,61 @@ def test_family_rejects_bad_p_or_c(argv, message, capsys):
     assert captured.err == message + "\n"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+def test_seeds_outside_64_bits_exit_1(files, seed, capsys):
+    # Under a 64-bit mask, -1 printed the K of 2**64 - 1 and 2**64 that of 0.
+    for argv in (["k", "--design", files["generic3"]],
+                 ["k1", "--design", files["generic3"], "--predictor", "2"],
+                 ["coverage", "--design", files["generic3"], "--k-source", "naive",
+                  "--replications", "20"],
+                 ["family", "worst-posi1", "--p", "10"]):
+        assert run(argv + ["--mc-samples", "100", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be in 0..2**64-1, got {seed}\n"
+
+
+def test_seeds_at_both_ends_of_64_bits(files, capsys):
+    argv = ["k", "--design", files["generic3"], "--mc-samples", "100", "--seed"]
+    low = run_json(capsys, argv + ["0"])
+    high = run_json(capsys, argv + [str(2**64 - 1)])
+    assert (low["seed"], high["seed"]) == (0, 2**64 - 1)
+    assert low["K"] != high["K"]
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_k_rejects_draw_counts_below_one(files, n, capsys):
+    assert run(["k", "--design", files["generic3"], "--mc-samples", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_samples must be >= 1\n"
+
+
+SPAR = ["spar", "--response", "{response}", "--sigma-hat", "1", "--predictor"]
+COVERAGE = ["coverage", "--replications", "20", "--mc-samples", "100", "--selector"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SPAR + ["4"], "error: predictor 4 out of range 1..3"),
+    (SPAR + ["0"], "error: predictor 0 out of range 1..3"),
+    (COVERAGE + ["spar1:4", "--k-source", "naive"], "error: predictor 4 out of range 1..3"),
+    (COVERAGE + ["spar1:x", "--k-source", "naive"], "error: unknown --selector 'spar1:x'"),
+    (COVERAGE + ["spar1:"], "error: unknown --selector 'spar1:'"),
+    (COVERAGE + ["spar2"], "error: unknown --selector 'spar2'"),
+])
+def test_spar1_rejects_a_bad_predictor_or_selector(files, argv, message, capsys):
+    # A usage error (exit 1), not an infeasible request over no directions.
+    argv = [a.format(response=files["response"]) for a in argv]
+    try:
+        code = run(argv + ["--design", files["generic3"]])
+    except SystemExit as exc:  # handlers raise usage errors as SystemExit(1)
+        code = exc.code
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_universe_spec_round_trip_through_cli(files, capsys):
     payload = run_json(capsys, [
         "k", "--design", files["identity4"], "--universe", "size<=2&forced=1",

@@ -15,12 +15,15 @@ from posikit import (
     asymptotic_cap_constant,
     cap_bonferroni_bound,
     canonicalize,
+    coverage_experiment,
     direction_stream,
+    exchangeable_ratio_table,
     max_abs_t_draws,
     orth_constant,
     posi1_constant,
     posi_constant,
     scheffe_constant,
+    worst_posi1_table,
 )
 from posikit import _rng, constants
 from posikit.design import DesignMatrix
@@ -611,3 +614,50 @@ def test_posi1_near_boundary_exceeds_orthogonal_reference():
     cd = worst_posi1_design(p, c)
     k1 = posi1_constant(cd, predictor=p, n_samples=40_000, seed=0)
     assert k1.k > orth_constant(0.05, p).k + 3 * k1.mc_standard_error
+
+
+# Philox's key word holds 64 bits. Under a mask, -1 would alias 2**64 - 1 and
+# 2**64 would alias 0, so every entry point that draws must reject both.
+def _drawing_calls(seed):
+    cd = random_canonical(4, seed=3)
+    return {
+        "posi_constant": lambda: posi_constant(cd, n_samples=100, seed=seed).k,
+        "posi1_constant": lambda: posi1_constant(cd, predictor=2, n_samples=100,
+                                                 seed=seed).k,
+        "max_abs_t_draws": lambda: max_abs_t_draws(
+            direction_stream(cd), ErrorModel.known_sigma(), 100, seed)[0],
+        "coverage_experiment": lambda: tuple(coverage_experiment(
+            cd, None, "spar", 0.05, ErrorModel.with_df(5), 2.5, 50, seed=seed
+        ).covered),
+        "exchangeable_ratio_table": lambda: exchangeable_ratio_table(
+            [3], n_samples=100, seed=seed, a_grid=[0.0, 0.5])[0].k,
+        "worst_posi1_table": lambda: worst_posi1_table(
+            10, n_samples=100, seed=seed, c_grid=[0.1])[0].k1,
+    }
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 3])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be in 0..2\\*\\*64-1"):
+        _rng.block_generator(seed, _rng.PURPOSE_MAX_T, 0)
+    for name, call in _drawing_calls(seed).items():
+        with pytest.raises(ValueError, match="seed must be in 0..2\\*\\*64-1"):
+            call()
+
+
+def test_seeds_at_both_ends_of_64_bits_draw_apart():
+    low = {name: call() for name, call in _drawing_calls(0).items()}
+    high = {name: call() for name, call in _drawing_calls(2**64 - 1).items()}
+    assert low.keys() == high.keys()
+    assert all(low[name] != high[name] for name in low)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_draw_counts_below_one_are_rejected(n):
+    cd = random_canonical(4, seed=3)
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        posi_constant(cd, n_samples=n)
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        posi1_constant(cd, predictor=1, n_samples=n)
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        constants.conservative_quantile_index(0.05, n)

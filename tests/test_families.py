@@ -548,6 +548,14 @@ def test_family_tables_reject_p_below_two(p):
         exchangeable_ratio_table([4, p], n_samples=100)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_family_tables_reject_draw_counts_below_one(n):
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        worst_posi1_table(10, n_samples=n)
+    with pytest.raises(ValueError, match="^n_samples must be >= 1$"):
+        exchangeable_ratio_table([4], n_samples=n)
+
+
 def test_posi1_dominance_on_worst_design():
     p, c = 5, 0.45
     cd = worst_posi1_design(p, c)

@@ -421,6 +421,20 @@ def test_spar1_orthogonal_value_model_free():
     assert stat == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("predictor", [0, 5, 11])
+def test_spar1_rejects_a_predictor_out_of_range(predictor):
+    # A usage error, as posi1_constant reports it, not an empty direction set.
+    cd = random_canonical(4, seed=2)
+    y = np.ones(cd.d)
+    message = f"^predictor {predictor} out of range 1..4$"
+    with pytest.raises(ValueError, match=message):
+        spar1_select(cd, y, 1.0, predictor=predictor)
+    with pytest.raises(ValueError, match=message):
+        make_spar1_selector(predictor)(cd, y, 1.0)
+    with pytest.raises(ValueError, match=message):
+        coverage_experiment(cd, None, ("spar1", predictor), 0.05, KNOWN, 2.5, 10)
+
+
 def test_spar1_below_spar():
     rng = np.random.default_rng(11)
     cd = random_canonical(4, seed=11)
