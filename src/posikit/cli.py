@@ -7,10 +7,12 @@ configurations including the seed. --threads is accepted and validated but
 does not change work or output: the Monte Carlo fold runs in the calling
 thread.
 
-``run`` parses with one parser, built on its first call and kept for the
-life of the process, so repeated in-process calls do not rebuild the
-subcommands. Parsing leaves no state in it: each call gets a fresh
-namespace, and handlers look up what they call at call time.
+``run`` returns the exit code, 1 for a usage error too; ``--help`` and
+``--version`` exit 0 through ``SystemExit``. It parses with one parser,
+built on its first call and kept for the life of the process, so repeated
+in-process calls do not rebuild the subcommands. Parsing leaves no state
+in it: each call gets a fresh namespace, and handlers look up what they
+call at call time.
 ``build_parser`` returns a new parser on every call. ``python -m posikit``
 runs ``main``.
 
@@ -32,6 +34,7 @@ from . import __version__
 from .constants import (
     ConstantEstimate,
     ErrorModel,
+    _posi_from,
     asymptotic_cap_constant,
     cap_bonferroni_bound,
     orth_constant,
@@ -61,17 +64,18 @@ _STREAM_WARN_P = 16
 # its predictor). Both walks run at p = 10 and 11, where the per-block
 # numpy calls weigh most; the full lattice at p = 16 walks at about 2 M
 # directions per second. The fold rate is that of the screened folds that k
-# and k1 run (the float32 bound stage with its cones, the float64 refold
-# and the norm screen, see constants._fold), in the calling thread, less
-# the walk and the draw generation, per nominal pair (counted before the
-# rank rule) x draw. On a 21 x 17 Gaussian design, medians of 5 rounds in
-# one process, three sessions: posi_constant (10 000 draws) 0.39, 0.43 and
-# 0.34 ns, and posi1_constant (predictor 3, 40 000 draws, where the screen
-# drops few draws and one cone spans each chunk) 0.73, 0.76 and 0.63 ns.
-# The rate is the slower one, the median of its sessions.
+# and k1 run (the held windows' float32 bound stage with its cones, the
+# float64 refold and the norm screen, see constants._fold), in the calling
+# thread, less the walk and the draw generation, per nominal pair (counted
+# before the rank rule) x draw. Medians of 5 rounds in one process, in
+# three processes: posi_constant on an 18 x 14 Gaussian design (10 000
+# draws) 0.33, 0.31 and 0.31 ns, and posi1_constant on a 21 x 17 one
+# (predictor 3, 40 000 draws, where the screen drops few draws and one cone
+# spans each chunk) 0.49, 0.54 and 0.49 ns. The rate is the slower one, the
+# median of its three processes.
 _WALK_S_PER_DIRECTION = 1.0 / 1_224_484
 _WALK_S_PER_PREDICTOR_PAIR = 1.0 / 219_536
-_FOLD_S_PER_DIR_DRAW = 0.73e-9
+_FOLD_S_PER_DIR_DRAW = 0.49e-9
 # analyze's orthogonality census forms every inner product of the streamed
 # directions, count^2 of them. On the same machine, on the directions of a
 # (p+4) x p Gaussian design, three runs each: 1.82-1.93 ns per product at
@@ -83,11 +87,19 @@ _CENSUS_S_PER_PAIR = 2.03e-9
 _CENSUS_WARN_S = 5.0
 
 
+class _UsageError(SystemExit):
+    """A usage problem, already reported on stderr: exit code 1. ``run``
+    returns the code; a parser used on its own still exits with it."""
+
+    def __init__(self):
+        super().__init__(1)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        raise _UsageError()
 
 
 def _parse_df(text: str) -> ErrorModel:
@@ -102,9 +114,9 @@ def _parse_df(text: str) -> ErrorModel:
     return ErrorModel.with_df(r)
 
 
-def _usage_error(message: str) -> SystemExit:
+def _usage_error(message: str) -> _UsageError:
     print(f"error: {message}", file=sys.stderr)
-    return SystemExit(1)
+    return _UsageError()
 
 
 def _threads_arg(text: str) -> str:
@@ -396,16 +408,18 @@ def _cmd_spar(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    from .inference import TargetSpec, coverage_experiment
+    from .inference import (TargetSpec, _direction_selector, _spar1_directions,
+                            coverage_experiment)
 
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
-    selector: str | tuple = "spar"
+    selector = "spar"
     if args.selector.startswith("spar1:"):
         try:
             selector = ("spar1", int(args.selector.split(":", 1)[1]))
         except ValueError:
             raise _usage_error(f"unknown --selector {args.selector!r}") from None
+        _spar1_directions(design, universe, selector[1])  # checks j before K
     elif args.selector != "spar":
         raise _usage_error(f"unknown --selector {args.selector!r}")
     if args.k_source == "scheffe":
@@ -418,6 +432,12 @@ def _cmd_coverage(args) -> int:
             if em.sigma_known
             else special.stdtrit(em.df, 1 - args.alpha / 2)
         )
+    elif selector == "spar":
+        # The spar selector holds the whole set anyway: K is folded from the
+        # held set, so one walk of the universe serves both.
+        directions = direction_stream(design, universe)._hold()
+        est = _posi_from(directions, args.alpha, em, args.mc_samples, args.seed)
+        selector = _direction_selector(lambda _: directions)
     else:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
@@ -631,9 +651,11 @@ def _parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.handler(args)
+    except _UsageError:
+        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

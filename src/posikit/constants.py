@@ -48,6 +48,11 @@ _DRAW_GROUP = 16
 # 32.4 ms), -4% at 2 500 and -8% at p = 11 with 2 500 (df 10); floors of
 # 0.25 million (+17% there) and 1 to 3 million were no better.
 _CONE_FOLD_MIN = 500_000
+# Byte budget for the direction rows and keys that the screened fold holds
+# at once (see _fold), at (d + 2) 8 bytes a direction. A full lattice is one
+# window up to p = d = 14 (0.5 MB at p = 10, 14.7 MB at p = 14); at
+# p = d = 16 it takes 75 MB, in five windows.
+_WINDOW_BYTES = 16 << 20
 
 MONTE_CARLO = "monte_carlo"
 CLOSED_FORM = "closed_form"
@@ -272,6 +277,20 @@ def _fold_tiles(cols: int) -> list[tuple[int, int]]:
     return tiles
 
 
+def _windows(chunks):
+    """The (chunk, keys) pairs of ``chunks`` in lists, each closed by the
+    chunk that brings its rows and keys to _WINDOW_BYTES or more."""
+    window, held = [], 0
+    for chunk, keys in chunks:
+        window.append((chunk, keys))
+        held += chunk.nbytes + keys.nbytes
+        if held >= _WINDOW_BYTES:
+            yield window
+            window, held = [], 0
+    if window:
+        yield window
+
+
 def _fold(
     directions: DirectionSet,
     error_model: ErrorModel,
@@ -283,19 +302,27 @@ def _fold(
     """The max-|t| draws (see max_abs_t_draws), folded exactly at and above
     the order statistic of 1-based rank ``screen_rank``.
 
-    With ``screen_rank`` None every chunk is folded over every draw, in
-    float64, and every draw is exact. Otherwise each chunk is folded in two
-    stages, and the next chunk is enumerated once both are done.
+    With ``screen_rank`` None the chunks are streamed, and each is folded
+    over every draw, in float64; every draw is exact. Otherwise the chunks
+    are held in windows of up to _WINDOW_BYTES of rows and keys (plus the
+    chunk that closes the window); a set below the budget is one window.
+    Each window is folded in two stages, and the walk makes the next window
+    once both are done.
 
-    Bound stage. The chunk is folded over a float32 copy of the live draws.
-    Draw i's float32 chunk maximum m_i lies within c_d ||z_i|| of the
-    float64 one (see _float32_slack). With e_i = c_d ||z_i|| / sigma_hat_i,
-    draw i keeps the running lower bound max(m_i / sigma_hat_i - e_i) over
-    the chunks so far, and u_i = m_i / sigma_hat_i + e_i bounds what this
-    chunk can give it. The floor L is the order statistic of rank
-    ``screen_rank`` of the lower bounds (less the draws screened so far,
-    which all lie below it), so it never exceeds the exact order statistic
-    X_(screen_rank).
+    Bound stage. The window's chunks are folded largest models first (the
+    walk emits models by size, so the window's last chunk first), each over
+    a float32 copy of the live draws. Draw i's float32 chunk maximum m_i
+    lies within c_d ||z_i|| of the float64 one (see _float32_slack). With
+    e_i = c_d ||z_i|| / sigma_hat_i, draw i keeps the running lower bound
+    max(m_i / sigma_hat_i - e_i) over the chunks so far, and u_i =
+    m_i / sigma_hat_i + e_i bounds what the chunk can give it; u_i is
+    recorded for the draws where it reaches both that lower bound and the
+    floor. The floor L is the order statistic of rank ``screen_rank`` of
+    the lower bounds (less the draws screened so far, which all lie below
+    it), so it never exceeds the exact order statistic X_(screen_rank).
+    Both only rise, so a draw left unrecorded could not qualify later. The
+    large models come first because they hold most of the large draws, and
+    the floor rises soonest from them.
 
     Cones. A chunk of at least _CONE_FOLD_MIN rows x live draws is split
     into groups by predictor, and each group is folded only over the draws
@@ -310,23 +337,29 @@ def _fold(
     direction of each group is folded over every live draw and sets the
     first floor. Smaller chunks are folded whole.
 
-    Exact stage. The draws with u_i >= L and u_i at or above their lower
-    bound are gathered, in float64, into whole 16-column groups, and the
-    chunk is folded over them; their exact chunk maximum over sigma_hat_i
-    raises their lower bound. A draw whose exact value reaches
-    X_(screen_rank) passes both tests at the chunk that gives its maximum,
-    so it ends exact: division by sigma_hat_i rounds monotonically, so the
-    largest quotient is the quotient of the largest maximum. Every other
-    draw keeps a value at most its exact one, below X_(screen_rank).
+    Exact stage. Once the window's bound stage is done, its chunks are
+    refolded in float64 in the same order, each over the live draws whose
+    recorded u_i reaches max(L, the draw's lower bound), gathered into
+    whole 16-column groups; a draw's exact chunk maximum over sigma_hat_i
+    raises its lower bound, and so prunes its later chunks. Each draw is
+    refolded once per chunk at most, and mostly once per window. The chunk
+    that holds the maximum of a draw always qualifies: its u_i is at least
+    the exact maximum, which is at least the draw's lower bound (division
+    by sigma_hat_i rounds monotonically, so the largest quotient is the
+    quotient of the largest maximum). Whenever that maximum is at or above
+    L, the chunk also clears L. So every draw at or above X_(screen_rank)
+    ends exact, and every other draw keeps a value at most its exact one,
+    below X_(screen_rank). A maximum does not depend on the order of its
+    terms, so the top-down order changes no bit.
 
     Norm screen. Every direction has unit norm, so draw i never exceeds
     ||z_i|| / sigma_hat_i, and a draw with ||z_i|| / sigma_hat_i
     (1 + 1e-9) < L ends below X_(screen_rank) whatever the remaining
     directions give (the margin covers the rounding of unit directions and
-    of the products). Such draws keep their lower bound and leave the float32
-    copy once the live draws have fallen by 20% since the last rebuild: the
-    live columns then move, in place, to its front, padded to whole 16-column
-    groups.
+    of the products). Such draws keep their lower bound and, once the live
+    draws have fallen by 20% since the last rebuild after a chunk's bound
+    stage, leave the float32 copy and the exact stage: the live columns then
+    move, in place, to its front, padded to whole 16-column groups.
 
     A column's product does not depend on its position among the columns,
     so every exact draw, and with it every order statistic of rank
@@ -362,24 +395,6 @@ def _fold(
     # Every fold below covers at most cols columns, and _FOLD_DRAWS is a
     # multiple of _DRAW_GROUP, so no tile is wider than this buffer.
     buf = np.empty((_DIRECTION_CHUNK, width))
-    if screen_rank is None:
-        best = np.full(cols, -1.0)
-    else:
-        # The float32 stage reuses the tile buffer's memory.
-        buf32 = buf.view(np.float32)
-        # Column c of zt32 holds draw live[c] in float32 and, in its last
-        # three rows, its cone-test column tail (see _cone_reach); columns
-        # live.size and on are zero padding.
-        zt32 = np.zeros((d + 3, cols), dtype=np.float32)
-        zt32[:d] = zt
-        chunk_max = np.empty(cols, dtype=np.float32)
-        bound = norm / sigma
-        slack = _float32_slack(d) * bound
-        # live[c] is the draw held in column c of zt32, low[c] its lower bound.
-        live = np.arange(n_samples)
-        low = np.full(n_samples, -np.inf)
-        draws = np.empty(n_samples)
-        floor = None
 
     def fold(chunk, zt, best, buf):
         # Folds chunk over every column of zt, whole 16-column groups, one
@@ -387,6 +402,31 @@ def _fold(
         chunk = _padded(chunk)
         for lo, hi in _fold_tiles(zt.shape[1]):
             _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
+
+    if screen_rank is None:
+        best = np.full(cols, -1.0)
+        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
+            fold(chunk, zt, best, buf)
+        draws = best[:n_samples] / sigma
+        if draws.max() < 0:
+            raise InfeasibleError("direction set is empty")
+        return draws
+
+    # The float32 stage reuses the tile buffer's memory.
+    buf32 = buf.view(np.float32)
+    # Column c of zt32 holds draw live[c] in float32 and, in its last three
+    # rows, its cone-test column tail (see _cone_reach); columns live.size and
+    # on are zero padding.
+    zt32 = np.zeros((d + 3, cols), dtype=np.float32)
+    zt32[:d] = zt
+    chunk_max = np.empty(cols, dtype=np.float32)
+    bound = norm / sigma
+    slack = _float32_slack(d) * bound
+    # live[c] is the draw held in column c of zt32, low[c] its lower bound.
+    live = np.arange(n_samples)
+    low = np.full(n_samples, -np.inf)
+    draws = np.empty(n_samples)
+    floor = None
 
     def fold_cones(rows, rows32, starts, n_live):
         # Folds each group of rows over the live draws that its cone test
@@ -426,49 +466,58 @@ def _fold(
         rank = screen_rank - (n_samples - live.size)
         return m, np.partition(low, rank - 1)[rank - 1]
 
-    for chunk, keys in directions.chunks(_DIRECTION_CHUNK):
-        if screen_rank is None:
-            fold(chunk, zt, best, buf)
-            continue
-        n_live = live.size
-        used = -(-n_live // _DRAW_GROUP) * _DRAW_GROUP
-        chunk_max[:used] = 0.0
-        if chunk.shape[0] * used < _CONE_FOLD_MIN:
-            fold(chunk.astype(np.float32), zt32[:d, :used], chunk_max[:used], buf32)
-        else:
-            # The chunk's rows grouped by predictor, one cone per group.
-            order = np.argsort(keys[:, 1], kind="stable")
-            rows = chunk[order]
-            starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
-            rows32 = rows.astype(np.float32)
-            if floor is None:
-                # Pilot: the first direction of each group sets the first
-                # floor, so the first chunk is pruned too.
-                fold(rows32[starts], zt32[:d, :used], chunk_max[:used], buf32)
-                _, floor = raise_floor()
-            fold_cones(rows, rows32, starts, n_live)
-        m, floor = raise_floor()
-        upper = m + slack
-        exact = np.flatnonzero((upper >= floor) & (upper >= low))
-        if exact.size:
-            group = -(-exact.size // _DRAW_GROUP) * _DRAW_GROUP
-            zg = np.zeros((d, group))
-            zg[:, :exact.size] = zt[:, live[exact]]
-            bg = np.full(group, -1.0)
-            fold(chunk, zg, bg, buf)
-            low[exact] = np.maximum(low[exact], bg[:exact.size] / sigma[exact])
-        alive = bound * (1.0 + 1e-9) >= floor
-        keep = np.flatnonzero(alive)
-        if keep.size <= 0.8 * n_live:
-            draws[live[~alive]] = low[~alive]
-            live, sigma, norm, bound, slack, low = (
-                a[keep] for a in (live, sigma, norm, bound, slack, low))
-            zt32[:, :keep.size] = zt32[:, keep]
-            zt32[:, keep.size:used] = 0.0
-    if screen_rank is None:
-        draws = best[:n_samples] / sigma
-    else:
-        draws[live] = low
+    for window in _windows(directions.chunks(_DIRECTION_CHUNK)):
+        # Each chunk with the draws (by index) and the upper bounds recorded
+        # for its exact stage.
+        recorded = []
+        for chunk, keys in reversed(window):
+            n_live = live.size
+            used = -(-n_live // _DRAW_GROUP) * _DRAW_GROUP
+            chunk_max[:used] = 0.0
+            if chunk.shape[0] * used < _CONE_FOLD_MIN:
+                fold(chunk.astype(np.float32), zt32[:d, :used], chunk_max[:used], buf32)
+            else:
+                # The chunk's rows grouped by predictor, one cone per group.
+                order = np.argsort(keys[:, 1], kind="stable")
+                rows = chunk[order]
+                starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
+                rows32 = rows.astype(np.float32)
+                if floor is None:
+                    # Pilot: the first direction of each group sets the first
+                    # floor, so the first chunk is pruned too.
+                    fold(rows32[starts], zt32[:d, :used], chunk_max[:used], buf32)
+                    _, floor = raise_floor()
+                fold_cones(rows, rows32, starts, n_live)
+            m, floor = raise_floor()
+            upper = m + slack
+            kept = np.flatnonzero((upper >= floor) & (upper >= low))
+            recorded.append((chunk, live[kept], upper[kept]))
+            alive = bound * (1.0 + 1e-9) >= floor
+            keep = np.flatnonzero(alive)
+            if keep.size <= 0.8 * n_live:
+                draws[live[~alive]] = low[~alive]
+                live, sigma, norm, bound, slack, low = (
+                    a[keep] for a in (live, sigma, norm, bound, slack, low))
+                zt32[:, :keep.size] = zt32[:, keep]
+                zt32[:, keep.size:used] = 0.0
+        # column[i] is draw i's column in zt32, or -1 once it is screened.
+        column = np.full(n_samples, -1)
+        column[live] = np.arange(live.size)
+        for chunk, who, upper in recorded:
+            c = column[who]
+            exact = np.flatnonzero(c >= 0)
+            exact = exact[(upper[exact] >= floor) & (upper[exact] >= low[c[exact]])]
+            if exact.size:
+                c = c[exact]
+                group = -(-exact.size // _DRAW_GROUP) * _DRAW_GROUP
+                zg = np.zeros((d, group))
+                zg[:, :exact.size] = zt[:, who[exact]]
+                bg = np.full(group, -1.0)
+                fold(chunk, zg, bg, buf)
+                low[c] = np.maximum(low[c], bg[:exact.size] / sigma[c])
+        # Free the window's chunks before the walk makes the next window.
+        del window, recorded
+    draws[live] = low
     if draws.max() < 0:
         raise InfeasibleError("direction set is empty")
     return draws
@@ -485,9 +534,10 @@ def max_abs_t_draws(
 
     Every chunk is folded over every draw in float64, and every draw is
     returned exactly. posi_constant and posi1_constant run the same fold
-    with a float32 bound stage, pruned by per-predictor cones, and a norm
-    screen in front of it, and compute exactly only the draws that can reach
-    the order statistics they read (see _fold).
+    over windows of held chunks: a float32 bound stage, largest models
+    first, pruned by per-predictor cones and a norm screen, then a float64
+    stage that computes exactly, once per window, only the draws that can
+    reach the order statistics they read (see _fold).
 
     Draw i is a pure function of (seed, i): Gaussian vectors and sigma-hat
     variates come from a counter-based generator in fixed-size blocks, so a
@@ -543,28 +593,36 @@ def posi_constant(
 
     K is the conservative empirical (1 - alpha) quantile (order statistic
     ceil((1-alpha)(N+1))) of the max-|t| draws over every coefficient of
-    every full-rank model in the universe. The fold bounds every draw from
-    float32 products, screens out draws whose norm bound proves them below
-    the order statistics that K and its standard error read, folds each
-    predictor's directions in float32 only over the draws that their cone
-    can bring to those order statistics, and redoes in float64 only the
-    draws whose bound can reach them (see _fold); those order statistics,
-    and K with them, are bitwise those of the exact draws of
-    max_abs_t_draws.
+    every full-rank model in the universe. The fold holds the walked
+    directions in windows of up to _WINDOW_BYTES (a full lattice up to
+    p = d = 14 is one window). Over each window, largest models first, it
+    bounds every draw from float32 products, screens out draws whose norm
+    bound proves them below the order statistics that K and its standard
+    error read, and folds each predictor's directions in float32 only over
+    the draws that their cone can bring to those order statistics; then it
+    redoes in float64 only the draws whose bound over a chunk can reach
+    them (see _fold). Those order statistics, and K with them, are bitwise
+    those of the exact draws of max_abs_t_draws.
     ``mc_standard_error`` is the order-statistic spacing estimator (see
     _mc_standard_error). ``threads`` must be at least 1 and does not change
     work or output (see max_abs_t_draws).
     """
-    _validate_alpha(alpha)
     if universe is None:
         universe = ModelUniverse.all()
-    conservative_quantile_index(alpha, n_samples)
-    directions = direction_stream(design, universe, dedup=dedup)
-    draws = _fold(directions, error_model, n_samples, seed, threads,
-                  _spacing_ranks(alpha, n_samples)[0])
-    return _estimate_from_draws(
-        draws, alpha, error_model, seed, directions.count, "posi", universe
-    )
+    return _posi_from(direction_stream(design, universe, dedup=dedup), alpha,
+                      error_model, n_samples, seed, threads)
+
+
+def _posi_from(directions: DirectionSet, alpha: float, error_model: ErrorModel,
+               n_samples: int, seed: int, threads: int = 1) -> ConstantEstimate:
+    """posi_constant over the directions of a set the caller made, which it
+    may hold to read again (see DirectionSet._hold). alpha and n_samples are
+    checked before the set is read."""
+    _validate_alpha(alpha)
+    screen_rank = _spacing_ranks(alpha, n_samples)[0]
+    draws = _fold(directions, error_model, n_samples, seed, threads, screen_rank)
+    return _estimate_from_draws(draws, alpha, error_model, seed, directions.count,
+                                "posi", directions.universe)
 
 
 def posi1_constant(

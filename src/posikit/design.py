@@ -1130,10 +1130,12 @@ class DirectionSet:
 
     With ``dedup=None`` iteration streams directions straight out of the
     level-wise enumeration, each pair (j, M) exactly once, duplicates
-    included; the Monte Carlo fold consumes this stream in chunks and never
-    holds the whole set. With ``dedup="up_to_sign"`` the set is materialized
-    once and duplicate directions (equal up to sign on the 2^-20 hashing
-    grid) are collapsed to their first occurrence; retained vectors are
+    included; the Monte Carlo fold consumes this stream in chunks and holds
+    at most a window of them (see constants._fold). After ``_hold()`` the
+    set is walked once, when first read, and kept as one block that every
+    later read slices. With ``dedup="up_to_sign"`` the set is always held,
+    and duplicate directions (equal up to sign on the 2^-20 hashing grid)
+    are collapsed to their first occurrence; retained vectors are
     canonicalized representatives on that grid, so two numerically-equal sets
     built along different arithmetic paths dedup to bitwise-identical vectors.
     """
@@ -1155,6 +1157,7 @@ class DirectionSet:
         self.predictor = predictor
         self.degenerate_skips = 0
         self.emitted_count: int | None = None
+        self._held = dedup == "up_to_sign"
         self._materialized: LevelBatch | None = None
 
     def _walk(self) -> Iterator[LevelBatch]:
@@ -1169,16 +1172,22 @@ class DirectionSet:
         self.degenerate_skips = skips
         self.emitted_count = emitted
 
-    def _materialize_dedup(self) -> LevelBatch:
+    def _materialize(self) -> LevelBatch:
         if self._materialized is None:
-            self._materialized = _dedup_up_to_sign(_joined(list(self._walk()),
-                                                           self.design.d))
+            whole = _joined(list(self._walk()), self.design.d)
+            self._materialized = _dedup_up_to_sign(whole) if self.dedup else whole
         return self._materialized
 
+    def _hold(self) -> "DirectionSet":
+        """Keep the set as one block once it is first walked, so that later
+        reads (batches, chunks, count) slice it instead of walking again."""
+        self._held = True
+        return self
+
     def batches(self) -> Iterator[LevelBatch]:
-        """The set as level batches (one batch when deduplicated)."""
-        if self.dedup == "up_to_sign":
-            return iter([self._materialize_dedup()])
+        """The set as level batches (one batch when held)."""
+        if self._held:
+            return iter([self._materialize()])
         return self._walk()
 
     def __iter__(self) -> Iterator[Direction]:
@@ -1191,8 +1200,8 @@ class DirectionSet:
     @property
     def count(self) -> int:
         """Number of directions this set yields (after dedup, if enabled)."""
-        if self.dedup == "up_to_sign":
-            return int(self._materialize_dedup().predictors.size)
+        if self._held:
+            return int(self._materialize().predictors.size)
         if self.emitted_count is None:
             for _ in self._walk():
                 pass

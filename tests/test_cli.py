@@ -233,14 +233,56 @@ COVERAGE = ["coverage", "--replications", "20", "--mc-samples", "100", "--select
 def test_spar1_rejects_a_bad_predictor_or_selector(files, argv, message, capsys):
     # A usage error (exit 1), not an infeasible request over no directions.
     argv = [a.format(response=files["response"]) for a in argv]
-    try:
-        code = run(argv + ["--design", files["generic3"]])
-    except SystemExit as exc:  # handlers raise usage errors as SystemExit(1)
-        code = exc.code
-    assert code == 1
+    assert run(argv + ["--design", files["generic3"]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+def test_coverage_checks_the_spar1_predictor_before_k(files, capsys, monkeypatch):
+    # An out-of-range predictor is a usage error before any Monte Carlo K.
+    def no_constant(*args, **kwargs):
+        raise AssertionError("K computed before the selector was checked")
+
+    monkeypatch.setattr(cli, "posi_constant", no_constant)
+    argv = COVERAGE + ["spar1:4", "--design", files["generic3"]]
+    assert run(argv + ["--mc-samples", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: predictor 4 out of range 1..3\n"
+
+
+def test_coverage_spar_posi_walks_its_universe_once(files, capsys, monkeypatch):
+    # K and the spar selector read one held walk of the universe; the
+    # refits walk the selected models' explicit universe apart from it.
+    # Output is that of the constant and the experiment run apart.
+    import posikit.design
+    from posikit import ErrorModel, coverage_experiment, posi_constant
+
+    walks = []
+    walker = posikit.design._level_batches
+
+    def counting(*args, **kwargs):
+        walks.append(args[1])
+        yield from walker(*args, **kwargs)
+
+    monkeypatch.setattr(posikit.design, "_level_batches", counting)
+    design = canonicalize(load_design(files["generic3"]))
+    em = ErrorModel(9)
+    for universe in ("all", "size<=2"):
+        walks.clear()
+        payload = run_json(capsys, [
+            "coverage", "--design", files["generic3"], "--universe", universe,
+            "--mc-samples", "5000", "--replications", "300", "--seed", "4",
+            "--df", "9"])
+        u = ModelUniverse.from_spec(universe, p=design.p)
+        assert walks == [u]
+        est = posi_constant(design, u, error_model=em, n_samples=5000, seed=4)
+        result = coverage_experiment(design, u, "spar", 0.05, em, est, 300, seed=4)
+        assert (payload["K"], payload["mc_standard_error"]) == (
+            est.k, est.mc_standard_error)
+        assert payload["direction_count"] == est.direction_count
+        assert payload["coverage"] == result.coverage
 
 
 def test_universe_spec_round_trip_through_cli(files, capsys):
@@ -258,9 +300,15 @@ def test_universe_spec_round_trip_through_cli(files, capsys):
 
 
 def test_exit_code_usage(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["k", "--design"])
-    assert exc.value.code == 1
+    # run returns the code of a usage error, from the parser or a handler.
+    assert run(["k", "--design"]) == 1
+    assert run(["k"]) == 1
+    assert "error: this command requires --design" in capsys.readouterr().err
+    # Help and the version still exit 0.
+    for argv in (["--help"], ["--version"], ["k", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
 
 
 def test_analyze_walks_its_universe_once(files, tmp_path, capsys, monkeypatch):
@@ -321,12 +369,10 @@ def test_run_builds_its_parser_once(files, capsys, monkeypatch):
                  ["k", "--design"], k + ["--df", "20"], spar, ["scheffe", "--d", "3"],
                  spar + ["--predictor", "1"], k]
         for argv in calls:
-            try:
-                code = run(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = run(argv)
             reused = capsys.readouterr()
-            # The same call parsed by a parser of its own.
+            # The same call parsed by a parser of its own, which exits 1 on a
+            # usage error.
             try:
                 args = builder().parse_args(argv)
                 fresh_code = args.handler(args)
@@ -356,6 +402,11 @@ def test_python_m_posikit():
                            capture_output=True, text=True, env=env, timeout=120)
     assert usage.returncode == 1
     assert usage.stdout == "" and "usage: posikit scheffe" in usage.stderr
+    # A handler's usage error exits 1 too, and the version exits 0.
+    for argv, code in ((["k"], 1), (["--version"], 0)):
+        out = subprocess.run([sys.executable, "-m", "posikit", *argv],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == code, out.stderr
 
 
 def test_exit_code_data_error(files, capsys):
@@ -512,9 +563,7 @@ def test_large_stream_warning_counts_models_of_at_most_d_columns(tmp_path, capsy
 
 @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
 def test_threads_must_be_a_positive_integer_or_auto(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        run(["scheffe", "--d", "3", "--threads", value])
-    assert exc.value.code == 1
+    assert run(["scheffe", "--d", "3", "--threads", value]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--threads must be a positive integer or 'auto'" in captured.err

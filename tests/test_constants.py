@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -310,9 +311,54 @@ def test_one_row_chunk_folds_through_its_cone(monkeypatch):
     idx = constants.conservative_quantile_index(0.05, 3_000)
     assert est.k == np.sort(exact)[idx - 1]
     assert est.mc_standard_error == constants._mc_standard_error(exact, 0.05)
-    # The products after the first chunk's exact stage, of 11 rows.
-    last = rows[[i for i, (_, k, _) in enumerate(rows) if k == 11][-1] + 1:]
-    assert last == [("float32", 1, True), ("float64", 2, False)]
+    # The largest models come first: the one-row chunk's pilot tiles, its
+    # row padded, then its cone's group product, of its one row. In the
+    # exact stage its float64 refold, padded, comes before the 11-row
+    # chunk's.
+    small = [r for r in rows if r[1] <= 2]
+    assert set(small[:-2]) == {("float32", 2, False)}
+    assert small[-2:] == [("float32", 1, True), ("float64", 2, False)]
+    assert [r for r in rows if r[0] == "float64"] == [("float64", 2, False),
+                                                      ("float64", 11, True)]
+
+
+@pytest.mark.parametrize("budget", [1, None])
+def test_empty_direction_set_is_infeasible(monkeypatch, budget):
+    # The only model is rank deficient, so the set is empty: the streamed,
+    # windowed and held folds all report it.
+    X = np.random.default_rng(0).standard_normal((5, 1))
+    cd = canonicalize(DesignMatrix(np.hstack([X, 2 * X]), ("x1", "x2")))
+    u = ModelUniverse.explicit([[1, 2]])
+    if budget is not None:
+        monkeypatch.setattr(constants, "_WINDOW_BYTES", budget)
+    for fold in (lambda: posi_constant(cd, u, n_samples=100),
+                 lambda: constants._posi_from(direction_stream(cd, u)._hold(), 0.05,
+                                              ErrorModel(), 100, 0),
+                 lambda: max_abs_t_draws(direction_stream(cd, u), n_samples=100)):
+        with pytest.raises(InfeasibleError, match="direction set is empty"):
+            fold()
+
+
+def test_screened_fold_frees_each_window_before_the_next(monkeypatch):
+    # With two-chunk windows, the walk makes each window only once the fold
+    # has let go of the last one's chunks, but for the one chunk its loops
+    # last read: the fold holds one window, not two.
+    cd = random_canonical(8, seed=1)
+    real = constants._windows
+    previous, alive = [], []
+
+    def noting(chunks):
+        for window in real(chunks):
+            alive.append(sum(ref() is not None for ref in previous))
+            previous[:] = [weakref.ref(chunk) for chunk, _ in window]
+            yield window
+
+    monkeypatch.setattr(constants, "_windows", noting)
+    monkeypatch.setattr(constants, "_DIRECTION_CHUNK", 64)
+    monkeypatch.setattr(constants, "_WINDOW_BYTES", 2 * 64 * (cd.d + 2) * 8)
+    est = posi_constant(cd, n_samples=2_000, seed=5)
+    assert est.direction_count == 8 * 2 ** 7 and len(alive) == 8
+    assert max(alive) <= 1
 
 
 def test_screened_fold_raises_a_workers_error(monkeypatch):

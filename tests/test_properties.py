@@ -11,8 +11,8 @@ per-candidate least squares, prefix-stable Monte Carlo draws, draws that
 do not depend on the fold's tile width, a float32 chunk maximum within the
 fold's bound of the float64 one, a cone test that bounds every member of its
 group and never prunes a group that reaches the floor, also at zero slack,
-and a screened fold whose K and order statistics around it are bitwise the
-unscreened ones."""
+and a screened fold, held in windows of any size, whose K and order
+statistics around it are bitwise the unscreened ones."""
 
 import itertools
 import math
@@ -808,14 +808,25 @@ SCREEN_NS = sorted({20, 31, 32, 33, 47, 48, 49, FOLD_DRAWS - 1, FOLD_DRAWS,
 
 @st.composite
 def screen_cases(draw):
-    """A generic or rank-deficient design with a universe; a one-row design
-    (d = 1, where |l'z| = ||z|| for every direction, so the screen's bound
-    is tight); or a two-row design of up to 8 columns, whose many directions
-    in the plane bring the maxima close to the bound. With or without a
-    designated predictor."""
-    kind = draw(st.sampled_from(["design", "row", "plane"]))
+    """A generic or rank-deficient design with a universe; a Gaussian
+    (p + 2) x p design or the identity (whose directions tie in every
+    chunk), each with a universe; a one-row design (d = 1, where
+    |l'z| = ||z|| for every direction, so the screen's bound is tight); or a
+    two-row design of up to 8 columns, whose many directions in the plane
+    bring the maxima close to the bound. The universes include size bounds
+    and explicit model lists. With or without a designated predictor."""
+    kind = draw(st.sampled_from(["design", "gaussian", "identity", "row", "plane"]))
     if kind == "design":
         cd, _, universe = draw(design_and_universe())
+    elif kind in ("gaussian", "identity"):
+        p = draw(st.integers(1, 7))
+        if kind == "identity":
+            X = np.eye(p)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            X = rng.standard_normal((p + 2, p))
+        cd = canonicalize(DesignMatrix(X, tuple(f"x{j}" for j in range(1, p + 1))))
+        _, universe = draw_universe(draw, p)
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         d = 1 if kind == "row" else 2
@@ -829,8 +840,13 @@ def screen_cases(draw):
 @given(case=screen_cases(), seed=st.integers(0, 2**32 - 1),
        df=st.sampled_from([math.inf, 5]), n=st.sampled_from(SCREEN_NS),
        alpha=st.sampled_from([0.05, 0.2, 0.5]),
-       chunk=st.sampled_from([2, 3, 7, constants._DIRECTION_CHUNK]))
-def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk):
+       chunk=st.sampled_from([2, 3, 7, constants._DIRECTION_CHUNK]),
+       window=st.sampled_from([1, 2, None]), cones=st.booleans())
+def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk,
+                                                 window, cones):
+    # The screened fold holds its chunks in windows of one or two chunks (or
+    # the whole set, None), folds each window top down, through cones or
+    # whole, and reads the same from a set held whole.
     cd, universe, predictor = case
     em = ErrorModel(df)
     if predictor is None:
@@ -847,24 +863,50 @@ def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk
         def constant():
             return posi1_constant(cd, universe, predictor, alpha, em, n, seed)
     lo, hi = constants._spacing_ranks(alpha, n)
+    budget = (constants._WINDOW_BYTES if window is None
+              else window * chunk * (cd.d + 2) * 8)
+    windows = []
+    real_windows = constants._windows
+
+    def noting(chunks):
+        for held in real_windows(chunks):
+            windows.append([c.nbytes + k.nbytes for c, k in held])
+            yield held
+
     with pytest.MonkeyPatch.context() as mp:
         # Small direction chunks screen small sets many times over.
         mp.setattr(constants, "_DIRECTION_CHUNK", chunk)
+        mp.setattr(constants, "_WINDOW_BYTES", budget)
+        mp.setattr(constants, "_windows", noting)
+        if cones:
+            mp.setattr(constants, "_CONE_FOLD_MIN", 0)
         try:
             exact = max_abs_t_draws(make_set(), em, n, seed)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
                 constant()
             return
+        assert not windows  # the unscreened fold streams
         est = constant()
+        windows.clear()
         screened = constants._fold(make_set(), em, n, seed, 1, lo)
+        walked = list(windows)
+        held = constants._fold(make_set()._hold(), em, n, seed, 1, lo)
     # A screened draw keeps its partial maximum; every draw ranked lo or
     # above, X_(lo) ... X_(hi) included, is exact.
+    assert np.array_equal(held, screened)
     assert np.all(screened <= exact)
     assert np.array_equal(np.sort(screened)[lo - 1:], np.sort(exact)[lo - 1:])
     idx = constants.conservative_quantile_index(alpha, n)
     assert est.k == np.sort(exact)[idx - 1]
     assert est.mc_standard_error == constants._mc_standard_error(exact, alpha)
+    # Each window stays under its byte budget but for the chunk that closes
+    # it.
+    chunks = -(-make_set().count // chunk)
+    assert sum(map(len, walked)) == chunks
+    assert len(walked) == (1 if window is None else -(-chunks // window))
+    for sizes in walked:
+        assert sum(sizes[:-1]) < budget
 
 
 # ---------------------------------------------------------------------------
