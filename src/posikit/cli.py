@@ -408,7 +408,7 @@ def _cmd_spar(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    from .inference import (TargetSpec, _direction_selector, _spar1_directions,
+    from .inference import (TargetSpec, _DirectionSelector, _spar1_directions,
                             coverage_experiment)
 
     design, universe = _load_canonical(args)
@@ -434,10 +434,11 @@ def _cmd_coverage(args) -> int:
         )
     elif selector == "spar":
         # The spar selector holds the whole set anyway: K is folded from the
-        # held set, so one walk of the universe serves both.
+        # held set, so one walk of the universe serves K, the selections and
+        # their refits.
         directions = direction_stream(design, universe)._hold()
         est = _posi_from(directions, args.alpha, em, args.mc_samples, args.seed)
-        selector = _direction_selector(lambda _: directions)
+        selector = _DirectionSelector(lambda _: directions)
     else:
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,

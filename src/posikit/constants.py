@@ -690,6 +690,40 @@ def scheffe_constant(
     )
 
 
+def _orth_cdf(k: float, d: int, error_model: ErrorModel) -> float:
+    """The exact law of max_j |Z_j| / sigma_hat over d orthonormal
+    directions at k: (2 Phi(k) - 1)^d with known sigma, and with r error
+    degrees of freedom E[(2 Phi(k sigma_hat) - 1)^d], taken by adaptive
+    quadrature over the density of sigma_hat = sqrt(chi2_r / r). The
+    integrand is a scalar function of scalars, so it is evaluated with the
+    ``math`` module, using 2 Phi(x) - 1 = erf(x / sqrt(2))."""
+    scale = k / math.sqrt(2.0)
+    if error_model.sigma_known:
+        return math.erf(scale) ** d
+    from scipy import integrate, special
+
+    r = error_model.df
+    # Density of sigma_hat = chi_r / sqrt(r): exp(log_norm) s^(r-1) e^(-r s^2 / 2).
+    log_norm = (0.5 * r * math.log(r) - (0.5 * r - 1.0) * math.log(2.0)
+                - special.gammaln(0.5 * r))
+
+    def integrand(s: float) -> float:
+        if s == 0.0:  # erf(0) = 0; math.log(0) would raise
+            return 0.0
+        return math.erf(scale * s) ** d * math.exp(
+            log_norm + (r - 1.0) * math.log(s) - 0.5 * r * s * s)
+
+    val, _ = integrate.quad(
+        integrand,
+        0.0,
+        np.inf,
+        epsabs=1e-12,
+        epsrel=1e-11,
+        limit=200,
+    )
+    return val
+
+
 def orth_constant(
     alpha: float, d: int, error_model: ErrorModel = ErrorModel.known_sigma()
 ) -> ConstantEstimate:
@@ -697,12 +731,9 @@ def orth_constant(
 
     Known sigma solves (2 Phi(K) - 1)^d = 1 - alpha (computed by exact
     quantile inversion). Finite df solves E[(2 Phi(K sigma_hat) - 1)^d] =
-    1 - alpha with the expectation taken by adaptive quadrature over the
-    density of sigma_hat = sqrt(chi2_r / r). The integrand is a scalar
-    function of scalars, so it is evaluated with the ``math`` module, using
-    2 Phi(x) - 1 = erf(x / sqrt(2)).
+    1 - alpha, the expectation by _orth_cdf's quadrature.
     """
-    from scipy import integrate, optimize, special
+    from scipy import optimize, special
 
     _validate_alpha(alpha)
     if d < 1:
@@ -711,33 +742,10 @@ def orth_constant(
         k = float(special.ndtri(0.5 * (1.0 + (1.0 - alpha) ** (1.0 / d))))
     else:
         r = error_model.df
-        # Density of sigma_hat = chi_r / sqrt(r): exp(log_norm) s^(r-1) e^(-r s^2 / 2).
-        log_norm = (0.5 * r * math.log(r) - (0.5 * r - 1.0) * math.log(2.0)
-                    - special.gammaln(0.5 * r))
-
-        def coverage(k: float) -> float:
-            scale = k / math.sqrt(2.0)
-
-            def integrand(s: float) -> float:
-                if s == 0.0:  # erf(0) = 0; math.log(0) would raise
-                    return 0.0
-                return math.erf(scale * s) ** d * math.exp(
-                    log_norm + (r - 1.0) * math.log(s) - 0.5 * r * s * s)
-
-            val, _ = integrate.quad(
-                integrand,
-                0.0,
-                np.inf,
-                epsabs=1e-12,
-                epsrel=1e-11,
-                limit=200,
-            )
-            return val
-
         hi = math.sqrt(d * special.fdtri(d, r, 1.0 - alpha)) + 1.0
-        k = float(
-            optimize.brentq(lambda x: coverage(x) - (1.0 - alpha), 1e-8, hi, xtol=1e-10)
-        )
+        k = float(optimize.brentq(
+            lambda x: _orth_cdf(x, d, error_model) - (1.0 - alpha), 1e-8, hi,
+            xtol=1e-10))
     return ConstantEstimate(
         k=k,
         alpha=alpha,

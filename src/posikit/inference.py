@@ -90,7 +90,7 @@ class IntervalReport:
 def _check_response(y: np.ndarray, sigma_hat: float):
     if not sigma_hat > 0:
         raise ValueError("sigma_hat must be positive")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("response must be finite")
 
 
@@ -117,13 +117,18 @@ def fit_submodel(
                      error_model)
 
 
+def _target_mean(design: CanonicalDesign, target: TargetSpec) -> np.ndarray:
+    mu = np.asarray(target.mu, dtype=float)
+    if mu.shape != (design.d,):
+        raise ValueError(f"target mean must be a length-{design.d} canonical vector")
+    return mu
+
+
 def submodel_target(
     design: CanonicalDesign, model: ModelId, target: TargetSpec
 ) -> np.ndarray:
     """Coefficient target of the submodel: the projection coefficients of mu."""
-    mu = np.asarray(target.mu, dtype=float)
-    if mu.shape != (design.d,):
-        raise ValueError(f"target mean must be a length-{design.d} canonical vector")
+    mu = _target_mean(design, target)
     vectors, norms = _model_directions(design, model)
     return np.vecdot(vectors, mu) / norms
 
@@ -278,29 +283,142 @@ def _last_design(build: Callable[[CanonicalDesign], object]) -> Callable:
     return get
 
 
-def _direction_selector(
-    directions: Callable[[CanonicalDesign], DirectionSet]
-) -> Selector:
+class _DirectionSelector:
     """Argmax selector over directions(design), walked once per design and
-    held as one block."""
-    chunks = _last_design(lambda design: list(directions(design).chunks()))
+    held as one block. When the set holds every pair of its models (no
+    single predictor), the refits of the models it selects read their rows
+    from the block (see _refit_directions)."""
 
-    def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
-        return _argmax_over_directions(chunks(design), y, sigma_hat)[0]
+    def __init__(self, directions: Callable[[CanonicalDesign], DirectionSet]):
+        self.held = _last_design(
+            lambda design: _held_block(directions(design)))
 
-    return select
+    def __call__(self, design: CanonicalDesign, y: np.ndarray,
+                 sigma_hat: float) -> ModelId:
+        return _argmax_over_directions(self.held(design)[0], y, sigma_hat)[0]
+
+
+def _held_block(directions: DirectionSet) -> tuple[list, bool]:
+    """The set's chunks as one held block (none when the set is empty), and
+    whether it holds every pair of its models."""
+    return list(directions.chunks()), directions.predictor is None
+
+
+def _held_refits(vectors: np.ndarray, keys: np.ndarray,
+                 models: Iterable[ModelId]) -> dict[int, np.ndarray]:
+    """Unit directions (k, d) of each distinct model's members, by mask, read
+    from a held block of every pair the enumeration emits for its models.
+    The rows are the enumeration's, so they are bitwise _models_directions'
+    by its contract; so is the InfeasibleError for the first model, by size
+    and then members, that the enumeration does not emit whole."""
+    out = {}
+    for model in sorted(set(models), key=lambda m: (m.size, m.members)):
+        rows = np.flatnonzero(keys[:, 0] == model.mask)
+        if rows.size != model.size:
+            raise InfeasibleError(f"submodel {model} is rank deficient")
+        out[model.mask] = vectors[rows]
+    return out
+
+
+def _refit_directions(select: Selector, design: CanonicalDesign,
+                      models: list[ModelId]) -> dict[int, np.ndarray]:
+    """Unit directions (k, d) of each distinct selected model's members, by
+    mask: from the selector's held block when it holds whole models, else
+    from one walk of the models' explicit universe."""
+    if isinstance(select, _DirectionSelector):
+        chunks, whole_models = select.held(design)
+        if whole_models:
+            return _held_refits(*chunks[0], models)
+    return {mask: v for mask, (v, _) in _models_directions(design, models).items()}
 
 
 def make_spar_selector(universe: ModelUniverse | None = None) -> Selector:
-    return _direction_selector(lambda design: direction_stream(design, universe))
+    return _DirectionSelector(lambda design: direction_stream(design, universe))
 
 
 def make_spar1_selector(
     predictor: int, universe: ModelUniverse | None = None
 ) -> Selector:
-    return _direction_selector(
+    return _DirectionSelector(
         lambda design: _spar1_directions(design, universe, predictor)
     )
+
+
+# Bytes of node arrays one stepwise selector keeps per design, so that
+# responses taking ever more distinct paths cannot grow it without bound. A
+# node holds under 2 d p float64 (its candidates' residuals and its basis).
+# On a 24 x 20 Gaussian design, 10^4 replications with mu = 0 (mean model
+# size 1.6) reach 3 264 nodes, all kept in 10.9 MB; with a signal that
+# enters 6 to 16 columns on average, about 5 100 nodes fill the budget and
+# later ones are built per call. The coverage benchmark's runs of 100
+# replications at p = 10 keep 27 to 39 nodes, 23 to 34 kB.
+_STEP_TREE_BYTES = 16 << 20
+
+
+class _StepNode:
+    """One step of forward stepwise after a fixed sequence of entries: the
+    model's mask and orthonormal basis, and the admissible candidates that
+    clear tau, with their residuals against the basis and the residuals'
+    norms. A kept node holds its kept children by entering position; a node
+    past the budget holds none (children is None)."""
+
+    __slots__ = ("mask", "basis", "cols", "residuals", "norms", "children")
+
+    def __init__(self, mask, basis, cols, residuals, norms):
+        self.mask, self.basis, self.cols = mask, basis, cols
+        self.residuals, self.norms = residuals, norms
+        self.children: dict[int, _StepNode] | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return self.basis.nbytes + self.residuals.nbytes + self.norms.nbytes
+
+
+def _step_node(design: CanonicalDesign, universe: ModelUniverse,
+               parent: _StepNode | None, best: int) -> _StepNode:
+    """The root (parent None), or the node after parent's candidate at
+    position best enters: the entering residual grows the basis by
+    Gram-Schmidt with one re-orthogonalization."""
+    if parent is None:
+        mask, basis = 0, np.empty((design.d, 0))
+    else:
+        mask = parent.mask | 1 << parent.cols[best]
+        r = parent.residuals[:, best]
+        r = r - parent.basis @ (parent.basis.T @ r)
+        basis = np.column_stack([parent.basis, r / np.linalg.norm(r)])
+    cols = np.array([j for j in range(design.p) if not mask >> j & 1
+                     and universe.admits(mask | 1 << j)], dtype=np.intp)
+    candidates = design.values[:, cols]
+    residuals = candidates - basis @ (basis.T @ candidates)
+    norms = np.linalg.norm(residuals, axis=0)
+    keep = norms > design.rank_limits[cols]
+    return _StepNode(mask, basis, cols[keep].tolist(), residuals[:, keep], norms[keep])
+
+
+class _StepTree:
+    """The stepwise nodes of one design, keyed by the entered members in
+    entry order, each built once and kept while _STEP_TREE_BYTES allows."""
+
+    def __init__(self, design: CanonicalDesign, universe: ModelUniverse):
+        self.design, self.universe = design, universe
+        self.root: _StepNode | None = None
+        self.nbytes = 0
+
+    def step(self, parent: _StepNode | None, best: int) -> _StepNode:
+        """The root (parent None), or parent's child at position best."""
+        node = self.root if parent is None else (parent.children or {}).get(best)
+        if node is not None:
+            return node
+        node = _step_node(self.design, self.universe, parent, best)
+        if ((parent is None or parent.children is not None)
+                and self.nbytes + node.nbytes <= _STEP_TREE_BYTES):
+            self.nbytes += node.nbytes
+            node.children = {}
+            if parent is None:
+                self.root = node
+            else:
+                parent.children[best] = node
+        return node
 
 
 def make_stepwise_selector(
@@ -308,7 +426,8 @@ def make_stepwise_selector(
 ) -> Selector:
     """Forward stepwise by largest |t| on entry; stops when nothing clears
     t_enter or no admissible extension remains. Always returns at least one
-    predictor (the first step ignores the threshold).
+    predictor (the first step ignores the threshold). A NaN t_enter is a
+    ValueError.
 
     Each step scores every admissible candidate j in one pass: its residual
     r_j against an orthonormal basis of the current model gives
@@ -316,37 +435,35 @@ def make_stepwise_selector(
     candidate is skipped when ||r_j|| <= tau ||x_j||, with tau the design's
     rank tolerance, as in the enumerator. The entering residual grows the
     basis by Gram-Schmidt with one re-orthogonalization.
+
+    All of a step but the product with y is fixed by the design and the
+    members entered so far, in order: the admissible candidates, their
+    residuals and norms, the tau-kept subset and the next basis. These are
+    nodes of a per-design tree (_StepTree), built once each and kept up to
+    _STEP_TREE_BYTES; the tree is dropped when another design comes in. A
+    call costs, per step, one product of y with the node's residuals, an
+    argmax and the threshold test.
     """
+    if math.isnan(t_enter):
+        raise ValueError("t_enter must not be NaN")
+    u = universe if universe is not None else ModelUniverse.all()
+    trees = _last_design(lambda design: _StepTree(design, u))
 
     def select(design: CanonicalDesign, y: np.ndarray, sigma_hat: float) -> ModelId:
         _check_response(y, sigma_hat)
-        u = universe if universe is not None else ModelUniverse.all()
-        X = design.values
-        basis = np.empty((design.d, 0))
-        mask = 0
-        while True:
-            cols = np.array([j for j in range(design.p) if not mask >> j & 1
-                             and u.admits(mask | 1 << j)], dtype=np.intp)
-            candidates = X[:, cols]
-            residuals = candidates - basis @ (basis.T @ candidates)
-            norms = np.linalg.norm(residuals, axis=0)
-            keep = norms > design.rank_limits[cols]
-            if not keep.any():
+        tree = trees(design)
+        node = tree.step(None, 0)
+        while node.cols:
+            t = np.abs(y @ node.residuals) / (node.norms * sigma_hat)
+            best = int(t.argmax())
+            if node.mask and t[best] < t_enter:
                 break
-            residuals, norms, cols = residuals[:, keep], norms[keep], cols[keep]
-            t = np.abs(y @ residuals) / (norms * sigma_hat)
-            best = int(np.argmax(t))
-            if mask and t[best] < t_enter:
-                break
-            mask |= 1 << int(cols[best])
-            if mask.bit_count() >= design.d:
-                break
-            r = residuals[:, best]
-            r = r - basis @ (basis.T @ r)
-            basis = np.column_stack([basis, r / np.linalg.norm(r)])
-        if not mask:
+            if node.mask.bit_count() + 1 >= design.d:
+                return ModelId.from_mask(node.mask | 1 << node.cols[best])
+            node = tree.step(node, best)
+        if not node.mask:
             raise InfeasibleError("stepwise selector found no admissible model")
-        return ModelId.from_mask(mask)
+        return ModelId.from_mask(node.mask)
 
     return select
 
@@ -431,7 +548,7 @@ def coverage_experiment(
         select = selector
 
     k_value = k.k if isinstance(k, ConstantEstimate) else float(k)
-    mu = target.mu if target is not None else np.zeros(design.d)
+    mu = _target_mean(design, target) if target is not None else np.zeros(design.d)
 
     covered: list[bool] = []
     models: list[ModelId] = []
@@ -441,11 +558,10 @@ def coverage_experiment(
         )
         selected = [select(design, mu + e, sigma_hat)
                     for e, sigma_hat in zip(eps, sigma.tolist())]
-        # The block's refits, one factorization per distinct model.
-        directions = _models_directions(design, selected)
+        directions = _refit_directions(select, design, selected)
         for model, e, sigma_hat in zip(selected, eps, sigma.tolist()):
             # |beta_j - target_j| = |l_j'e| / ||x_{j.M}|| <= K sigma_hat / ||x_{j.M}||
-            t = np.abs(np.vecdot(directions[model.mask][0], e))
+            t = np.abs(np.vecdot(directions[model.mask], e))
             covered.append(bool(t.max() <= k_value * sigma_hat))
         models.extend(selected)
     coverage = float(np.mean(covered))

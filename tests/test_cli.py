@@ -253,20 +253,20 @@ def test_coverage_checks_the_spar1_predictor_before_k(files, capsys, monkeypatch
 
 
 def test_coverage_spar_posi_walks_its_universe_once(files, capsys, monkeypatch):
-    # K and the spar selector read one held walk of the universe; the
-    # refits walk the selected models' explicit universe apart from it.
+    # K, the spar selector and the refits read one held walk of the
+    # universe: no walk of the selected models' explicit universe.
     # Output is that of the constant and the experiment run apart.
     import posikit.design
     from posikit import ErrorModel, coverage_experiment, posi_constant
 
     walks = []
-    walker = posikit.design._level_batches
+    walker = posikit.design._walk_factors
 
     def counting(*args, **kwargs):
         walks.append(args[1])
         yield from walker(*args, **kwargs)
 
-    monkeypatch.setattr(posikit.design, "_level_batches", counting)
+    monkeypatch.setattr(posikit.design, "_walk_factors", counting)
     design = canonicalize(load_design(files["generic3"]))
     em = ErrorModel(9)
     for universe in ("all", "size<=2"):
@@ -277,8 +277,10 @@ def test_coverage_spar_posi_walks_its_universe_once(files, capsys, monkeypatch):
             "--df", "9"])
         u = ModelUniverse.from_spec(universe, p=design.p)
         assert walks == [u]
+        walks.clear()
         est = posi_constant(design, u, error_model=em, n_samples=5000, seed=4)
         result = coverage_experiment(design, u, "spar", 0.05, em, est, 300, seed=4)
+        assert walks == [u, u]  # the constant's and the selector's; no refit walk
         assert (payload["K"], payload["mc_standard_error"]) == (
             est.k, est.mc_standard_error)
         assert payload["direction_count"] == est.direction_count

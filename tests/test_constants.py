@@ -512,6 +512,25 @@ def test_spacing_standard_error_tracks_seed_spread(df, n):
     assert (round(median_se, 4), round(sd_k, 4)) == SE_CALIBRATION[df, n]
 
 
+@pytest.mark.parametrize("df", [math.inf, 5])
+def test_k_is_conservative_on_the_orthogonal_oracle(df):
+    # K is the order statistic X_(idx) of N exact draws, so F(K) has mean
+    # idx / (N + 1) >= 1 - alpha, with F the exact law of max |l'Z| /
+    # sigma_hat. On the identity F is known in closed form (constants.
+    # _orth_cdf), so the mean over seeds checks the promise itself, and the
+    # spread of K over seeds checks the reported standard error.
+    em = ErrorModel(df)
+    cd = CanonicalDesign.from_canonical(np.eye(4))
+    n, seeds = 2_000, 2_000
+    ests = [posi_constant(cd, error_model=em, n_samples=n, seed=seed)
+            for seed in range(seeds)]
+    f = np.array([constants._orth_cdf(e.k, 4, em) for e in ests])
+    promise = constants.conservative_quantile_index(0.05, n) / (n + 1)
+    assert abs(f.mean() - promise) <= 4 * f.std(ddof=1) / math.sqrt(seeds)
+    sd_k = np.std([e.k for e in ests], ddof=1)
+    assert 0.8 <= np.median([e.mc_standard_error for e in ests]) / sd_k <= 1.25
+
+
 def test_spacing_standard_error_stays_positive_on_ties():
     # Every draw equal: the spacing is zero, and the standard error is one
     # ulp of the draws. A single draw has no spacing at all.

@@ -573,6 +573,50 @@ def test_stepwise_skips_degenerate_candidates():
     assert select(cd, np.array([1.0, 7.0]), 1.0) == ModelId([1])
 
 
+def test_stepwise_rejects_a_nan_threshold():
+    # Every comparison with NaN is false, so the threshold never stopped the
+    # search: on four generic columns the full model came back.
+    with pytest.raises(ValueError, match="t_enter must not be NaN"):
+        make_stepwise_selector(t_enter=float("nan"))
+
+
+def test_stepwise_builds_each_node_once(monkeypatch):
+    # A node is the step after one sequence of entries; a run on one design
+    # builds each node it reaches once, and a second run builds none.
+    import posikit.inference as inference
+
+    built, paths = [], {}
+    step_node = inference._step_node
+
+    def counting(design, universe, parent, best):
+        node = step_node(design, universe, parent, best)
+        paths[id(node)] = () if parent is None else (
+            paths[id(parent)] + (parent.cols[best] + 1,))
+        built.append(paths[id(node)])
+        return node
+
+    monkeypatch.setattr(inference, "_step_node", counting)
+    cd = random_canonical(10, seed=22, n=14)
+    beta = np.random.default_rng(22).standard_normal(10)
+    select = make_stepwise_selector()
+
+    def run():
+        return coverage_experiment(cd, None, select, 0.05, ErrorModel.with_df(10), 4.0,
+                                   100, seed=5, target=TargetSpec.from_coefficients(cd, beta))
+
+    models = run().models
+    assert len(set(built)) == len(built)
+    assert max(map(len, built)) >= 3
+    # Each selected model is the members of a node built, plus its last entry
+    # unless the threshold stopped the search there.
+    reached = {frozenset(path) for path in built}
+    assert all(set(m.members) in reached or any(set(m.members) - {j} in reached
+                                                for j in m.members) for m in models)
+    built.clear()
+    assert run().models == models
+    assert built == []
+
+
 def test_best_r2_ties_go_to_the_smallest_mask():
     # {1, 3} and {2, 3} span the same plane; {1, 2} is rank deficient.
     values = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
@@ -633,6 +677,16 @@ def test_coverage_finite_df_draws_fresh_sigma():
     est = posi_constant(cd, error_model=em, n_samples=50_000, seed=6)
     res = coverage_experiment(cd, None, "spar", 0.05, em, est, 2_000, seed=8)
     assert res.coverage >= 0.95 - 3 * res.binomial_se
+
+
+@pytest.mark.parametrize("mu", [[50.0], [1.0, 2.0, 3.0]])
+def test_coverage_rejects_a_target_of_the_wrong_length(mu):
+    # A length-1 mean was broadcast to every coordinate, and a length-3 one
+    # failed with numpy's broadcast message.
+    cd = random_canonical(4, seed=23)
+    with pytest.raises(ValueError, match="target mean must be a length-4 canonical vector"):
+        coverage_experiment(cd, None, "spar", 0.05, KNOWN, 3.0, 10,
+                            target=TargetSpec(np.array(mu)))
 
 
 def test_coverage_with_nonzero_target():

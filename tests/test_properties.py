@@ -7,7 +7,9 @@ recurrence, held prefixes under their byte cap, universe membership and
 spec round-trips, a pair count that matches the
 walk without walking, duality on symmetric designs, selection against a
 brute-force argmax, the batched stepwise and best-R^2 selectors against
-per-candidate least squares, prefix-stable Monte Carlo draws, draws that
+per-candidate least squares, the stepwise tree against the selector it
+replaced, refits read from a held set against the walk's, prefix-stable
+Monte Carlo draws, draws that
 do not depend on the fold's tile width, a float32 chunk maximum within the
 fold's bound of the float64 one, a cone test that bounds every member of its
 group and never prunes a group that reaches the floor, also at zero slack,
@@ -50,10 +52,10 @@ from posikit import (
     verify_duality,
 )
 import posikit.design
-from posikit import _rng, constants
-from posikit.design import (_candidate_pair_count, _model_blocks, _model_directions,
-                            _models_pairs)
-from posikit.inference import _argmax_over_directions
+from posikit import _rng, constants, inference
+from posikit.design import (DEFAULT_RANK_TOLERANCE, _candidate_pair_count, _model_blocks,
+                            _model_directions, _models_directions, _models_pairs)
+from posikit.inference import _argmax_over_directions, _check_response
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -724,6 +726,199 @@ def test_batched_selectors_match_lstsq_oracle(case):
             select(cd, y, sigma_hat)
     else:
         assert select(cd, y, sigma_hat) in want
+
+
+# ---------------------------------------------------------------------------
+# The stepwise tree against the selector it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_stepwise_selector(universe=None, t_enter=2.0):
+    """make_stepwise_selector before its per-design tree, verbatim: every
+    step recomputed from the design on every call. The tree computes the
+    same arrays by the same operations, so selections must be identical."""
+
+    def select(design, y, sigma_hat):
+        _check_response(y, sigma_hat)
+        u = universe if universe is not None else ModelUniverse.all()
+        X = design.values
+        basis = np.empty((design.d, 0))
+        mask = 0
+        while True:
+            cols = np.array([j for j in range(design.p) if not mask >> j & 1
+                             and u.admits(mask | 1 << j)], dtype=np.intp)
+            candidates = X[:, cols]
+            residuals = candidates - basis @ (basis.T @ candidates)
+            norms = np.linalg.norm(residuals, axis=0)
+            keep = norms > design.rank_limits[cols]
+            if not keep.any():
+                break
+            residuals, norms, cols = residuals[:, keep], norms[keep], cols[keep]
+            t = np.abs(y @ residuals) / (norms * sigma_hat)
+            best = int(np.argmax(t))
+            if mask and t[best] < t_enter:
+                break
+            mask |= 1 << int(cols[best])
+            if mask.bit_count() >= design.d:
+                break
+            r = residuals[:, best]
+            r = r - basis @ (basis.T @ r)
+            basis = np.column_stack([basis, r / np.linalg.norm(r)])
+        if not mask:
+            raise InfeasibleError("stepwise selector found no admissible model")
+        return ModelId.from_mask(mask)
+
+    return select
+
+
+@st.composite
+def stepwise_tree_cases(draw):
+    """One design, or two called in turn, each given many responses: small
+    integers (exact ties on orthogonal designs), Gaussian noise, or a strong
+    signal that enters most columns. Designs are generic, exactly rank
+    deficient or orthogonal; the universe has one or two intersected parts
+    of every form; the tree's budget is the default, 0 or one node."""
+    cds = [draw(designs() | orthogonal_designs()) for _ in range(draw(st.integers(1, 2)))]
+    _, universe = draw_universe(draw, cds[0].p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    calls = []
+    for i in range(draw(st.integers(1, 40))):
+        cd = cds[i % len(cds)]
+        kind = draw(st.sampled_from(["integer", "noise", "signal"]))
+        if kind == "integer":
+            y = rng.integers(-2, 3, cd.d).astype(float)
+        elif kind == "noise":
+            y = rng.standard_normal(cd.d)
+        else:
+            y = cd.values @ (4.0 * rng.standard_normal(cd.p)) + rng.standard_normal(cd.d)
+        calls.append((cd, y, draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 100.0))))
+    t_enter = draw(st.sampled_from([2.0, 1.0, 0.0]))
+    return universe, t_enter, calls, draw(st.sampled_from([None, 0, "one node"]))
+
+
+def result_or_error(call):
+    try:
+        return call()
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+def kept_nodes(node, entered=()):
+    """(0-based entries in order, node) for every kept node under node."""
+    yield entered, node
+    for best, child in node.children.items():
+        yield from kept_nodes(child, entered + (node.cols[best],))
+
+
+def reference_step(cd, universe, entered):
+    """The arrays the reference computes at the step after the 0-based
+    entries, by its operations: the kept candidates, their residuals and
+    norms, and the basis."""
+    basis, mask = np.empty((cd.d, 0)), 0
+    for j in (None, *entered):
+        if j is not None:
+            best = cols.tolist().index(j)
+            mask |= 1 << j
+            r = residuals[:, best]
+            r = r - basis @ (basis.T @ r)
+            basis = np.column_stack([basis, r / np.linalg.norm(r)])
+        cols = np.array([k for k in range(cd.p) if not mask >> k & 1
+                         and universe.admits(mask | 1 << k)], dtype=np.intp)
+        candidates = cd.values[:, cols]
+        residuals = candidates - basis @ (basis.T @ candidates)
+        norms = np.linalg.norm(residuals, axis=0)
+        keep = norms > cd.rank_limits[cols]
+        residuals, norms, cols = residuals[:, keep], norms[keep], cols[keep]
+    return cols, residuals, norms, basis
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(stepwise_tree_cases())
+def test_stepwise_tree_selects_as_the_reference(case):
+    universe, t_enter, calls, budget = case
+    if budget == "one node":
+        budget = inference._step_node(calls[0][0], universe, None, 0).nbytes
+    trees = []
+
+    class Recording(inference._StepTree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trees.append(self)
+
+    want = reference_stepwise_selector(universe, t_enter)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_StepTree", Recording)
+        if budget is not None:
+            mp.setattr(inference, "_STEP_TREE_BYTES", budget)
+        select = make_stepwise_selector(universe, t_enter)
+        for cd, y, sigma_hat in calls:
+            assert result_or_error(lambda: select(cd, y, sigma_hat)) == \
+                result_or_error(lambda: want(cd, y, sigma_hat))
+        cap = inference._STEP_TREE_BYTES
+    # One tree per change of design, each within its budget, and every node
+    # kept holds the reference's arrays bitwise.
+    assert len(trees) == 1 + sum(a[0] is not b[0] for a, b in zip(calls, calls[1:]))
+    for tree in trees:
+        nodes = list(kept_nodes(tree.root)) if tree.root else []
+        assert tree.nbytes == sum(node.nbytes for _, node in nodes) <= cap
+        for entered, node in nodes:
+            cols, residuals, norms, basis = reference_step(tree.design, universe, entered)
+            assert node.cols == cols.tolist()
+            for got, want in ((node.residuals, residuals), (node.norms, norms),
+                              (node.basis, basis)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Refits read from a held direction set
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def near_threshold_designs(draw) -> CanonicalDesign:
+    """Columns e1, e2, e3 and one or two more, each x = a e_i + b e_k + eps e
+    on a fresh axis e with eps near the rank tolerance: x4 on e1, e3 and x5
+    on e1, e2. The enumeration then often emits some of the pairs of
+    {1, 3, 4} or {1, 2, 5} and skips the others; by mask {1, 3, 4} comes
+    first, by size and members {1, 2, 5}."""
+    extra = draw(st.integers(1, 2))
+    values = np.zeros((3 + extra, 3 + extra))
+    values[[0, 1, 2], [0, 1, 2]] = 1.0
+    for col, (i, k) in zip((3, 4), ((0, 2), (0, 1))[:extra]):
+        for row in (i, k):
+            values[row, col] = draw(st.floats(0.1, 10.0)) * draw(
+                st.sampled_from([-100.0, -1.0, 0.01, 1.0]))
+        values[col, col] = DEFAULT_RANK_TOLERANCE * 10 ** draw(st.floats(-1.0, 3.0))
+    return CanonicalDesign.from_canonical(values)
+
+
+@st.composite
+def refit_cases(draw):
+    cd = draw(near_threshold_designs() if draw(st.booleans()) else designs())
+    return cd, draw_universe(draw, cd.p)[1] if draw(st.booleans()) else None
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(refit_cases())
+def test_held_refits_are_the_models_directions(case):
+    # Every model of a held set whose pairs are whole gives bitwise the walk's
+    # directions, and the first model that is not gives the walk's error.
+    cd, universe = case
+    chunks = list(direction_stream(cd, universe)._hold().chunks())
+    if not chunks:
+        return
+    vectors, keys = chunks[0]
+    models = [ModelId.from_mask(m) for m in dict.fromkeys(keys[:, 0].tolist())]
+    models = models[::-1] + models  # repeated, and out of order
+    want = result_or_error(lambda: {mask: v for mask, (v, _) in
+                                    _models_directions(cd, models).items()})
+    got = result_or_error(lambda: inference._held_refits(vectors, keys, models))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.keys() == want.keys()
+        for mask, v in want.items():
+            assert got[mask].tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
