@@ -6,7 +6,8 @@ Submodules load on first use. ``import posikit`` binds only
 that defines it (PEP 562) and binds the name here, so later accesses are
 plain attribute lookups. ``posikit.load_design`` and ``posikit.canonicalize``
 load ``posikit.design`` and ``posikit.errors`` and nothing else of the
-package.
+package; model universes, the lattice walk and the direction streams are in
+``posikit.lattice``.
 """
 
 from importlib import import_module
@@ -20,11 +21,8 @@ _EXPORTS = {
         "asymptotic_cap_constant", "cap_bonferroni_bound", "max_abs_t_draws",
         "orth_constant", "posi1_constant", "posi_constant", "scheffe_constant",
     ), "constants"),
-    **dict.fromkeys((
-        "CanonicalDesign", "DesignMatrix", "Direction", "DirectionSet", "ModelId",
-        "ModelUniverse", "adjusted_predictor", "canonicalize", "direction_stream",
-        "enumerate_models", "load_design", "vif",
-    ), "design"),
+    **dict.fromkeys(("CanonicalDesign", "DesignMatrix", "canonicalize", "load_design"),
+                    "design"),
     **dict.fromkeys(("DataError", "InfeasibleError"), "errors"),
     **dict.fromkeys((
         "exchangeable_cosine", "exchangeable_design", "exchangeable_direction_formula",
@@ -42,6 +40,10 @@ _EXPORTS = {
         "make_spar1_selector", "make_spar_selector", "make_stepwise_selector",
         "posi_intervals", "spar1_select", "spar_select", "submodel_target", "t_ratio",
     ), "inference"),
+    **dict.fromkeys((
+        "Direction", "DirectionSet", "ModelId", "ModelUniverse", "adjusted_predictor",
+        "direction_stream", "enumerate_models", "vif",
+    ), "lattice"),
 }
 _SUBMODULES = frozenset(_EXPORTS.values())
 

@@ -42,17 +42,10 @@ from .constants import (
     posi_constant,
     scheffe_constant,
 )
-from .design import (
-    CanonicalDesign,
-    ModelId,
-    ModelUniverse,
-    _candidate_pair_count,
-    _dedup_up_to_sign,
-    canonicalize,
-    direction_stream,
-    load_design,
-)
+from .design import CanonicalDesign, canonicalize, load_design
 from .errors import DataError, InfeasibleError
+from .lattice import (ModelId, ModelUniverse, _candidate_pair_count, _dedup_up_to_sign,
+                      direction_stream)
 
 _STREAM_WARN_P = 16
 # Measured rates for the cost warning on a 2-core Intel Xeon KVM guest with
@@ -133,7 +126,7 @@ def _load_vector(path: str, design: CanonicalDesign, what: str) -> np.ndarray:
     expected = design.basis.shape[0]
     values = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

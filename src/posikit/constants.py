@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .design import CanonicalDesign, DirectionSet, ModelUniverse, direction_stream
+from .design import CanonicalDesign
 from .errors import InfeasibleError
+from .lattice import DirectionSet, ModelUniverse, direction_stream
 
 _DIRECTION_CHUNK = 512
 # Draws per fold tile: a 512 x 384 product tile (1.5 MB) stays in a core's
@@ -86,7 +87,8 @@ class ErrorModel:
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    """A calibrated constant together with how it was obtained."""
+    """A calibrated constant together with how it was obtained. ``d`` is the
+    rank of the design (or the dimension) it was computed for, when known."""
 
     k: float
     alpha: float
@@ -98,6 +100,7 @@ class ConstantEstimate:
     method: str
     name: str
     universe: ModelUniverse | None = None
+    d: int | None = None
 
     def __post_init__(self):
         if not self.k > 0:
@@ -557,9 +560,8 @@ def _estimate_from_draws(
     alpha: float,
     error_model: ErrorModel,
     seed: int,
-    direction_count: int,
+    directions: DirectionSet,
     name: str,
-    universe: ModelUniverse | None,
 ) -> ConstantEstimate:
     n = draws.size
     idx = conservative_quantile_index(alpha, n)
@@ -572,10 +574,11 @@ def _estimate_from_draws(
         mc_samples=n,
         mc_standard_error=se,
         seed=seed,
-        direction_count=direction_count,
+        direction_count=directions.count,
         method=MONTE_CARLO,
         name=name,
-        universe=universe,
+        universe=directions.universe,
+        d=directions.design.d,
     )
 
 
@@ -621,8 +624,7 @@ def _posi_from(directions: DirectionSet, alpha: float, error_model: ErrorModel,
     _validate_alpha(alpha)
     screen_rank = _spacing_ranks(alpha, n_samples)[0]
     draws = _fold(directions, error_model, n_samples, seed, threads, screen_rank)
-    return _estimate_from_draws(draws, alpha, error_model, seed, directions.count,
-                                "posi", directions.universe)
+    return _estimate_from_draws(draws, alpha, error_model, seed, directions, "posi")
 
 
 def posi1_constant(
@@ -658,9 +660,7 @@ def posi1_constant(
         raise InfeasibleError(
             f"no model in the universe contains predictor {predictor}"
         ) from None
-    return _estimate_from_draws(
-        draws, alpha, error_model, seed, directions.count, "posi1", restricted
-    )
+    return _estimate_from_draws(draws, alpha, error_model, seed, directions, "posi1")
 
 
 def scheffe_constant(
@@ -687,6 +687,7 @@ def scheffe_constant(
         direction_count=0,
         method=CLOSED_FORM,
         name="scheffe",
+        d=d,
     )
 
 
@@ -756,6 +757,7 @@ def orth_constant(
         direction_count=d,
         method=CLOSED_FORM,
         name="orth",
+        d=d,
     )
 
 
@@ -797,6 +799,7 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
         direction_count=direction_count,
         method=BOUND,
         name="cap_bound",
+        d=d,
     )
 
 

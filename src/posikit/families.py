@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _rng
 from .constants import _mc_standard_error, conservative_quantile_index, posi_constant
-from .design import SYMMETRIC, UPPER_TRIANGULAR, CanonicalDesign, Direction, ModelId
+from .design import SYMMETRIC, UPPER_TRIANGULAR, CanonicalDesign
+from .lattice import Direction, ModelId
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (
-    SYMMETRIC,
-    UNSPECIFIED,
-    CanonicalDesign,
-    Direction,
-    DirectionSet,
-    ModelId,
-    direction_stream,
-)
+from .design import SYMMETRIC, UNSPECIFIED, CanonicalDesign
 from .errors import DataError, InfeasibleError
+from .lattice import Direction, DirectionSet, ModelId, direction_stream
 
 # Rows of inner products the census forms at a time: a 128 x count float64
 # block is 1 MiB at count = 1 024.

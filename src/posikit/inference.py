@@ -17,10 +17,10 @@ import numpy as np
 
 from . import _rng
 from .constants import _DIRECTION_CHUNK, ConstantEstimate, ErrorModel
-from .design import (CanonicalDesign, DirectionSet, ModelId, ModelUniverse,
-                     _full_rank_blocks, _model_directions, _models_directions,
-                     direction_stream)
+from .design import CanonicalDesign
 from .errors import InfeasibleError
+from .lattice import (DirectionSet, ModelId, ModelUniverse, _full_rank_blocks,
+                      _model_directions, _models_directions, direction_stream)
 
 
 @dataclass(frozen=True)
@@ -142,11 +142,16 @@ def t_ratio(fit: FitResult, predictor: int, target_value: float = 0.0) -> float:
     return (est - target_value) / (fit.sigma_hat / norm)
 
 
-def _check_constant_applies(k: ConstantEstimate, model: ModelId,
-                            error_model: ErrorModel):
+def _check_constant_applies(k: ConstantEstimate, design: CanonicalDesign,
+                            model: ModelId, error_model: ErrorModel):
     if k.error_model != error_model:
         raise InfeasibleError(
             f"constant was computed for {k.error_model}, not {error_model}; "
+            "the simultaneous guarantee would be void"
+        )
+    if k.d is not None and k.d != design.d:
+        raise InfeasibleError(
+            f"constant was computed for d={k.d}, not d={design.d}; "
             "the simultaneous guarantee would be void"
         )
     if k.name == "scheffe":
@@ -173,11 +178,12 @@ def posi_intervals(
 ) -> IntervalReport:
     """Simultaneous intervals estimate +- K sigma_hat / ||x_{j.M}|| for j in M.
 
-    K must have been computed for ``error_model`` and, unless it is the
-    Scheffe constant, for a universe containing ``model``; otherwise the
-    guarantee would be void and InfeasibleError is raised.
+    K must have been computed for ``error_model``, for a design of this
+    rank d (when K records its d) and, unless it is the Scheffe constant,
+    for a universe containing ``model``; otherwise the guarantee would be
+    void and InfeasibleError is raised.
     """
-    _check_constant_applies(k, model, error_model)
+    _check_constant_applies(k, design, model, error_model)
     fit = fit_submodel(design, y, model, sigma_hat, error_model)
     beta = submodel_target(design, model, target) if target is not None else None
     rows = []

@@ -256,17 +256,17 @@ def test_coverage_spar_posi_walks_its_universe_once(files, capsys, monkeypatch):
     # K, the spar selector and the refits read one held walk of the
     # universe: no walk of the selected models' explicit universe.
     # Output is that of the constant and the experiment run apart.
-    import posikit.design
+    import posikit.lattice
     from posikit import ErrorModel, coverage_experiment, posi_constant
 
     walks = []
-    walker = posikit.design._walk_factors
+    walker = posikit.lattice._walk_factors
 
     def counting(*args, **kwargs):
         walks.append(args[1])
         yield from walker(*args, **kwargs)
 
-    monkeypatch.setattr(posikit.design, "_walk_factors", counting)
+    monkeypatch.setattr(posikit.lattice, "_walk_factors", counting)
     design = canonicalize(load_design(files["generic3"]))
     em = ErrorModel(9)
     for universe in ("all", "size<=2"):
@@ -314,20 +314,20 @@ def test_exit_code_usage(capsys):
 
 
 def test_analyze_walks_its_universe_once(files, tmp_path, capsys, monkeypatch):
-    import posikit.design
+    import posikit.lattice
 
     # A duplicated column: degenerate skips and duplicate directions, d < p.
     X = np.loadtxt(files["generic3"], delimiter=",")
     duplicated = tmp_path / "dup.csv"
     np.savetxt(duplicated, np.hstack([X, X[:, :1]]), delimiter=",")
     walks = []
-    walker = posikit.design._level_batches
+    walker = posikit.lattice._level_batches
 
     def counting(*args, **kwargs):
         walks.append(args[0].p)
         yield from walker(*args, **kwargs)
 
-    monkeypatch.setattr(posikit.design, "_level_batches", counting)
+    monkeypatch.setattr(posikit.lattice, "_level_batches", counting)
     for path, universe, expected_walks in [
         (str(duplicated), "all", 1),
         (str(duplicated), "size<=2", 1),
@@ -470,6 +470,35 @@ def test_non_finite_response_or_mean_is_a_data_error(files, capsys, tmp_path, ba
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("non-finite") == 3
+
+
+def test_response_and_design_accept_a_utf8_byte_order_mark(files, capsys, tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM; the output is that
+    # of the same files without one.
+    outputs = []
+    for bom in (False, True):
+        paths = []
+        for name in ("generic3", "response"):
+            text = open(files[name]).read()
+            path = tmp_path / f"{name}-{bom}.txt"
+            path.write_bytes(text.encode("utf-8-sig" if bom else "utf-8"))
+            paths.append(str(path))
+        assert run(["spar", "--design", paths[0], "--response", paths[1],
+                    "--sigma-hat", "1.0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_bad_model_list_is_a_data_error_naming_file_and_line(files, capsys, tmp_path):
+    path = tmp_path / "m.txt"
+    for lines, line in (("1,2\n3,9\n", 2), ("1,x\n", 1), ("1\n0,2\n", 2)):
+        path.write_text(lines)
+        assert run(["k", "--design", files["generic3"], "--universe", f"file={path}",
+                    "--mc-samples", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"model list {str(path)!r}, line {line}: members must be integers in 1..3" \
+            in captured.err
 
 
 def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch):

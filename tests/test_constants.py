@@ -136,10 +136,10 @@ def test_posi1_predictor_not_in_universe():
 
 
 def test_posi1_walks_once_over_the_predictors_pairs(monkeypatch):
-    import posikit.design
+    import posikit.lattice
 
     walks, emitted = [], []
-    walker = posikit.design._level_batches
+    walker = posikit.lattice._level_batches
 
     def counting(design, universe, predictor=None, **kwargs):
         walks.append(predictor)
@@ -147,7 +147,7 @@ def test_posi1_walks_once_over_the_predictors_pairs(monkeypatch):
             emitted.extend(batch.predictors.tolist())
             yield batch
 
-    monkeypatch.setattr(posikit.design, "_level_batches", counting)
+    monkeypatch.setattr(posikit.lattice, "_level_batches", counting)
     cd = random_canonical(5, seed=4)
     est = posi1_constant(cd, predictor=3, n_samples=2_000, seed=0)
     assert walks == [3]
@@ -528,6 +528,58 @@ def test_k_is_conservative_on_the_orthogonal_oracle(df):
     promise = constants.conservative_quantile_index(0.05, n) / (n + 1)
     assert abs(f.mean() - promise) <= 4 * f.std(ddof=1) / math.sqrt(seeds)
     sd_k = np.std([e.k for e in ests], ddof=1)
+    assert 0.8 <= np.median([e.mc_standard_error for e in ests]) / sd_k <= 1.25
+
+
+def rank2_cdf(k: np.ndarray, vectors: np.ndarray, error_model: ErrorModel) -> np.ndarray:
+    """The exact law of max_l |l'Z| / sigma_hat over unit directions l of
+    the plane, at each k. With Z = R (cos t, sin t), R^2 ~ chi2_2 and t
+    uniform, F(k) = (1 / 2 pi) int G(k^2 / M(t)^2) dt with M(t) = max_l
+    |l'(cos t, sin t)|, where G is the law of R^2 (1 - exp(-x / 2)) or, with
+    r error degrees of freedom, of R^2 / sigma_hat^2 = 2 F(2, r)
+    (1 - (1 + x / r)^(-r / 2)). M has period pi, and between two adjacent
+    axes (angles mod pi) the nearer one gives M = cos of the distance to it,
+    so each gap g is two arcs of int_0^(g/2) G(k^2 / cos^2 s) ds, taken by
+    Gauss-Legendre quadrature."""
+    axes = np.sort(np.arctan2(vectors[:, 1], vectors[:, 0]) % np.pi)
+    gaps = np.diff(axes, append=axes[0] + np.pi)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    s = gaps[:, None] / 4 * (1.0 + nodes)
+    x = np.asarray(k, dtype=float)[:, None, None] ** 2 / np.cos(s) ** 2
+    if error_model.sigma_known:
+        g = -np.expm1(-x / 2)
+    else:
+        r = error_model.df
+        g = 1.0 - (1.0 + x / r) ** (-r / 2)
+    return 2 / np.pi * (g * (gaps[:, None] / 4 * weights)).sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("df", [math.inf, 5])
+def test_rank2_oracle_is_the_orthogonal_law_on_the_identity(df):
+    em = ErrorModel(df)
+    k = np.array([0.5, 1.5, 2.2365, 3.0])
+    got = rank2_cdf(k, np.eye(2), em)
+    want = [constants._orth_cdf(x, 2, em) for x in k]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("df", [math.inf, 5])
+def test_k_is_conservative_on_the_rank2_oracle(df):
+    # As on the orthogonal oracle, F(K) has mean idx / (N + 1) >= 1 - alpha
+    # over seeds; here F is the exact law of a generic rank-2 design, five
+    # columns in the plane, 25 directions (rank2_cdf).
+    em = ErrorModel(df)
+    cd = CanonicalDesign.from_canonical(np.random.default_rng(25).standard_normal((2, 5)))
+    vectors = direction_stream(cd).matrix()
+    assert vectors.shape == (25, 2)
+    n, seeds = 2_000, 2_000
+    ests = [posi_constant(cd, error_model=em, n_samples=n, seed=seed)
+            for seed in range(seeds)]
+    ks = np.array([e.k for e in ests])
+    f = rank2_cdf(ks, vectors, em)
+    promise = constants.conservative_quantile_index(0.05, n) / (n + 1)
+    assert abs(f.mean() - promise) <= 4 * f.std(ddof=1) / math.sqrt(seeds)
+    sd_k = np.std(ks, ddof=1)
     assert 0.8 <= np.median([e.mc_standard_error for e in ests]) / sd_k <= 1.25
 
 

@@ -102,6 +102,65 @@ def test_load_empty_table():
         load_design(io.StringIO("\n\n"))
 
 
+def test_load_accepts_a_utf8_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM.
+    path = tmp_path / "bom.csv"
+    path.write_bytes("a,b\n1,2\n3,5\n".encode("utf-8-sig"))
+    for source in (path, io.StringIO("\ufeffa,b\n1,2\n3,5\n")):
+        dm = load_design(source, header=True)
+        assert dm.column_names == ("a", "b")
+        np.testing.assert_array_equal(dm.values, [[1.0, 2.0], [3.0, 5.0]])
+    path.write_bytes("1,2\n3,5\n".encode("utf-8-sig"))
+    np.testing.assert_array_equal(load_design(path).values, [[1.0, 2.0], [3.0, 5.0]])
+
+
+def test_design_classes_keep_their_public_behaviour():
+    X = np.array([[1.0, 2.0], [3.0, 5.0], [0.0, 1.0]])
+    dm = DesignMatrix(X, ["a", "b"], 1e-8)
+    same = DesignMatrix(values=X, column_names=("a", "b"), rank_tolerance=1e-8)
+    for m in (dm, same):
+        assert m.column_names == ("a", "b") and m.rank_tolerance == 1e-8
+        np.testing.assert_array_equal(m.values, X)
+        np.testing.assert_allclose(m.singular_values, np.linalg.svd(X, compute_uv=False))
+        assert (m.n, m.p, m.rank) == (3, 2, 2)
+    assert DesignMatrix(X, ("a", "b")).rank_tolerance == 1e-10
+    assert repr(DesignMatrix(np.eye(1), ("a",))) == (
+        "DesignMatrix(values=array([[1.]]), column_names=('a',), rank_tolerance=1e-10)")
+    cd = canonicalize(dm)
+    again = CanonicalDesign(values=cd.values, basis=cd.basis, form=cd.form,
+                            column_names=cd.column_names, rank_tolerance=1e-8)
+    for c in (cd, again):
+        assert c.form == "upper_triangular" and c.rank_tolerance == 1e-8
+        np.testing.assert_allclose(c.rank_limits, 1e-8 * np.linalg.norm(X, axis=0))
+    assert repr(CanonicalDesign.from_canonical(np.eye(1), column_names=["a"])) == (
+        "CanonicalDesign(values=array([[1.]]), basis=array([[1.]]), form='unspecified', "
+        "column_names=('a',), rank_tolerance=1e-10)")
+    for obj, name in ((dm, "values"), (dm, "singular_values"), (cd, "basis"),
+                      (cd, "rank_limits"), (cd, "new_field")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    # Validation, with the messages as before.
+    for args, error, message in [
+        ((np.ones(3), ("a",)), DataError, "2-d matrix"),
+        ((np.array([[np.nan]]), ("a",)), DataError, "non-finite"),
+        ((X, ("a",)), ValueError, "column_names length"),
+        ((X, ("a", "b"), -1.0), ValueError, "rank_tolerance must be nonnegative"),
+    ]:
+        with pytest.raises(error, match=message):
+            DesignMatrix(*args)
+    for args, message in [
+        ((np.ones(3), np.eye(3), "unspecified", ("a",)), "must be 2-d"),
+        ((np.eye(2), np.eye(3), "unspecified", ("a", "b")), "basis must be n x d"),
+        ((np.eye(2), np.eye(2), "lower", ("a", "b")), "unknown canonical form 'lower'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CanonicalDesign(*args)
+    with pytest.raises(TypeError):
+        DesignMatrix(X, ("a", "b"), singular_values=np.ones(2))
+
+
 # ---------------------------------------------------------------------------
 # canonicalize
 # ---------------------------------------------------------------------------
@@ -469,6 +528,44 @@ def test_universe_from_file(tmp_path):
     models = sorted(enumerate_models(cd, u))
     assert models == sorted([ModelId([1, 2]), ModelId([3]), ModelId([2, 4])])
     assert u.spec_string() == f"file={path}"
+
+
+def test_universe_file_accepts_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "models.txt"
+    path.write_bytes("1,2\n3\n".encode("utf-8-sig"))
+    u = ModelUniverse.from_spec(f"file={path}", p=4)
+    assert u.explicit_masks == {0b11, 0b100}
+
+
+@pytest.mark.parametrize("lines, line", [
+    ("1,2\n3,x\n", 2),      # not an integer
+    ("1,2\n\n0,1\n", 3),   # below 1
+    ("1,2\n3,9\n", 2),      # beyond p = 4
+    ("# models\n1.5\n", 2),
+])
+def test_universe_file_rejects_bad_members_by_line(tmp_path, lines, line):
+    path = tmp_path / "models.txt"
+    path.write_text(lines)
+    with pytest.raises(DataError, match=rf"model list .*models\.txt', line {line}: "
+                                        r"members must be integers in 1\.\.4"):
+        ModelUniverse.from_spec(f"file={path}", p=4)
+
+
+def test_universe_file_without_p_bounds_members_from_below(tmp_path):
+    path = tmp_path / "models.txt"
+    path.write_text("3,9\n")
+    # Without p nothing bounds a member from above; below 1 is still an error.
+    assert ModelUniverse.from_spec(f"file={path}").explicit_masks == {0b100000100}
+    path.write_text("0\n")
+    with pytest.raises(DataError, match="line 1: members must be integers >= 1"):
+        ModelUniverse.from_spec(f"file={path}")
+
+
+def test_explicit_universe_api_still_drops_models_beyond_p():
+    cd = random_design(4, seed=41)
+    listed = ModelUniverse.explicit([[1, 2], [3, 9]])
+    assert list(enumerate_models(cd, listed)) == [ModelId([1, 2])]
+    assert direction_stream(cd, listed).count == 2
 
 
 def test_universe_size_less_than():

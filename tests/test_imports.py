@@ -22,11 +22,7 @@ EXPORTS = {
         "asymptotic_cap_constant", "cap_bonferroni_bound", "max_abs_t_draws",
         "orth_constant", "posi1_constant", "posi_constant", "scheffe_constant",
     ],
-    "design": [
-        "CanonicalDesign", "DesignMatrix", "Direction", "DirectionSet", "ModelId",
-        "ModelUniverse", "adjusted_predictor", "canonicalize", "direction_stream",
-        "enumerate_models", "load_design", "vif",
-    ],
+    "design": ["CanonicalDesign", "DesignMatrix", "canonicalize", "load_design"],
     "errors": ["DataError", "InfeasibleError"],
     "families": [
         "exchangeable_cosine", "exchangeable_design", "exchangeable_direction_formula",
@@ -44,7 +40,13 @@ EXPORTS = {
         "make_spar1_selector", "make_spar_selector", "make_stepwise_selector",
         "posi_intervals", "spar1_select", "spar_select", "submodel_target", "t_ratio",
     ],
+    "lattice": [
+        "Direction", "DirectionSet", "ModelId", "ModelUniverse", "adjusted_predictor",
+        "direction_stream", "enumerate_models", "vif",
+    ],
 }
+# Names posikit.design forwards to posikit.lattice, which once lived in design.
+FORWARDED = [*EXPORTS["lattice"], "LevelBatch"]
 
 
 def fresh(code: str) -> str:
@@ -71,12 +73,14 @@ def design_file(tmp_path):
 
 
 def test_load_and_canonicalize_load_only_design(design_file):
-    loaded = json.loads(fresh(
+    # Set-up compiles ingestion alone: no lattice module, and no dataclasses.
+    loaded, dataclasses = json.loads(fresh(
         "import json, sys, posikit; "
         f"posikit.canonicalize(posikit.load_design({design_file!r})); "
-        f"print(json.dumps({LOADED}))"
+        f"print(json.dumps([{LOADED}, 'dataclasses' in sys.modules]))"
     ))
     assert loaded == ["posikit", "posikit.design", "posikit.errors"]
+    assert not dataclasses
 
 
 def test_k_command_loads_no_inference_geometry_or_families(design_file):
@@ -99,6 +103,9 @@ for module, names in {EXPORTS!r}.items():
     same[module] = lazy is defining
     same.update((name, getattr(posikit, name) is getattr(defining, name))
                 for name in names)
+import posikit.design, posikit.lattice
+forwarded = {{name: getattr(posikit.design, name) is getattr(posikit.lattice, name)
+             for name in {FORWARDED!r}}}
 star = {{}}
 exec("from posikit import *", star)
 del star["__builtins__"]
@@ -108,6 +115,7 @@ print(json.dumps({{
     "star": sorted(star),
     "star_same": all(value is getattr(posikit, name) for name, value in star.items()),
     "missing_from_dir": sorted(set(posikit.__all__) - set(dir(posikit))),
+    "forwarded": forwarded,
 }}))
 """
 
@@ -117,12 +125,13 @@ def test_every_public_name_is_its_submodules_object():
     # by a star import, is the object its defining submodule holds.
     report = json.loads(fresh(PUBLIC_NAMES))
     expected = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
-    assert len(expected) == 67
+    assert len(expected) == 68
     assert sorted(report["all"]) == expected
     assert sorted(report["same"]) == expected
     assert all(report["same"].values())
     assert report["star"] == expected and report["star_same"]
     assert report["missing_from_dir"] == []
+    assert report["forwarded"] == dict.fromkeys(FORWARDED, True)
 
 
 def test_unknown_attribute_raises_attribute_error():
@@ -130,3 +139,21 @@ def test_unknown_attribute_raises_attribute_error():
         posikit.no_such_name
     assert not hasattr(posikit, "_private")
     assert "no_such_name" not in vars(posikit)
+
+
+def test_design_forwards_only_the_lattice_public_names():
+    # posikit.design loads the lattice on the first forwarded lookup, not
+    # when it loads. Private lattice names are not forwarded, so a patch of
+    # posikit.design._walk_factors fails instead of shadowing the walker.
+    before, after = json.loads(fresh(
+        "import json, sys, posikit.design; "
+        "before = 'posikit.lattice' in sys.modules; "
+        "posikit.design.ModelUniverse; "
+        "print(json.dumps([before, 'posikit.lattice' in sys.modules]))"
+    ))
+    assert (before, after) == (False, True)
+    import posikit.design
+
+    for name in ("_walk_factors", "_level_batches", "no_such_name"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(posikit.design, name)

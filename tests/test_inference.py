@@ -356,6 +356,42 @@ def test_intervals_error_model_mismatch_is_hard_error():
     assert posi_intervals(cd, y, 1.0, KNOWN, model, ks).rows
 
 
+def test_intervals_refuse_a_constant_for_another_d():
+    rng = np.random.default_rng(8)
+    cd = random_canonical(10, seed=8)
+    y = rng.standard_normal(cd.d)
+    model = ModelId([1, 2])
+    # A Scheffe K for d = 4 (3.08) is far below d = 10's (4.28).
+    small = scheffe_constant(0.05, 4)
+    assert (small.d, scheffe_constant(0.05, cd.d).d) == (4, 10)
+    with pytest.raises(InfeasibleError, match="computed for d=4, not d=10"):
+        posi_intervals(cd, y, 1.0, KNOWN, model, small)
+    # A posi K from a design of another rank whose universe contains the model.
+    other = random_canonical(4, seed=9)
+    est = posi_constant(other, ModelUniverse.of_max_size(2), n_samples=2_000, seed=1)
+    assert est.d == 4
+    with pytest.raises(InfeasibleError, match="computed for d=4, not d=10"):
+        posi_intervals(cd, y, 1.0, KNOWN, model, est)
+    assert posi_intervals(other, y[:4], 1.0, KNOWN, model, est).rows
+    assert posi_intervals(cd, y, 1.0, KNOWN, model,
+                          scheffe_constant(0.05, cd.d)).rows
+
+
+def test_every_constant_records_its_d():
+    from posikit import cap_bonferroni_bound, orth_constant, posi1_constant
+
+    cd = random_canonical(4, seed=10, n=7)
+    rank3 = canonicalize(DesignMatrix(np.hstack([cd.basis[:, :3], cd.basis[:, :1]]),
+                                      ("a", "b", "c", "d")))
+    assert rank3.d == 3
+    for design in (cd, rank3):
+        assert posi_constant(design, n_samples=1_000).d == design.d
+        assert posi1_constant(design, predictor=2, n_samples=1_000).d == design.d
+    assert orth_constant(0.05, 6).d == 6
+    assert orth_constant(0.05, 6, ErrorModel.with_df(5)).d == 6
+    assert cap_bonferroni_bound(100, 5, 0.05).d == 5
+
+
 def test_intervals_covers_flag():
     cd = random_canonical(3, seed=7)
     mu = cd.values @ np.array([1.0, 0.5, 0.0])
@@ -495,16 +531,16 @@ def test_spar_selector_follows_the_design_it_is_given():
 
 
 def test_named_selectors_walk_once_per_design(monkeypatch):
-    import posikit.design
+    import posikit.lattice
 
     factorized = []
-    factors = posikit.design._factors
+    factors = posikit.lattice._factors
 
     def counting(design, rows, held=None):
         factorized.append(design)
         return factors(design, rows, held)
 
-    monkeypatch.setattr(posikit.design, "_factors", counting)
+    monkeypatch.setattr(posikit.lattice, "_factors", counting)
     rng = np.random.default_rng(18)
     pair = [random_canonical(5, seed=18), random_canonical(5, seed=19)]
     # One walk factors each block of same-size models once, and each set of

@@ -51,10 +51,11 @@ from posikit import (
     spar_select,
     verify_duality,
 )
-import posikit.design
+import posikit.lattice
 from posikit import _rng, constants, inference
-from posikit.design import (DEFAULT_RANK_TOLERANCE, _candidate_pair_count, _model_blocks,
-                            _model_directions, _models_directions, _models_pairs)
+from posikit.design import DEFAULT_RANK_TOLERANCE
+from posikit.lattice import (_candidate_pair_count, _model_blocks, _model_directions,
+                             _models_directions, _models_pairs)
 from posikit.inference import _argmax_over_directions, _check_response
 
 PROPERTY_SETTINGS = settings(
@@ -363,8 +364,8 @@ def test_factors_are_the_same_bits_along_every_path(cd):
     want, skips = walk_pairs(cd)
     # Every prefix by the recurrence, in blocks of three models.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(posikit.design, "_HELD_BYTES", 0)
-        patch.setattr(posikit.design, "_LEVEL_BLOCK", 3)
+        patch.setattr(posikit.lattice, "_HELD_BYTES", 0)
+        patch.setattr(posikit.lattice, "_LEVEL_BLOCK", 3)
         got, got_skips = walk_pairs(cd)
     assert_same_bits(got, want)
     assert got_skips == skips
@@ -391,24 +392,24 @@ def test_capped_walk_is_bitwise_the_default_walk(monkeypatch):
     blocks of a level, to the recurrence changes no bit of any batch."""
     cd = gaussian_design(np.random.default_rng(10), 14, 10)
     found = []
-    find = posikit.design._HeldLevel.find
+    find = posikit.lattice._HeldLevel.find
 
     def recording(self, masks):
         found.append(find(self, masks))
         return found[-1]
 
-    monkeypatch.setattr(posikit.design._HeldLevel, "find", recording)
-    for block in (posikit.design._LEVEL_BLOCK, 40):
-        monkeypatch.setattr(posikit.design, "_LEVEL_BLOCK", block)
+    monkeypatch.setattr(posikit.lattice._HeldLevel, "find", recording)
+    for block in (posikit.lattice._LEVEL_BLOCK, 40):
+        monkeypatch.setattr(posikit.lattice, "_LEVEL_BLOCK", block)
         for universe, predictor in [(ModelUniverse.all(), None),
                                     (ModelUniverse.from_spec("size<=6&forced=4"), None),
                                     (ModelUniverse.all(), 3)]:
-            want = list(posikit.design._level_batches(cd, universe, predictor))
+            want = list(posikit.lattice._level_batches(cd, universe, predictor))
             found.clear()
             with pytest.MonkeyPatch.context() as patch:
                 # Level 5 of the full lattice alone takes 151 kB.
-                patch.setattr(posikit.design, "_HELD_BYTES", 60_000)
-                got = list(posikit.design._level_batches(cd, universe, predictor))
+                patch.setattr(posikit.lattice, "_HELD_BYTES", 60_000)
+                got = list(posikit.lattice._level_batches(cd, universe, predictor))
             found_at = np.concatenate(found)
             assert (found_at >= 0).any() and (found_at < 0).any()
             assert len(got) == len(want)
@@ -424,11 +425,11 @@ def test_held_prefixes_stay_under_the_cap(monkeypatch):
     cd = gaussian_design(np.random.default_rng(12), 16, 12)
 
     def traced(cap):
-        monkeypatch.setattr(posikit.design, "_HELD_BYTES", cap)
+        monkeypatch.setattr(posikit.lattice, "_HELD_BYTES", cap)
         tracemalloc.start()
         try:
             return np.array([tracemalloc.get_traced_memory()[0] for _ in
-                             posikit.design._level_batches(cd, ModelUniverse.all())])
+                             posikit.lattice._level_batches(cd, ModelUniverse.all())])
         finally:
             tracemalloc.stop()
 
