@@ -20,7 +20,7 @@ and its asymptotic limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,6 +179,25 @@ def _float32_slack(d: int) -> float:
     (d u64), in the first order (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 3.1), and a factor 2 on top for safety."""
     return 2 * (d + 2) * (2.0 ** -24 + 2.0 ** -53)
+
+
+def _gemv_margin(d: int, row_norm: float, y_norm: float) -> float:
+    """m with |g - e| <= m / 2 for a row l of norm at most row_norm and a
+    response y of norm y_norm in d dimensions, where g is l'y computed in a
+    matrix-vector product (BLAS gemv) and e is l'y from np.vecdot (one BLAS
+    ddot per row). Each is a sum of d products in some order, with or
+    without fused multiply-adds, so each lies within
+    gamma_d sum_k |l_k y_k| + d eta of l'y, where gamma_d = d u / (1 - d u),
+    u = 2^-53, and eta = 2^-1075 bounds the absolute error of a product that
+    underflows (a sum that underflows is exact) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1). Cauchy-Schwarz gives
+    sum_k |l_k y_k| <= row_norm y_norm, so |g - e| <= 2 (gamma_d row_norm
+    y_norm + d eta), and m is twice that for safety: the factor covers the
+    rounding of row_norm, y_norm and m itself. Not finite when y_norm is
+    not."""
+    u = 2.0 ** -53
+    gamma = d * u / (1.0 - d * u)
+    return 4.0 * (gamma * row_norm * y_norm + d * 2.0 ** -1075)
 
 
 # Added to each cone's half-angle. arccos loses half the digits near 1: a
@@ -769,6 +788,9 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
     direction_count * P[|U| > K'] = alpha/2 with U^2 ~ Beta(1/2, (d-1)/2))
     and alpha/2 on the radius (the 1 - alpha/2 chi quantile), returning their
     product. Always conservative for any direction set of the given size.
+    When the cap it needs lies beyond 1 - 1e-14 (about 3e5 directions at
+    d = 2), Scheffe's K is smaller, and it is returned with this
+    direction_count.
     """
     from scipy import optimize, special
 
@@ -784,9 +806,11 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
             return np.log(special.betaincc(0.5, (d - 1) / 2.0, u * u)) - target
 
     lo, hi = 1e-12, 1.0 - 1e-14
-    if log_tail_gap(lo) < 0.0:
-        # Requested alpha cannot be met by any cap in (0, 1); Scheffe fallback.
-        return scheffe_constant(alpha, d)
+    if log_tail_gap(hi) > 0.0:
+        # Too many directions for any cap below hi: the bound would exceed
+        # the 1 - alpha/2 chi quantile, and Scheffe's K, which holds for any
+        # direction set, is smaller.
+        return replace(scheffe_constant(alpha, d), direction_count=direction_count)
     k_prime = optimize.brentq(log_tail_gap, lo, hi, xtol=1e-14)
     radius = math.sqrt(special.chdtri(d, alpha / 2.0))
     return ConstantEstimate(

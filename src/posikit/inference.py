@@ -10,13 +10,14 @@ which exists for arbitrary mean vectors mu, so nothing here assumes any model
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import _rng
-from .constants import _DIRECTION_CHUNK, ConstantEstimate, ErrorModel
+from .constants import ConstantEstimate, ErrorModel, _gemv_margin
 from .design import CanonicalDesign
 from .errors import InfeasibleError
 from .lattice import (DirectionSet, ModelId, ModelUniverse, _full_rank_blocks,
@@ -213,24 +214,91 @@ def posi_intervals(
 # ---------------------------------------------------------------------------
 
 
+# Rows per block that one-shot selection streams (at d = 16, 1 MB): the
+# screen costs a few numpy calls per block whatever its size, so over the
+# fold's 512-row chunks it saved nothing against a row-by-row scan.
+_SELECT_CHUNK = 8192
+
+
 def _argmax_over_directions(
     chunks: Iterable, y: np.ndarray, sigma_hat: float
 ) -> tuple[ModelId, int, float]:
     """Max |l' y| / sigma_hat over the (vectors, keys) chunks of a direction
-    set, with deterministic tie-breaking: the smallest (mask, j) key wins."""
-    _check_response(y, sigma_hat)
-    best: tuple[float, tuple[int, int]] | None = None
+    set, with deterministic tie-breaking: the smallest (mask, j) key wins.
+    See _argmax_over_blocks."""
+    return _argmax_over_blocks(_normed(chunks), y, sigma_hat)
+
+
+def _normed(chunks: Iterable) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Each (vectors, keys) chunk with a bound on the norms of its rows,
+    sqrt(d) max |l_k|: two reductions, where the norms themselves take a
+    pass that costs about as much as the screen saves."""
     for vectors, keys in chunks:
-        # vecdot rounds each row as np.dot(row, y) does; vectors @ y does not.
-        stats = np.abs(np.vecdot(vectors, y)) / sigma_hat
-        stat = float(stats.max())
-        candidate = (-stat, min(map(tuple, keys[stats == stat].tolist())))
+        largest = max(vectors.max(), -vectors.min())
+        yield vectors, keys, math.sqrt(vectors.shape[1]) * largest
+
+
+def _argmax_over_blocks(
+    blocks: Iterable, y: np.ndarray, sigma_hat: float
+) -> tuple[ModelId, int, float]:
+    """_argmax_over_directions over (vectors, keys, row norm bound) blocks.
+
+    The stat of row i is s_i = |e_i| / sigma_hat, with e_i = l_i'y from
+    np.vecdot, which rounds each row as np.dot(row, y) does. A block is
+    screened with one product, r = |vectors @ y|, which rounds otherwise,
+    and only rows with r_i >= (max r - 2m)(1 - 4u) are rescored by vecdot,
+    where u = 2^-53 and m is constants._gemv_margin, so that
+    |r_i - |e_i|| <= m / 2. Every row whose s_i reaches the block's maximum
+    S is among them, so the model, predictor and stat are the full scan's,
+    bit for bit, ties included. Proof: let k hold the largest |e_k|; the
+    rounded division is monotone, so s_k = S. If s_i = S and S is a normal
+    number, both quotients round to S with a relative error of at most u,
+    so |e_i| >= |e_k| (1 - u) / (1 + u) >= |e_k| (1 - 2u), and
+    |e_k| >= max r - m / 2. Hence r_i >= |e_i| - m / 2
+    >= (max r - m)(1 - 2u), and the floor, rounded three times, stays below
+    that with a factor 2 to spare on m and on u. If S is zero, subnormal
+    or infinite, the division may merge quotients further apart, and the
+    block is rescored whole; so is a block whose floor is not finite
+    (||y|| or a product overflows).
+    """
+    _check_response(y, sigma_hat)
+    y = np.asarray(y, dtype=float)
+    y_norm = math.hypot(*y.tolist())
+    best: tuple[float, tuple[int, int]] | None = None
+    for vectors, keys, row_bound in blocks:
+        stat, tied = _block_max(vectors, keys, row_bound, y, y_norm, sigma_hat)
+        candidate = (-stat, min(map(tuple, tied.tolist())))
         if best is None or candidate < best:
             best = candidate
     if best is None:
         raise InfeasibleError("no directions to select over")
     stat, (mask, j) = -best[0], best[1]
     return ModelId.from_mask(mask), j, stat
+
+
+def _block_max(vectors: np.ndarray, keys: np.ndarray, row_bound: float,
+               y: np.ndarray, y_norm: float, sigma_hat: float
+               ) -> tuple[float, np.ndarray]:
+    """The block's largest stat and the keys of the rows that reach it, by
+    the screen of _argmax_over_blocks."""
+    r = np.abs(vectors @ y)
+    margin = _gemv_margin(vectors.shape[1], row_bound, y_norm)
+    floor = (r.max() - 2.0 * margin) * (1.0 - 4.0 * 2.0 ** -53)
+    if math.isfinite(floor):
+        stat, tied = _rows_max(vectors, keys, np.flatnonzero(r >= floor), y, sigma_hat)
+        if sys.float_info.min <= stat < math.inf:
+            return stat, tied
+    return _rows_max(vectors, keys, np.arange(r.size), y, sigma_hat)
+
+
+def _rows_max(vectors: np.ndarray, keys: np.ndarray, rows: np.ndarray,
+              y: np.ndarray, sigma_hat: float) -> tuple[float, np.ndarray]:
+    """The largest stat over these rows and the keys of the rows that reach
+    it. The rows are gathered into a C-ordered copy, whose vecdot rounds
+    each row as np.dot(row, y) does, whatever the block's layout."""
+    stats = np.abs(np.vecdot(vectors[rows], y)) / sigma_hat
+    stat = float(stats.max())
+    return stat, keys[rows[stats == stat]]
 
 
 def _spar1_directions(
@@ -252,7 +320,7 @@ def spar_select(
 ) -> tuple[ModelId, float]:
     """Significance-hunting selection: the model holding the largest |t| over
     all (j, M) pairs. Attains the simultaneous max-|t| bound by construction."""
-    chunks = direction_stream(design, universe).chunks(_DIRECTION_CHUNK)
+    chunks = direction_stream(design, universe).chunks(_SELECT_CHUNK)
     model, _, stat = _argmax_over_directions(chunks, y, sigma_hat)
     return model, stat
 
@@ -266,7 +334,7 @@ def spar1_select(
 ) -> tuple[ModelId, float]:
     """Best-adjustment selection for one primary predictor: maximizes its |t|
     over the models that contain it."""
-    chunks = _spar1_directions(design, universe, predictor).chunks(_DIRECTION_CHUNK)
+    chunks = _spar1_directions(design, universe, predictor).chunks(_SELECT_CHUNK)
     model, _, stat = _argmax_over_directions(chunks, y, sigma_hat)
     return model, stat
 
@@ -301,13 +369,18 @@ class _DirectionSelector:
 
     def __call__(self, design: CanonicalDesign, y: np.ndarray,
                  sigma_hat: float) -> ModelId:
-        return _argmax_over_directions(self.held(design)[0], y, sigma_hat)[0]
+        return _argmax_over_blocks(self.held(design)[0], y, sigma_hat)[0]
 
 
 def _held_block(directions: DirectionSet) -> tuple[list, bool]:
-    """The set's chunks as one held block (none when the set is empty), and
-    whether it holds every pair of its models."""
-    return list(directions.chunks()), directions.predictor is None
+    """The set as one held block of _normed (none when the set is empty),
+    and whether it holds every pair of its models. The vectors are held in
+    Fortran order: their product with y is then a column-major gemv, which
+    at d = 10 takes half the time of the row-major one, a dot product per
+    row."""
+    blocks = [(np.asfortranarray(vectors), keys, bound)
+              for vectors, keys, bound in _normed(directions.chunks())]
+    return blocks, directions.predictor is None
 
 
 def _held_refits(vectors: np.ndarray, keys: np.ndarray,
@@ -332,9 +405,10 @@ def _refit_directions(select: Selector, design: CanonicalDesign,
     mask: from the selector's held block when it holds whole models, else
     from one walk of the models' explicit universe."""
     if isinstance(select, _DirectionSelector):
-        chunks, whole_models = select.held(design)
+        blocks, whole_models = select.held(design)
         if whole_models:
-            return _held_refits(*chunks[0], models)
+            vectors, keys, _ = blocks[0]
+            return _held_refits(vectors, keys, models)
     return {mask: v for mask, (v, _) in _models_directions(design, models).items()}
 
 
@@ -539,6 +613,9 @@ def coverage_experiment(
     fresh each replication from the error model, independent of eps.
     Selectors must be pure functions of (design, y, sigma_hat); the named
     selectors "spar" and ("spar1", j) are built against the given universe.
+    A ConstantEstimate k must apply to every model selected, as in
+    posi_intervals, else InfeasibleError is raised; a float k (say, the
+    naive normal quantile) is used as given.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -558,12 +635,18 @@ def coverage_experiment(
 
     covered: list[bool] = []
     models: list[ModelId] = []
+    checked: set[int] = set()
     for b in range(_rng.block_count(replications)):
         eps, sigma = _rng.gaussian_block(
             seed, _rng.PURPOSE_COVERAGE, b, replications, design.d, error_model.df
         )
         selected = [select(design, mu + e, sigma_hat)
                     for e, sigma_hat in zip(eps, sigma.tolist())]
+        if isinstance(k, ConstantEstimate):
+            for model in selected:
+                if model.mask not in checked:
+                    _check_constant_applies(k, design, model, error_model)
+                    checked.add(model.mask)
         directions = _refit_directions(select, design, selected)
         for model, e, sigma_hat in zip(selected, eps, sigma.tolist()):
             # |beta_j - target_j| = |l_j'e| / ||x_{j.M}|| <= K sigma_hat / ||x_{j.M}||

@@ -111,6 +111,14 @@ def test_bound_command(capsys):
     )
 
 
+def test_bound_falls_back_to_scheffe_beyond_the_cap_bracket(capsys):
+    # A million directions at d = 2 need a cap beyond the bracket's upper end;
+    # this exited 1 with scipy's "f(a) and f(b) must have different signs".
+    payload = run_json(capsys, ["bound", "--direction-count", "1000000", "--d", "2"])
+    assert payload["K"] == scheffe_constant(0.05, 2).k
+    assert math.isfinite(payload["K"]) and payload["direction_count"] == 1_000_000
+
+
 def test_intervals_command(files, capsys):
     payload = run_json(capsys, [
         "intervals", "--design", files["generic3"], "--response",
@@ -140,6 +148,47 @@ def test_coverage_command(files, capsys):
     ])
     assert payload["replications"] == 400
     assert 0.85 <= payload["coverage"] <= 1.0
+
+
+SELECTION_STDOUT = {
+    "spar": '{"K": null, "alpha": null, "d": 8, "df": null, "direction_count": null, '
+            '"max_abs_t": 5.476314279670935, "mc_samples": null, "mc_standard_error": null, '
+            '"p": 8, "predictor": null, "seed": null, "selected_model": [1, 2, 7], '
+            '"sigma_hat": 1.0, "tool_version": "0.1.0", "universe": "all"}',
+    "spar --predictor 2": '{"K": null, "alpha": null, "d": 8, "df": null, '
+            '"direction_count": null, "max_abs_t": 2.412379820899366, "mc_samples": null, '
+            '"mc_standard_error": null, "p": 8, "predictor": 2, "seed": null, '
+            '"selected_model": [1, 2, 3, 4, 7, 8], "sigma_hat": 1.0, '
+            '"tool_version": "0.1.0", "universe": "all"}',
+    "coverage --selector spar": '{"K": 3.2050631968544656, "alpha": 0.05, '
+            '"binomial_se": 0.013856406460551024, "coverage": 0.96, "d": 8, "df": "inf", '
+            '"direction_count": 1024, "k_source": "posi", "mc_samples": 2000, '
+            '"mc_standard_error": 0.03332770402148339, "p": 8, "replications": 200, '
+            '"seed": 5, "selector": "spar", "tool_version": "0.1.0", "universe": "all"}',
+    "coverage --selector spar1:2": '{"K": 3.2050631968544656, "alpha": 0.05, '
+            '"binomial_se": 0.008595056718835545, "coverage": 0.985, "d": 8, "df": "inf", '
+            '"direction_count": 1024, "k_source": "posi", "mc_samples": 2000, '
+            '"mc_standard_error": 0.03332770402148339, "p": 8, "replications": 200, '
+            '"seed": 5, "selector": "spar1:2", "tool_version": "0.1.0", "universe": "all"}',
+}
+
+
+@pytest.mark.parametrize("command", SELECTION_STDOUT)
+def test_selection_stdout_is_pinned(tmp_path, capsys, command):
+    # A seeded 20 x 8 design, 1 024 directions.
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((20, 8))
+    y = X @ np.array([0.8, 0.0, -0.5, 0.0, 0.3, 0.0, 0.0, 0.2]) + rng.standard_normal(20)
+    np.savetxt(tmp_path / "X.csv", X, delimiter=",")
+    np.savetxt(tmp_path / "y.txt", y)
+    argv = command.split() + ["--design", str(tmp_path / "X.csv")]
+    if argv[0] == "spar":
+        argv += ["--response", str(tmp_path / "y.txt"), "--sigma-hat", "1.0"]
+    else:
+        argv += ["--k-source", "posi", "--mc-samples", "2000", "--replications", "200",
+                 "--seed", "5"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == SELECTION_STDOUT[command] + "\n"
 
 
 def test_analyze_command(files, capsys):

@@ -693,6 +693,17 @@ def test_cap_bound_single_cap_composition():
     assert tail == pytest.approx(0.025, abs=1e-10)
 
 
+def test_cap_bound_falls_back_to_scheffe_past_its_bracket():
+    # At d = 2 a million directions need a cap beyond u = 1 - 1e-14; the
+    # bound there would exceed the 0.975 chi quantile, above Scheffe's K.
+    scheffe = scheffe_constant(0.05, 2)
+    far = cap_bonferroni_bound(10**6, 2, 0.05)
+    assert (far.k, far.name, far.direction_count, far.d) == (scheffe.k, "scheffe", 10**6, 2)
+    near = cap_bonferroni_bound(10**5, 2, 0.05)
+    assert near.name == "cap_bound"
+    assert scheffe.k < near.k < math.sqrt(stats.chi2.ppf(0.975, 2))
+
+
 def test_cap_bound_rate_decreases_toward_limit():
     ratios = []
     for p in (10, 14, 18, 60, 240):

@@ -31,6 +31,7 @@ from posikit import (
     worst_posi1_design,
 )
 from posikit.design import DesignMatrix
+from posikit.inference import _argmax_over_blocks, _argmax_over_directions, _normed
 
 KNOWN = ErrorModel.known_sigma()
 
@@ -503,6 +504,68 @@ def test_spar_tie_break_deterministic():
     assert stat == 1.0
 
 
+def cancelling_rows(rng, n, y, size):
+    """n Gaussian rows plus size times Gaussian rows projected off y."""
+    big = rng.standard_normal((n, y.size))
+    big -= np.outer(big @ y, y) / (y @ y)
+    return rng.standard_normal((n, y.size)) + size * big
+
+
+def near_tie_block(seed, order, n=40, d=10):
+    """A block whose first row, on the first axis, ties the largest row-wise
+    |l'y| exactly, while the matrix-vector product over the rows in this
+    memory order ("C" as one-shot selection streams them, "F" as selectors
+    hold them) ranks another row above it. y's first entry is a power of
+    two, so the first row's product is exact in any order. The other rows
+    are large against y's normal plane, so that their products cancel and
+    the two products of a row can differ by many units in the last place.
+    None when this seed's rows give no such pair."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(d)
+    y[0] = 0.5
+    vectors = np.vstack([np.zeros(d), cancelling_rows(rng, n, y, 1e3)])
+    exact = np.abs(np.vecdot(vectors, y))
+    a = int(np.abs(np.asarray(vectors, order=order) @ y).argmax())
+    vectors[0, 0] = exact[a] / y[0]
+    if (np.abs(np.asarray(vectors, order=order) @ y)[a] <= exact[a]
+            or exact[a] < exact.max()):
+        return None
+    # (mask, j) keys; the first row holds the smallest.
+    keys = np.column_stack([np.arange(1, n + 2), np.ones(n + 1, dtype=np.int64)])
+    return vectors, keys, y
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_screen_keeps_rows_that_tie_within_rounding(order):
+    witnesses = [near_tie_block(seed, order) for seed in range(200)]
+    witnesses = [w for w in witnesses if w is not None]
+    # The matrix-vector product alone would pick another row than the full
+    # scan, so a screen that kept only its maxima would select wrongly.
+    assert len(witnesses) >= 5
+    for vectors, keys, y in witnesses:
+        gemv = np.abs(np.asarray(vectors, order=order) @ y).argmax()
+        exact = np.abs(np.vecdot(vectors, y))
+        assert gemv != 0 and exact[gemv] == exact[0] == exact.max()
+        want = (ModelId.from_mask(1), 1, float(exact[0]) / 0.5)
+        assert _argmax_over_directions([(vectors, keys)], y, 0.5) == want
+        blocks = [(np.asarray(v, order=order), k, bound)
+                  for v, k, bound in _normed([(vectors, keys)])]
+        assert _argmax_over_blocks(blocks, y, 0.5) == want
+
+
+def test_screen_rescores_whole_blocks_at_subnormal_stats():
+    # |l'y| of 0.97 and 1 times 2^-100 over sigma_hat = 2^972 both round to
+    # the subnormal 2^-1072, so the rows tie and the first key wins, though
+    # the second row alone is within the screen's margin of the maximum.
+    vectors = np.array([[0.97, 0.0], [1.0, 0.0], [0.5, 0.0]])
+    keys = np.array([[1, 1], [2, 1], [3, 1]])
+    y = np.array([2.0 ** -100, 0.0])
+    stats = np.abs(np.vecdot(vectors, y)) / 2.0 ** 972
+    assert stats[0] == stats[1] == 2.0 ** -1072 > stats[2]
+    want = (ModelId.from_mask(1), 1, 2.0 ** -1072)
+    assert _argmax_over_directions([(vectors, keys)], y, 2.0 ** 972) == want
+
+
 def test_spar_selector_follows_the_design_it_is_given():
     # Each named selector against a one-shot reference that caches nothing.
     cases = [
@@ -713,6 +776,32 @@ def test_coverage_finite_df_draws_fresh_sigma():
     est = posi_constant(cd, error_model=em, n_samples=50_000, seed=6)
     res = coverage_experiment(cd, None, "spar", 0.05, em, est, 2_000, seed=8)
     assert res.coverage >= 0.95 - 3 * res.binomial_se
+
+
+def test_coverage_refuses_a_constant_that_does_not_apply():
+    from posikit import posi1_constant
+
+    # On a 14 x 10 design, Scheffe's K for d = 4 gave a coverage near 0.86.
+    cd = random_canonical(10, seed=8, n=14)
+    with pytest.raises(InfeasibleError, match="computed for d=4, not d=10"):
+        coverage_experiment(cd, None, "spar", 0.05, KNOWN, scheffe_constant(0.05, 4), 50)
+    small = random_canonical(4, seed=9)
+    est = posi_constant(small, n_samples=2_000, seed=1)
+    with pytest.raises(InfeasibleError, match="computed for"):
+        coverage_experiment(small, None, "spar", 0.05, ErrorModel.with_df(5), est, 50)
+    one = posi1_constant(small, predictor=2, n_samples=2_000, seed=1)
+    with pytest.raises(InfeasibleError, match="single-predictor"):
+        coverage_experiment(small, None, ("spar1", 2), 0.05, KNOWN, one, 50)
+    # K for models of at most 2 columns; spar over all models selects larger.
+    pairs = posi_constant(small, ModelUniverse.of_max_size(2), n_samples=2_000, seed=1)
+    with pytest.raises(InfeasibleError, match="universe containing"):
+        coverage_experiment(small, None, "spar", 0.05, KNOWN, pairs, 200, seed=2)
+    # Within the universe it was computed for, the same K applies; so does a
+    # float K and, for any universe, Scheffe's K for this d.
+    for universe, k in ((ModelUniverse.of_max_size(2), pairs), (None, est.k),
+                        (None, scheffe_constant(0.05, small.d))):
+        res = coverage_experiment(small, universe, "spar", 0.05, KNOWN, k, 200, seed=2)
+        assert res.replications == 200
 
 
 @pytest.mark.parametrize("mu", [[50.0], [1.0, 2.0, 3.0]])
