@@ -44,8 +44,8 @@ from .constants import (
 )
 from .design import CanonicalDesign, canonicalize, load_design
 from .errors import DataError, InfeasibleError
-from .lattice import (ModelId, ModelUniverse, _candidate_pair_count, _dedup_up_to_sign,
-                      direction_stream)
+from .lattice import (ModelId, ModelUniverse, _candidate_pair_count, _check_fit,
+                      _dedup_up_to_sign, direction_stream)
 
 _STREAM_WARN_P = 16
 # Measured rates for the cost warning on a 2-core Intel Xeon KVM guest with
@@ -58,10 +58,10 @@ _STREAM_WARN_P = 16
 # numpy calls weigh most; the full lattice at p = 16 walks at about 2 M
 # directions per second. The fold rate is that of the screened folds that k
 # and k1 run (the held windows' float32 bound stage with its cones, the
-# float64 refold and the norm screen, see constants._fold), in the calling
-# thread, less the walk and the draw generation, per nominal pair (counted
-# before the rank rule) x draw. Medians of 5 rounds in one process, in
-# three processes: posi_constant on an 18 x 14 Gaussian design (10 000
+# float64 refold and the norm screen, see constants._screened_draws), in the
+# calling thread, less the walk and the draw generation, per nominal pair
+# (counted before the rank rule) x draw. Medians of 5 rounds in one process,
+# in three processes: posi_constant on an 18 x 14 Gaussian design (10 000
 # draws) 0.33, 0.31 and 0.31 ns, and posi1_constant on a 21 x 17 one
 # (predictor 3, 40 000 draws, where the screen drops few draws and one cone
 # spans each chunk) 0.49, 0.54 and 0.49 ns. The rate is the slower one, the
@@ -350,6 +350,9 @@ def _cmd_intervals(args) -> int:
     em = _parse_df(args.df)
     y = _load_vector(args.response, design, "response")
     model = ModelId(int(t) for t in args.model.split(","))
+    # A model that does not fit the design is refused before K is computed,
+    # as the fit would refuse it.
+    _check_fit(design, model)
     if args.k_source == "scheffe":
         est = scheffe_constant(args.alpha, design.d, em)
     else:

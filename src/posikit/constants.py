@@ -39,9 +39,9 @@ _DIRECTION_CHUNK = 512
 _FOLD_DRAWS = 384
 _DRAW_GROUP = 16
 # The screened fold folds a chunk of fewer rows x live draws than this
-# whole, in float32, and larger ones through their cones (see _fold): below
-# it the cones' fit, test, gathers and per-group calls cost more than they
-# save. posi_constant on two Gaussian (p+4) x p designs per call, calls
+# whole, in float32, and larger ones through their cones (see
+# _Screen.bound): below it the cones' fit, test, gathers and per-group calls
+# cost more than they save. posi_constant on two Gaussian (p+4) x p designs per call, calls
 # alternating in one process, 16 rounds, 2-core Xeon KVM guest: cones in
 # every chunk were 28% slower than none at p = 10 with 1 000 draws, 7-11%
 # slower with 2 500 and 14% and 39% faster with 5 000 and 10 000. Against
@@ -50,7 +50,7 @@ _DRAW_GROUP = 16
 # 0.25 million (+17% there) and 1 to 3 million were no better.
 _CONE_FOLD_MIN = 500_000
 # Byte budget for the direction rows and keys that the screened fold holds
-# at once (see _fold), at (d + 2) 8 bytes a direction. A full lattice is one
+# at once (see _screened_draws), at (d + 2) 8 bytes a direction. A full lattice is one
 # window up to p = d = 14 (0.5 MB at p = 10, 14.7 MB at p = 14); at
 # p = d = 16 it takes 75 MB, in five windows.
 _WINDOW_BYTES = 16 << 20
@@ -282,13 +282,6 @@ def _cone_reach(rows: np.ndarray, starts: np.ndarray, zt32: np.ndarray,
     return np.maximum(reach[:groups], reach[groups:], out=reach[:groups])
 
 
-def _padded(chunk: np.ndarray) -> np.ndarray:
-    """The chunk, with a zero direction below it when it has one row."""
-    if chunk.shape[0] == 1:
-        return np.vstack([chunk, np.zeros_like(chunk)])
-    return chunk
-
-
 def _fold_tiles(cols: int) -> list[tuple[int, int]]:
     """The (lo, hi) column ranges of the fold tiles of ``cols`` draw columns."""
     tiles = [(lo, min(lo + _FOLD_DRAWS, cols)) for lo in range(0, cols, _FOLD_DRAWS)]
@@ -313,153 +306,132 @@ def _windows(chunks):
         yield window
 
 
-def _fold(
-    directions: DirectionSet,
-    error_model: ErrorModel,
-    n_samples: int,
-    seed: int,
-    threads: int,
-    screen_rank: int | None,
-) -> np.ndarray:
-    """The max-|t| draws (see max_abs_t_draws), folded exactly at and above
-    the order statistic of 1-based rank ``screen_rank``.
+def _fold_rows(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
+               buf: np.ndarray) -> None:
+    """Folds chunk over every column of zt (whole _DRAW_GROUP groups) into
+    best, one tile at a time. A one-row chunk gets a zero direction below
+    it: numpy multiplies by a single row with a matrix-vector kernel, which
+    rounds otherwise (see _Draws)."""
+    if chunk.shape[0] == 1:
+        chunk = np.vstack([chunk, np.zeros_like(chunk)])
+    for lo, hi in _fold_tiles(zt.shape[1]):
+        _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
 
-    With ``screen_rank`` None the chunks are streamed, and each is folded
-    over every draw, in float64; every draw is exact. Otherwise the chunks
-    are held in windows of up to _WINDOW_BYTES of rows and keys (plus the
-    chunk that closes the window); a set below the budget is one window.
-    Each window is folded in two stages, and the walk makes the next window
-    once both are done.
 
-    Bound stage. The window's chunks are folded largest models first (the
-    walk emits models by size, so the window's last chunk first), each over
-    a float32 copy of the live draws. Draw i's float32 chunk maximum m_i
-    lies within c_d ||z_i|| of the float64 one (see _float32_slack). With
-    e_i = c_d ||z_i|| / sigma_hat_i, draw i keeps the running lower bound
-    max(m_i / sigma_hat_i - e_i) over the chunks so far, and u_i =
-    m_i / sigma_hat_i + e_i bounds what the chunk can give it; u_i is
-    recorded for the draws where it reaches both that lower bound and the
-    floor. The floor L is the order statistic of rank ``screen_rank`` of
-    the lower bounds (less the draws screened so far, which all lie below
-    it), so it never exceeds the exact order statistic X_(screen_rank).
-    Both only rise, so a draw left unrecorded could not qualify later. The
-    large models come first because they hold most of the large draws, and
-    the floor rises soonest from them.
+class _Draws:
+    """The n Gaussian draws of a fold as the columns of the (d, cols)
+    float64 ``zt``, with their sigma_hat and norms, and the fold's tile
+    buffer. OpenBLAS multiplies the last few columns of a wide product that
+    is not a whole number of 16-column groups with edge kernels, which round
+    differently from the bulk of a product; so zero draws pad the columns to
+    whole _DRAW_GROUP groups, and draw i is folded the same way for every n."""
 
-    Cones. A chunk of at least _CONE_FOLD_MIN rows x live draws is split
-    into groups by predictor, and each group is folded only over the draws
-    that its cone can bring to L (see _cone_tests and _cone_reach): one
-    float32 product tests every live draw against every cone. A pruned
-    group holds no direction with |l'z_i| / sigma_hat_i >= L - e_i, so it
-    could raise neither the lower bound nor, past L, the upper one; m_i is
-    then the maximum over the groups folded for draw i. Each group is
-    folded over its draws in group tiles of at most a quarter of a whole
-    tile's products (and at least _FOLD_DRAWS draws), each gathered into
-    the tile buffer. The first such chunk starts with a pilot: the first
-    direction of each group is folded over every live draw and sets the
-    first floor. Smaller chunks are folded whole.
+    def __init__(self, d: int, error_model: ErrorModel, n_samples: int, seed: int):
+        self.n = n_samples
+        cols = -(-n_samples // _DRAW_GROUP) * _DRAW_GROUP
+        self.zt = np.zeros((d, cols))
+        self.sigma = np.empty(n_samples)
+        self.norm = np.empty(n_samples)
+        for b in range(_rng.block_count(n_samples)):
+            z, s = _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n_samples, d,
+                                       error_model.df)
+            sl = _rng.block_slice(b, n_samples)
+            self.zt[:, sl] = z.T
+            self.sigma[sl] = s
+            self.norm[sl] = np.linalg.norm(z, axis=1)
+        # Every fold covers at most cols columns, and _FOLD_DRAWS is a
+        # multiple of _DRAW_GROUP, so no tile is wider than this buffer.
+        width = max(hi - lo for lo, hi in _fold_tiles(cols))
+        self.buf = np.empty((_DIRECTION_CHUNK, width))
 
-    Exact stage. Once the window's bound stage is done, its chunks are
-    refolded in float64 in the same order, each over the live draws whose
-    recorded u_i reaches max(L, the draw's lower bound), gathered into
-    whole 16-column groups; a draw's exact chunk maximum over sigma_hat_i
-    raises its lower bound, and so prunes its later chunks. Each draw is
-    refolded once per chunk at most, and mostly once per window. The chunk
-    that holds the maximum of a draw always qualifies: its u_i is at least
-    the exact maximum, which is at least the draw's lower bound (division
-    by sigma_hat_i rounds monotonically, so the largest quotient is the
-    quotient of the largest maximum). Whenever that maximum is at or above
-    L, the chunk also clears L. So every draw at or above X_(screen_rank)
-    ends exact, and every other draw keeps a value at most its exact one,
-    below X_(screen_rank). A maximum does not depend on the order of its
-    terms, so the top-down order changes no bit.
 
-    Norm screen. Every direction has unit norm, so draw i never exceeds
-    ||z_i|| / sigma_hat_i, and a draw with ||z_i|| / sigma_hat_i
-    (1 + 1e-9) < L ends below X_(screen_rank) whatever the remaining
-    directions give (the margin covers the rounding of unit directions and
-    of the products). Such draws keep their lower bound and, once the live
-    draws have fallen by 20% since the last rebuild after a chunk's bound
-    stage, leave the float32 copy and the exact stage: the live columns then
-    move, in place, to its front, padded to whole 16-column groups.
+class _Screen:
+    """The live draws of a screened fold, and the floor L below which a
+    draw needs no exact value.
 
-    A column's product does not depend on its position among the columns,
-    so every exact draw, and with it every order statistic of rank
-    ``screen_rank`` and above, is bitwise the value of the unscreened fold.
-    The float32 products need no such care, since only their bound is used.
+    Column c of the float32 ``zt32`` holds draw live[c] and, in its last
+    three rows, its cone-test column tail (see _cone_reach); columns
+    live.size and on are zero padding. sigma, norm, slack (e_i = c_d
+    ||z_i|| / sigma_hat_i, see _float32_slack) and low (the running lower
+    bound) follow the same columns. L is the order statistic of rank
+    ``rank`` of the lower bounds, less the draws screened so far, which all
+    lie below it; so it never exceeds the exact order statistic X_(rank),
+    and it only rises. ``out`` holds each screened draw's lower bound."""
 
-    The fold runs in the calling thread, one tile at a time; ``threads`` is
-    checked (at least 1) and ignored.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    d = directions.design.d
-    # numpy multiplies by a single row or column with a matrix-vector kernel,
-    # and OpenBLAS multiplies the last few columns of a wide product that is
-    # not a whole number of 16-column groups with edge kernels; both round
-    # differently from the bulk of a product. A zero direction pads a one-row
-    # chunk, and zero draws pad the draws to whole 16-column groups, so draw i
-    # is folded the same way for every n.
-    cols = -(-n_samples // _DRAW_GROUP) * _DRAW_GROUP
-    zt = np.zeros((d, cols))
-    sigma = np.empty(n_samples)
-    norm = np.empty(n_samples)
-    for b in range(_rng.block_count(n_samples)):
-        z, s = _rng.gaussian_block(seed, _rng.PURPOSE_MAX_T, b, n_samples, d,
-                                   error_model.df)
-        sl = _rng.block_slice(b, n_samples)
-        zt[:, sl] = z.T
-        sigma[sl] = s
-        norm[sl] = np.linalg.norm(z, axis=1)
-    width = max(hi - lo for lo, hi in _fold_tiles(cols))
-    # Every fold below covers at most cols columns, and _FOLD_DRAWS is a
-    # multiple of _DRAW_GROUP, so no tile is wider than this buffer.
-    buf = np.empty((_DIRECTION_CHUNK, width))
+    def __init__(self, draws: _Draws, rank: int):
+        d, cols = draws.zt.shape
+        self.draws = draws
+        self.rank = rank
+        self.zt32 = np.zeros((d + 3, cols), dtype=np.float32)
+        self.zt32[:d] = draws.zt
+        # The float32 stage reuses the tile buffer's memory.
+        self.buf32 = draws.buf.view(np.float32)
+        self.chunk_max = np.empty(cols, dtype=np.float32)
+        self.sigma = draws.sigma
+        self.norm = draws.norm
+        self.slack = _float32_slack(d) * (draws.norm / draws.sigma)
+        self.live = np.arange(draws.n)
+        self.low = np.full(draws.n, -np.inf)
+        self.out = np.empty(draws.n)
+        self.floor = None
 
-    def fold(chunk, zt, best, buf):
-        # Folds chunk over every column of zt, whole 16-column groups, one
-        # tile at a time.
-        chunk = _padded(chunk)
-        for lo, hi in _fold_tiles(zt.shape[1]):
-            _fold_chunk_max(chunk, zt[:, lo:hi], best[lo:hi], buf)
+    def bound(self, chunk: np.ndarray, keys: np.ndarray):
+        """Bound stage of one chunk: its (chunk, draws, upper bounds) record
+        for the exact stage.
 
-    if screen_rank is None:
-        best = np.full(cols, -1.0)
-        for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
-            fold(chunk, zt, best, buf)
-        draws = best[:n_samples] / sigma
-        if draws.max() < 0:
-            raise InfeasibleError("direction set is empty")
-        return draws
+        The chunk is folded over the live draws in float32. Draw i's float32
+        chunk maximum m_i lies within c_d ||z_i|| of the float64 one (see
+        _float32_slack), so m_i / sigma_hat_i - e_i raises its lower bound,
+        and u_i = m_i / sigma_hat_i + e_i bounds what the chunk can give it;
+        u_i is recorded for the draws where it reaches both that lower bound
+        and L. Both only rise, so a draw left unrecorded could not qualify
+        later.
 
-    # The float32 stage reuses the tile buffer's memory.
-    buf32 = buf.view(np.float32)
-    # Column c of zt32 holds draw live[c] in float32 and, in its last three
-    # rows, its cone-test column tail (see _cone_reach); columns live.size and
-    # on are zero padding.
-    zt32 = np.zeros((d + 3, cols), dtype=np.float32)
-    zt32[:d] = zt
-    chunk_max = np.empty(cols, dtype=np.float32)
-    bound = norm / sigma
-    slack = _float32_slack(d) * bound
-    # live[c] is the draw held in column c of zt32, low[c] its lower bound.
-    live = np.arange(n_samples)
-    low = np.full(n_samples, -np.inf)
-    draws = np.empty(n_samples)
-    floor = None
+        Cones. A chunk of at least _CONE_FOLD_MIN rows x live draws is split
+        into groups by predictor, and each group is folded only over the
+        draws that its cone can bring to L (see _cone_tests and _cone_reach):
+        one float32 product tests every live draw against every cone. A
+        pruned group holds no direction with |l'z_i| / sigma_hat_i >= L -
+        e_i, so it could raise neither the lower bound nor, past L, the
+        upper one; m_i is then the maximum over the groups folded for draw
+        i. The first such chunk starts with a pilot: the first direction of
+        each group is folded over every live draw and sets the first floor."""
+        d = chunk.shape[1]
+        used = -(-self.live.size // _DRAW_GROUP) * _DRAW_GROUP
+        self.chunk_max[:used] = 0.0
+        if chunk.shape[0] * used < _CONE_FOLD_MIN:
+            _fold_rows(chunk.astype(np.float32), self.zt32[:d, :used],
+                       self.chunk_max[:used], self.buf32)
+        else:
+            # The chunk's rows grouped by predictor, one cone per group.
+            order = np.argsort(keys[:, 1], kind="stable")
+            rows = chunk[order]
+            starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
+            rows32 = rows.astype(np.float32)
+            if self.floor is None:
+                _fold_rows(rows32[starts], self.zt32[:d, :used],
+                           self.chunk_max[:used], self.buf32)
+                self._raise_floor()
+            self._fold_cones(rows, rows32, starts)
+        upper = self._raise_floor() + self.slack
+        kept = np.flatnonzero((upper >= self.floor) & (upper >= self.low))
+        return chunk, self.live[kept], upper[kept]
 
-    def fold_cones(rows, rows32, starts, n_live):
-        # Folds each group of rows over the live draws that its cone test
-        # passes, in group tiles, and raises chunk_max by the result.
-        reach = _cone_reach(rows, starts, zt32[:, :n_live], norm, sigma, slack, floor)
+    def _fold_cones(self, rows: np.ndarray, rows32: np.ndarray, starts: np.ndarray):
+        """Folds each group of rows over the live draws that its cone test
+        passes, in group tiles of at most a quarter of a whole tile's
+        products (and at least _FOLD_DRAWS draws), each gathered into the
+        tile buffer, and raises chunk_max by the result."""
+        n_live = self.live.size
+        d = rows.shape[1]
+        reach = _cone_reach(rows, starts, self.zt32[:, :n_live], self.norm, self.sigma,
+                            self.slack, self.floor)
         flat = np.flatnonzero(reach >= 0)
         if not flat.size:
             return
         ends = np.searchsorted(flat, np.arange(starts.size + 1) * n_live).tolist()
         group_max = np.zeros(flat.size, dtype=np.float32)
-        scratch = buf32.reshape(-1)
+        scratch = self.buf32.reshape(-1)
         for g, (rows_g, lo_g, hi_g) in enumerate(
                 zip(np.split(rows32, starts[1:]), ends, ends[1:])):
             k = rows_g.shape[0]
@@ -472,77 +444,76 @@ def _fold(
                 hi = min(lo + step, hi_g)
                 w = hi - lo
                 zg = scratch[k * w:(k + d) * w].reshape(d, w)
-                np.take(zt32[:d], flat[lo:hi] - g * n_live, axis=1, out=zg, mode="clip")
+                np.take(self.zt32[:d], flat[lo:hi] - g * n_live, axis=1, out=zg,
+                        mode="clip")
                 _fold_chunk_max(rows_g, zg, group_max[lo:hi], scratch[:k * w].reshape(k, w))
         # A draw's test values are negative where it is pruned.
         reach.reshape(-1)[flat] = group_max
-        np.maximum(chunk_max[:n_live], reach.max(axis=0), out=chunk_max[:n_live])
+        np.maximum(self.chunk_max[:n_live], reach.max(axis=0),
+                   out=self.chunk_max[:n_live])
 
-    def raise_floor():
-        # The chunk's float32 maximum over sigma_hat, less the slack, raises
-        # each live draw's lower bound. The draws screened so far all lie
-        # below the floor, so its rank among the live ones is screen_rank
-        # less their number.
-        m = chunk_max[:live.size] / sigma
-        np.maximum(low, m - slack, out=low)
-        rank = screen_rank - (n_samples - live.size)
-        return m, np.partition(low, rank - 1)[rank - 1]
+    def _raise_floor(self) -> np.ndarray:
+        """Raises each live draw's lower bound by the chunk's float32 maximum
+        over sigma_hat, less the slack, and L with them; returns that
+        quotient. The draws screened so far all lie below L, so its rank
+        among the live ones is ``rank`` less their number."""
+        m = self.chunk_max[:self.live.size] / self.sigma
+        np.maximum(self.low, m - self.slack, out=self.low)
+        rank = self.rank - (self.draws.n - self.live.size)
+        self.floor = np.partition(self.low, rank - 1)[rank - 1]
+        return m
 
-    for window in _windows(directions.chunks(_DIRECTION_CHUNK)):
-        # Each chunk with the draws (by index) and the upper bounds recorded
-        # for its exact stage.
-        recorded = []
-        for chunk, keys in reversed(window):
-            n_live = live.size
-            used = -(-n_live // _DRAW_GROUP) * _DRAW_GROUP
-            chunk_max[:used] = 0.0
-            if chunk.shape[0] * used < _CONE_FOLD_MIN:
-                fold(chunk.astype(np.float32), zt32[:d, :used], chunk_max[:used], buf32)
-            else:
-                # The chunk's rows grouped by predictor, one cone per group.
-                order = np.argsort(keys[:, 1], kind="stable")
-                rows = chunk[order]
-                starts = np.flatnonzero(np.diff(keys[order, 1], prepend=-1))
-                rows32 = rows.astype(np.float32)
-                if floor is None:
-                    # Pilot: the first direction of each group sets the first
-                    # floor, so the first chunk is pruned too.
-                    fold(rows32[starts], zt32[:d, :used], chunk_max[:used], buf32)
-                    _, floor = raise_floor()
-                fold_cones(rows, rows32, starts, n_live)
-            m, floor = raise_floor()
-            upper = m + slack
-            kept = np.flatnonzero((upper >= floor) & (upper >= low))
-            recorded.append((chunk, live[kept], upper[kept]))
-            alive = bound * (1.0 + 1e-9) >= floor
-            keep = np.flatnonzero(alive)
-            if keep.size <= 0.8 * n_live:
-                draws[live[~alive]] = low[~alive]
-                live, sigma, norm, bound, slack, low = (
-                    a[keep] for a in (live, sigma, norm, bound, slack, low))
-                zt32[:, :keep.size] = zt32[:, keep]
-                zt32[:, keep.size:used] = 0.0
+    def norm_screen(self):
+        """Norm screen, after a chunk's bound stage. Every direction has unit
+        norm, so draw i never exceeds ||z_i|| / sigma_hat_i, and a draw with
+        ||z_i|| / sigma_hat_i (1 + 1e-9) < L ends below X_(rank) whatever
+        the remaining directions give (the margin covers the rounding of
+        unit directions and of the products). Once the live draws would fall
+        by 20% or more, such draws leave with their lower bound: the live
+        columns move, in place, to the front of zt32, padded to whole
+        16-column groups."""
+        alive = self.norm / self.sigma * (1.0 + 1e-9) >= self.floor
+        keep = np.flatnonzero(alive)
+        if keep.size <= 0.8 * self.live.size:
+            used = -(-self.live.size // _DRAW_GROUP) * _DRAW_GROUP
+            self.out[self.live[~alive]] = self.low[~alive]
+            self.live, self.sigma, self.norm, self.slack, self.low = (
+                a[keep] for a in (self.live, self.sigma, self.norm, self.slack, self.low))
+            self.zt32[:, :keep.size] = self.zt32[:, keep]
+            self.zt32[:, keep.size:used] = 0.0
+
+    def exact(self, recorded: list):
+        """Exact stage of a window, once its bound stage is done: each
+        recorded chunk is refolded in float64, in the same order, over the
+        live draws whose recorded u_i reaches max(L, the draw's lower
+        bound), gathered into whole 16-column groups; a draw's exact chunk
+        maximum over sigma_hat_i raises its lower bound, and so prunes its
+        later chunks. Each draw is refolded once per chunk at most, and
+        mostly once per window.
+
+        The chunk that holds the maximum of a draw always qualifies: its
+        u_i is at least the exact maximum, which is at least the draw's
+        lower bound (division by sigma_hat_i rounds monotonically, so the
+        largest quotient is the quotient of the largest maximum). Whenever
+        that maximum is at or above L, the chunk also clears L. So every
+        draw at or above X_(rank) ends exact, and every other draw keeps a
+        value at most its exact one, below X_(rank)."""
         # column[i] is draw i's column in zt32, or -1 once it is screened.
-        column = np.full(n_samples, -1)
-        column[live] = np.arange(live.size)
+        column = np.full(self.draws.n, -1)
+        column[self.live] = np.arange(self.live.size)
         for chunk, who, upper in recorded:
             c = column[who]
             exact = np.flatnonzero(c >= 0)
-            exact = exact[(upper[exact] >= floor) & (upper[exact] >= low[c[exact]])]
+            u = upper[exact]
+            exact = exact[(u >= self.floor) & (u >= self.low[c[exact]])]
             if exact.size:
                 c = c[exact]
                 group = -(-exact.size // _DRAW_GROUP) * _DRAW_GROUP
-                zg = np.zeros((d, group))
-                zg[:, :exact.size] = zt[:, who[exact]]
+                zg = np.zeros((chunk.shape[1], group))
+                zg[:, :exact.size] = self.draws.zt[:, who[exact]]
                 bg = np.full(group, -1.0)
-                fold(chunk, zg, bg, buf)
-                low[c] = np.maximum(low[c], bg[:exact.size] / sigma[c])
-        # Free the window's chunks before the walk makes the next window.
-        del window, recorded
-    draws[live] = low
-    if draws.max() < 0:
-        raise InfeasibleError("direction set is empty")
-    return draws
+                _fold_rows(chunk, zg, bg, self.draws.buf)
+                self.low[c] = np.maximum(self.low[c], bg[:exact.size] / self.sigma[c])
 
 
 def max_abs_t_draws(
@@ -555,11 +526,9 @@ def max_abs_t_draws(
     """N Monte Carlo draws of max_l |l' Z| / sigma_hat over the direction set.
 
     Every chunk is folded over every draw in float64, and every draw is
-    returned exactly. posi_constant and posi1_constant run the same fold
-    over windows of held chunks: a float32 bound stage, largest models
-    first, pruned by per-predictor cones and a norm screen, then a float64
-    stage that computes exactly, once per window, only the draws that can
-    reach the order statistics they read (see _fold).
+    returned exactly. posi_constant and posi1_constant run the screened
+    fold instead, which computes exactly only the draws that can reach the
+    order statistics they read (see _screened_draws).
 
     Draw i is a pure function of (seed, i): Gaussian vectors and sigma-hat
     variates come from a counter-based generator in fixed-size blocks, so a
@@ -571,34 +540,55 @@ def max_abs_t_draws(
     The fold runs in the calling thread. ``threads`` must be at least 1 and
     does not change work or output.
     """
-    return _fold(directions, error_model, n_samples, seed, threads, None)
+    _check_threads(threads)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    draws = _Draws(directions.design.d, error_model, n_samples, seed)
+    best = np.full(draws.zt.shape[1], -1.0)
+    for chunk, _ in directions.chunks(_DIRECTION_CHUNK):
+        _fold_rows(chunk, draws.zt, best, draws.buf)
+    best = best[:n_samples] / draws.sigma
+    if best.max() < 0:
+        raise InfeasibleError("direction set is empty")
+    return best
 
 
-def _estimate_from_draws(
-    draws: np.ndarray,
-    alpha: float,
-    error_model: ErrorModel,
-    seed: int,
-    directions: DirectionSet,
-    name: str,
-) -> ConstantEstimate:
-    n = draws.size
-    idx = conservative_quantile_index(alpha, n)
-    k = float(np.partition(draws, idx - 1)[idx - 1])
-    se = _mc_standard_error(draws, alpha)
-    return ConstantEstimate(
-        k=k,
-        alpha=alpha,
-        error_model=error_model,
-        mc_samples=n,
-        mc_standard_error=se,
-        seed=seed,
-        direction_count=directions.count,
-        method=MONTE_CARLO,
-        name=name,
-        universe=directions.universe,
-        d=directions.design.d,
-    )
+def _screened_draws(directions: DirectionSet, error_model: ErrorModel,
+                    n_samples: int, seed: int, rank: int) -> np.ndarray:
+    """The max-|t| draws (see max_abs_t_draws), folded exactly at and above
+    the order statistic of 1-based rank ``rank``.
+
+    The chunks are held in windows of up to _WINDOW_BYTES of rows and keys
+    (plus the chunk that closes the window). Each window's chunks go through
+    the float32 bound stage (_Screen.bound), largest models first (the walk
+    emits models by size, so the window's last chunk first: they hold most
+    of the large draws, and the floor rises soonest from them), each
+    followed by the norm screen (_Screen.norm_screen); then through the
+    float64 exact stage (_Screen.exact). The walk makes the next window once
+    both are done.
+
+    A column's product does not depend on its position among the columns,
+    and a maximum does not depend on the order of its terms, so every exact
+    draw, and with it every order statistic of rank ``rank`` and above, is
+    bitwise the value of max_abs_t_draws. The float32 products need no such
+    care, since only their bound is used. Empty sets give draws below 0.
+    """
+    screen = _Screen(_Draws(directions.design.d, error_model, n_samples, seed), rank)
+    for window in _windows(directions.chunks(_DIRECTION_CHUNK)):
+        recorded = []
+        for chunk, keys in reversed(window):
+            recorded.append(screen.bound(chunk, keys))
+            screen.norm_screen()
+        screen.exact(recorded)
+        # Free the window's chunks before the walk makes the next window.
+        del window, recorded
+    screen.out[screen.live] = screen.low
+    return screen.out
+
+
+def _check_threads(threads: int):
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
 
 def posi_constant(
@@ -623,27 +613,43 @@ def posi_constant(
     error read, and folds each predictor's directions in float32 only over
     the draws that their cone can bring to those order statistics; then it
     redoes in float64 only the draws whose bound over a chunk can reach
-    them (see _fold). Those order statistics, and K with them, are bitwise
-    those of the exact draws of max_abs_t_draws.
+    them (see _screened_draws). Those order statistics, and K with them,
+    are bitwise those of the exact draws of max_abs_t_draws.
     ``mc_standard_error`` is the order-statistic spacing estimator (see
     _mc_standard_error). ``threads`` must be at least 1 and does not change
     work or output (see max_abs_t_draws).
     """
-    if universe is None:
-        universe = ModelUniverse.all()
+    _check_threads(threads)
     return _posi_from(direction_stream(design, universe, dedup=dedup), alpha,
-                      error_model, n_samples, seed, threads)
+                      error_model, n_samples, seed)
 
 
 def _posi_from(directions: DirectionSet, alpha: float, error_model: ErrorModel,
-               n_samples: int, seed: int, threads: int = 1) -> ConstantEstimate:
-    """posi_constant over the directions of a set the caller made, which it
-    may hold to read again (see DirectionSet._hold). alpha and n_samples are
+               n_samples: int, seed: int, name: str = "posi",
+               empty: str = "direction set is empty") -> ConstantEstimate:
+    """The screened estimate named ``name`` over the directions of a set the
+    caller made, which it may hold to read again (see DirectionSet._hold).
+    An empty set raises InfeasibleError(empty). alpha and n_samples are
     checked before the set is read."""
     _validate_alpha(alpha)
-    screen_rank = _spacing_ranks(alpha, n_samples)[0]
-    draws = _fold(directions, error_model, n_samples, seed, threads, screen_rank)
-    return _estimate_from_draws(draws, alpha, error_model, seed, directions, "posi")
+    draws = _screened_draws(directions, error_model, n_samples, seed,
+                            _spacing_ranks(alpha, n_samples)[0])
+    if draws.max() < 0:
+        raise InfeasibleError(empty)
+    idx = conservative_quantile_index(alpha, n_samples)
+    return ConstantEstimate(
+        k=float(np.partition(draws, idx - 1)[idx - 1]),
+        alpha=alpha,
+        error_model=error_model,
+        mc_samples=n_samples,
+        mc_standard_error=_mc_standard_error(draws, alpha),
+        seed=seed,
+        direction_count=directions.count,
+        method=MONTE_CARLO,
+        name=name,
+        universe=directions.universe,
+        d=directions.design.d,
+    )
 
 
 def posi1_constant(
@@ -664,22 +670,15 @@ def posi1_constant(
     ``threads`` must be at least 1 and does not change work or output (see
     max_abs_t_draws).
     """
-    _validate_alpha(alpha)
+    _check_threads(threads)
     if universe is None:
         universe = ModelUniverse.all()
     if not 1 <= predictor <= design.p:
         raise ValueError(f"predictor {predictor} out of range 1..{design.p}")
-    conservative_quantile_index(alpha, n_samples)
     restricted = universe & ModelUniverse.forcing(predictor)
-    directions = DirectionSet(design, restricted, predictor=predictor)
-    try:
-        draws = _fold(directions, error_model, n_samples, seed, threads,
-                      _spacing_ranks(alpha, n_samples)[0])
-    except InfeasibleError:
-        raise InfeasibleError(
-            f"no model in the universe contains predictor {predictor}"
-        ) from None
-    return _estimate_from_draws(draws, alpha, error_model, seed, directions, "posi1")
+    return _posi_from(DirectionSet(design, restricted, predictor=predictor), alpha,
+                      error_model, n_samples, seed, "posi1",
+                      f"no model in the universe contains predictor {predictor}")
 
 
 def scheffe_constant(

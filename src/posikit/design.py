@@ -59,6 +59,15 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _check_rank_tolerance(rank_tolerance: float):
+    """Both design classes take a rank tolerance only when it is finite and
+    at least 0: NaN, for one, would pass a sign test and then make no model
+    rank deficient."""
+    if not 0.0 <= rank_tolerance < np.inf:
+        raise ValueError(
+            f"rank_tolerance must be nonnegative and finite, got {rank_tolerance!r}")
+
+
 # ---------------------------------------------------------------------------
 # Design matrices
 # ---------------------------------------------------------------------------
@@ -78,8 +87,7 @@ class DesignMatrix(_Frozen):
             raise DataError("design contains non-finite entries")
         if len(column_names) != values.shape[1]:
             raise ValueError("column_names length must match the column count")
-        if rank_tolerance < 0:
-            raise ValueError("rank_tolerance must be nonnegative")
+        _check_rank_tolerance(rank_tolerance)
         vars(self).update(values=values, column_names=tuple(column_names),
                           rank_tolerance=rank_tolerance,
                           singular_values=np.linalg.svd(values, compute_uv=False))
@@ -189,6 +197,7 @@ class CanonicalDesign(_Frozen):
             raise ValueError("basis must be n x d for a d x p canonical matrix")
         if form not in (UPPER_TRIANGULAR, SYMMETRIC, UNSPECIFIED):
             raise ValueError(f"unknown canonical form {form!r}")
+        _check_rank_tolerance(rank_tolerance)
         vars(self).update(values=values, basis=basis, form=form,
                           column_names=tuple(column_names), rank_tolerance=rank_tolerance,
                           rank_limits=rank_tolerance * np.linalg.norm(values, axis=0))

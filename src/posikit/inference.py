@@ -372,27 +372,39 @@ class _DirectionSelector:
         return _argmax_over_blocks(self.held(design)[0], y, sigma_hat)[0]
 
 
-def _held_block(directions: DirectionSet) -> tuple[list, bool]:
+def _held_block(directions: DirectionSet) -> tuple[list, tuple | None]:
     """The set as one held block of _normed (none when the set is empty),
-    and whether it holds every pair of its models. The vectors are held in
-    Fortran order: their product with y is then a column-major gemv, which
-    at d = 10 takes half the time of the row-major one, a dot product per
-    row."""
+    and, when the block holds every pair of its models, its rows indexed by
+    mask for _held_refits: their stable argsort by mask, and the sorted
+    masks. The vectors are held in Fortran order: their product with y is
+    then a column-major gemv, which at d = 10 takes half the time of the
+    row-major one, a dot product per row."""
     blocks = [(np.asfortranarray(vectors), keys, bound)
               for vectors, keys, bound in _normed(directions.chunks())]
-    return blocks, directions.predictor is None
+    if not blocks or directions.predictor is not None:
+        return blocks, None
+    masks = blocks[0][1][:, 0]
+    order = np.argsort(masks, kind="stable")
+    return blocks, (order, masks[order])
 
 
-def _held_refits(vectors: np.ndarray, keys: np.ndarray,
+def _held_refits(vectors: np.ndarray, index: tuple[np.ndarray, np.ndarray],
                  models: Iterable[ModelId]) -> dict[int, np.ndarray]:
     """Unit directions (k, d) of each distinct model's members, by mask, read
-    from a held block of every pair the enumeration emits for its models.
-    The rows are the enumeration's, so they are bitwise _models_directions'
-    by its contract; so is the InfeasibleError for the first model, by size
-    and then members, that the enumeration does not emit whole."""
+    from a held block of every pair the enumeration emits for its models,
+    with its mask index (see _held_block). A model's rows are found by
+    binary search, in block order. They are the enumeration's, so they are
+    bitwise _models_directions' by its contract; so is the InfeasibleError
+    for the first model, by size and then members, that the enumeration
+    does not emit whole."""
+    order, masks = index
+    models = sorted(set(models), key=lambda m: (m.size, m.members))
+    wanted = np.array([model.mask for model in models], dtype=masks.dtype)
+    starts = np.searchsorted(masks, wanted).tolist()
+    stops = np.searchsorted(masks, wanted, side="right").tolist()
     out = {}
-    for model in sorted(set(models), key=lambda m: (m.size, m.members)):
-        rows = np.flatnonzero(keys[:, 0] == model.mask)
+    for model, lo, hi in zip(models, starts, stops):
+        rows = order[lo:hi]
         if rows.size != model.size:
             raise InfeasibleError(f"submodel {model} is rank deficient")
         out[model.mask] = vectors[rows]
@@ -405,10 +417,9 @@ def _refit_directions(select: Selector, design: CanonicalDesign,
     mask: from the selector's held block when it holds whole models, else
     from one walk of the models' explicit universe."""
     if isinstance(select, _DirectionSelector):
-        blocks, whole_models = select.held(design)
-        if whole_models:
-            vectors, keys, _ = blocks[0]
-            return _held_refits(vectors, keys, models)
+        blocks, index = select.held(design)
+        if index is not None:
+            return _held_refits(blocks[0][0], index, models)
     return {mask: v for mask, (v, _) in _models_directions(design, models).items()}
 
 

@@ -898,9 +898,9 @@ class DirectionSet:
     With ``dedup=None`` iteration streams directions straight out of the
     level-wise enumeration, each pair (j, M) exactly once, duplicates
     included; the Monte Carlo fold consumes this stream in chunks and holds
-    at most a window of them (see constants._fold). After ``_hold()`` the
-    set is walked once, when first read, and kept as one block that every
-    later read slices. With ``dedup="up_to_sign"`` the set is always held,
+    at most a window of them (see constants._screened_draws). After
+    ``_hold()`` the set is walked once, when first read, and kept as one
+    block that every later read slices. With ``dedup="up_to_sign"`` the set is always held,
     and duplicate directions (equal up to sign on the 2^-20 hashing grid)
     are collapsed to their first occurrence; retained vectors are
     canonicalized representatives on that grid, so two numerically-equal sets

@@ -67,6 +67,36 @@ def test_k_command_payload(files, capsys):
     assert abs(payload["K"] - 2.49) < 0.1
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_k_rejects_a_bad_rank_tolerance(files, capsys, tolerance):
+    # Exit 1 (bad argument), not 3: a NaN tolerance used to reach the fold
+    # and fail there with "direction set is empty".
+    code = run(["k", "--design", files["generic3"], "--rank-tolerance", tolerance,
+                "--mc-samples", "1000"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: rank_tolerance must be nonnegative and finite, got ")
+
+
+@pytest.mark.parametrize("design, model, code, message", [
+    ("generic3", "1,7", 1, "error: model ModelId({1, 7}) references columns beyond p=3\n"),
+    ("rankdef", "1,2,3", 3,
+     "infeasible request: submodel ModelId({1, 2, 3}) has more columns than d=2\n"),
+])
+def test_intervals_checks_the_model_before_k(files, capsys, monkeypatch, design, model,
+                                             code, message):
+    def no_constant(*args, **kwargs):
+        raise AssertionError("K computed for a model the design cannot fit")
+
+    monkeypatch.setattr(cli, "posi_constant", no_constant)
+    assert run(["intervals", "--design", files[design], "--response",
+                files["response"], "--model", model, "--sigma-hat", "1.0",
+                "--mc-samples", "1000"]) == code
+    assert capsys.readouterr().err == message
+
+
 def test_k_threads_byte_identical(files, capsys):
     commands = (
         ["k", "--design", files["generic3"], "--mc-samples", "20000"],

@@ -390,14 +390,19 @@ def test_concurrent_folds_match_the_serial_draws():
     cd = random_canonical(10, seed=3)
     em = ErrorModel.known_sigma()
     threads_before = threading.active_count()
+
+    def draws(directions, rank):
+        if rank is None:
+            return max_abs_t_draws(directions, em, 3_000, 6)
+        return constants._screened_draws(directions, em, 3_000, 6, rank)
+
     for rank in (None, constants._spacing_ranks(0.05, 3_000)[0]):
-        expected = constants._fold(direction_stream(cd), em, 3_000, 6, 1, rank)
+        expected = draws(direction_stream(cd), rank)
         barrier = threading.Barrier(3, timeout=60)
         results = [None] * 3
 
         def fold(i):
-            results[i] = constants._fold(BarrierSet(cd, barrier=barrier), em, 3_000, 6,
-                                         1, rank)
+            results[i] = draws(BarrierSet(cd, barrier=barrier), rank)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -413,6 +418,105 @@ def test_concurrent_folds_match_the_serial_draws():
         for got in results:
             assert np.array_equal(got, expected)
     assert threading.active_count() == threads_before
+
+
+# The stages of the screened fold, one at a time, on a seeded 7-predictor
+# design with 600 draws, in chunks of 48 rows, at the rank posi_constant
+# reads. The bound and exact stage tests set the floor to X_(rank) of the
+# exact draws, the highest floor the screen may use.
+
+
+def stage_setup(df=math.inf):
+    cd = random_canonical(7, seed=11)
+    em = ErrorModel(df)
+    n = 600
+    rank = constants._spacing_ranks(0.05, n)[0]
+    exact = max_abs_t_draws(direction_stream(cd), em, n, 5)
+    screen = constants._Screen(constants._Draws(cd.d, em, n, 5), rank)
+    return screen, list(direction_stream(cd).chunks(48)), exact, np.sort(exact)[rank - 1]
+
+
+def exact_chunk_max(draws, chunk):
+    best = np.full(draws.zt.shape[1], -1.0)
+    constants._fold_rows(chunk, draws.zt, best, draws.buf)
+    return best[:draws.n] / draws.sigma
+
+
+@pytest.mark.parametrize("cones", [False, True])
+def test_bound_stage_records_every_draw_that_reaches_the_floor(monkeypatch, cones):
+    # The lower bounds start at min(exact draw, X_(rank)), which keeps the
+    # floor at X_(rank). Every recorded upper bound is then at least the
+    # draw's exact chunk maximum over sigma_hat, and every draw whose exact
+    # chunk value reaches both the floor and its lower bound (so that the
+    # chunk may hold its maximum) is recorded, also where the cones prune.
+    if cones:
+        monkeypatch.setattr(constants, "_CONE_FOLD_MIN", 0)
+    screen, chunks, exact, floor = stage_setup()
+    screen.low[:] = np.minimum(exact, floor)
+    screen.floor = floor
+    reached = 0
+    for chunk, keys in reversed(chunks):
+        low = screen.low.copy()
+        got, who, upper = screen.bound(chunk, keys)
+        value = exact_chunk_max(screen.draws, chunk)
+        assert got is chunk
+        assert np.all(upper >= value[who])
+        reaching = np.flatnonzero(value >= np.maximum(floor, low))
+        assert np.isin(reaching, who).all()
+        assert np.all(low <= screen.low) and np.all(screen.low <= exact)
+        assert screen.floor == floor
+        reached += reaching.size
+    assert reached > 0
+    assert np.array_equal(screen.live, np.arange(600))
+
+
+def test_norm_screen_drops_only_draws_below_the_floor():
+    # A draw leaves only when ||z|| / sigma_hat (1 + 1e-9) < floor, and then
+    # keeps its lower bound; the live draws move to the front of the float32
+    # copy, and the rest of it is zero. Until 20% would leave, none does.
+    screen, chunks, _, _ = stage_setup()
+    screen.bound(*chunks[-1])
+    draws = screen.draws
+    bound = draws.norm / draws.sigma
+    order = np.argsort(bound)
+    screen.floor = bound[order[100]]
+    screen.norm_screen()
+    assert np.array_equal(screen.live, np.arange(600))
+    # Draw k clears this floor only by the 1e-9 margin.
+    k = order[200]
+    screen.floor = bound[k] * (1 + 5e-10)
+    low = screen.low.copy()
+    screen.norm_screen()
+    live = screen.live
+    left = np.setdiff1d(np.arange(600), live)
+    assert np.array_equal(left, np.flatnonzero(bound * (1.0 + 1e-9) < screen.floor))
+    assert left.size == 200 and k in live
+    assert screen.out[left].tobytes() == low[left].tobytes()
+    assert screen.low.tobytes() == low[live].tobytes()
+    assert screen.sigma.tobytes() == draws.sigma[live].tobytes()
+    assert screen.norm.tobytes() == draws.norm[live].tobytes()
+    d = draws.zt.shape[0]
+    assert np.array_equal(screen.zt32[:d, :live.size], draws.zt[:, live].astype(np.float32))
+    assert not screen.zt32[:, live.size:].any()
+
+
+@pytest.mark.parametrize("df", [math.inf, 20])
+def test_exact_stage_gives_the_exact_draws_at_and_above_the_floor(df):
+    # After the bound stage of every chunk and a norm screen that compacts
+    # the live draws, the exact stage refolds in float64 the recorded draws
+    # that can reach the floor: every draw at or above X_(rank) is then
+    # bitwise max_abs_t_draws', and no draw exceeds it.
+    screen, chunks, exact, floor = stage_setup(df)
+    recorded = [screen.bound(chunk, keys) for chunk, keys in reversed(chunks)]
+    screen.floor = floor
+    screen.norm_screen()
+    assert screen.live.size < 0.8 * 600
+    screen.exact(recorded)
+    screen.out[screen.live] = screen.low
+    top = np.flatnonzero(exact >= floor)
+    assert top.size >= 600 - screen.rank + 1
+    assert screen.out[top].tobytes() == exact[top].tobytes()
+    assert np.all(screen.out <= exact)
 
 
 @pytest.mark.parametrize("df", [math.inf, 20])

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +160,22 @@ def test_design_classes_keep_their_public_behaviour():
             CanonicalDesign(*args)
     with pytest.raises(TypeError):
         DesignMatrix(X, ("a", "b"), singular_values=np.ones(2))
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_rank_tolerance_must_be_finite_and_nonnegative(tolerance):
+    # A negative or NaN tolerance would let rank-deficient models through
+    # the rank rule: [a, b, a] would give 12 directions, none skipped.
+    a, b = np.random.default_rng(0).standard_normal((2, 4))
+    message = "^rank_tolerance must be nonnegative and finite, got "
+    with pytest.raises(ValueError, match=message):
+        DesignMatrix(np.column_stack([a, b, a]), ("a", "b", "c"), tolerance)
+    with pytest.raises(ValueError, match=message):
+        CanonicalDesign.from_canonical(np.column_stack([a, b, a]), rank_tolerance=tolerance)
+    with pytest.raises(ValueError, match=message):
+        load_design(io.StringIO("1,2\n3,4\n"), rank_tolerance=tolerance)
+    cd = CanonicalDesign.from_canonical(np.column_stack([a, b, a]), rank_tolerance=0.0)
+    assert cd.rank_tolerance == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -593,6 +593,35 @@ def test_spar_selector_follows_the_design_it_is_given():
             del cd
 
 
+@pytest.mark.parametrize("p", [6, 64])
+def test_held_refits_find_each_model_by_mask(p):
+    # The held block's mask index finds each model's rows bitwise as one
+    # walk of the models gives them, with int64 masks and, at p >= 63, object
+    # masks; a model the walk skips as rank deficient is refused as the walk
+    # refuses it.
+    from posikit.inference import _held_block, _held_refits
+    from posikit.lattice import _models_directions
+
+    values = np.random.default_rng(5).standard_normal((5, p))
+    values[:, p - 2] = values[:, 0]  # columns 1 and p - 1 are equal
+    cd = CanonicalDesign.from_canonical(values)
+    whole = [ModelId([1, p]), ModelId([2, 3, p]), ModelId([1, 2, 3, 4]), ModelId([p - 1])]
+    bad = ModelId([1, p - 1])
+    u = ModelUniverse.explicit([m.members for m in whole + [bad]])
+    blocks, index = _held_block(direction_stream(cd, u)._hold())
+    assert index[1].dtype == (object if p >= 63 else np.int64)
+    got = _held_refits(blocks[0][0], index, whole[::-1] + whole)
+    want = _models_directions(cd, whole)
+    assert got.keys() == want.keys()
+    for mask, (v, _) in want.items():
+        assert got[mask].tobytes() == v.tobytes()
+    with pytest.raises(InfeasibleError) as walked:
+        _models_directions(cd, whole + [bad])
+    with pytest.raises(InfeasibleError, match="is rank deficient") as held:
+        _held_refits(blocks[0][0], index, whole + [bad])
+    assert str(held.value) == str(walked.value)
+
+
 def test_named_selectors_walk_once_per_design(monkeypatch):
     import posikit.lattice
 

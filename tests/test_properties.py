@@ -1015,15 +1015,15 @@ def test_held_refits_are_the_models_directions(case):
     # Every model of a held set whose pairs are whole gives bitwise the walk's
     # directions, and the first model that is not gives the walk's error.
     cd, universe = case
-    chunks = list(direction_stream(cd, universe)._hold().chunks())
-    if not chunks:
+    blocks, index = inference._held_block(direction_stream(cd, universe)._hold())
+    if not blocks:
         return
-    vectors, keys = chunks[0]
+    vectors, keys, _ = blocks[0]
     models = [ModelId.from_mask(m) for m in dict.fromkeys(keys[:, 0].tolist())]
     models = models[::-1] + models  # repeated, and out of order
     want = result_or_error(lambda: {mask: v for mask, (v, _) in
                                     _models_directions(cd, models).items()})
-    got = result_or_error(lambda: inference._held_refits(vectors, keys, models))
+    got = result_or_error(lambda: inference._held_refits(vectors, index, models))
     if isinstance(want, str):
         assert got == want
     else:
@@ -1195,9 +1195,9 @@ def test_screened_constant_is_bitwise_unscreened(case, seed, df, n, alpha, chunk
         assert not windows  # the unscreened fold streams
         est = constant()
         windows.clear()
-        screened = constants._fold(make_set(), em, n, seed, 1, lo)
+        screened = constants._screened_draws(make_set(), em, n, seed, lo)
         walked = list(windows)
-        held = constants._fold(make_set()._hold(), em, n, seed, 1, lo)
+        held = constants._screened_draws(make_set()._hold(), em, n, seed, lo)
     # A screened draw keeps its partial maximum; every draw ranked lo or
     # above, X_(lo) ... X_(hi) included, is exact.
     assert np.array_equal(held, screened)
