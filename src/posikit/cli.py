@@ -35,6 +35,7 @@ from .constants import (
     ConstantEstimate,
     ErrorModel,
     _posi_from,
+    _validate_alpha,
     asymptotic_cap_constant,
     cap_bonferroni_bound,
     orth_constant,
@@ -42,10 +43,10 @@ from .constants import (
     posi_constant,
     scheffe_constant,
 )
-from .design import CanonicalDesign, canonicalize, load_design
+from .design import CanonicalDesign, _cells, _text_rows, canonicalize, load_design
 from .errors import DataError, InfeasibleError
-from .lattice import (ModelId, ModelUniverse, _candidate_pair_count, _check_fit,
-                      _dedup_up_to_sign, direction_stream)
+from .lattice import (ModelUniverse, _candidate_pair_count, _check_fit, _dedup_up_to_sign,
+                      _members, direction_stream)
 
 _STREAM_WARN_P = 16
 # Measured rates for the cost warning on a 2-core Intel Xeon KVM guest with
@@ -125,27 +126,30 @@ def _load_vector(path: str, design: CanonicalDesign, what: str) -> np.ndarray:
     """Read a length-n vector file and reduce it to canonical coordinates."""
     expected = design.basis.shape[0]
     values = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                for tok in line.replace(",", " ").split():
-                    try:
-                        values.append(float(tok))
-                    except ValueError:
-                        raise DataError(
-                            f"non-numeric {what} value {tok!r} at line {lineno}"
-                        ) from None
-    except OSError as exc:
-        raise DataError(f"cannot read {what} file {path!r}: {exc}") from exc
+    for lineno, cells in _text_rows(path, f"{what} file"):
+        for tok in cells:
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise DataError(f"non-numeric {what} value {tok!r} at line {lineno}") from None
     if len(values) != expected:
         raise DataError(f"{what} file has {len(values)} values, expected {expected}")
     vector = np.asarray(values)
     if not np.all(np.isfinite(vector)):
         raise DataError(f"{what} file contains non-finite values")
     return design.reduce_response(vector)
+
+
+def _cell_list(kind):
+    """An argparse type: a comma list split as every text line is split
+    (design._cells), each cell converted by ``kind``. argparse reports a bad
+    cell as a usage error naming the flag: "argument --p-list: invalid int
+    list value: '5,x'"."""
+    def parse(text: str) -> list:
+        return [kind(cell) for cell in _cells(text)]
+
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def _load_canonical(args) -> tuple[CanonicalDesign, ModelUniverse]:
@@ -226,7 +230,9 @@ def _payload_from_estimate(est: ConstantEstimate, design=None) -> dict:
 def _emit(payload: dict, args, rows_key: str | None = None):
     fmt = args.output
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
+        # NaN and Infinity are not JSON (RFC 8259): such a payload is an
+        # error (exit 1), and nothing reaches stdout.
+        print(json.dumps(payload, sort_keys=True, allow_nan=False))
         return
     if fmt == "csv":
         rows = payload.get(rows_key) if rows_key else None
@@ -344,18 +350,20 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_intervals(args) -> int:
-    from .inference import TargetSpec, posi_intervals
+    from .inference import TargetSpec, _check_in_universe, _check_response, posi_intervals
 
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
     y = _load_vector(args.response, design, "response")
-    model = ModelId(int(t) for t in args.model.split(","))
-    # A model that does not fit the design is refused before K is computed,
-    # as the fit would refuse it.
+    model = _members(_cells(args.model))
+    # What the fit and the intervals would refuse is refused before K is
+    # computed, with their messages.
     _check_fit(design, model)
+    _check_response(y, args.sigma_hat)
     if args.k_source == "scheffe":
         est = scheffe_constant(args.alpha, design.d, em)
     else:
+        _check_in_universe(universe, model)
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
             n_samples=args.mc_samples, seed=args.seed,
@@ -407,6 +415,7 @@ def _cmd_coverage(args) -> int:
     from .inference import (TargetSpec, _DirectionSelector, _spar1_directions,
                             coverage_experiment)
 
+    _validate_alpha(args.alpha)  # the naive K is computed here, not by constants
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
     selector = "spar"
@@ -499,11 +508,9 @@ def _cmd_family(args) -> int:
 
     em = ErrorModel.known_sigma()
     if args.family == "exchangeable":
-        p_list = [int(t) for t in args.p_list.split(",")]
-        a_grid = [float(t) for t in args.a_grid.split(",")] if args.a_grid else None
         rows = exchangeable_ratio_table(
-            p_list, alpha=args.alpha, n_samples=args.mc_samples,
-            seed=args.seed, a_grid=a_grid,
+            args.p_list, alpha=args.alpha, n_samples=args.mc_samples,
+            seed=args.seed, a_grid=args.a_grid or None,
         )
         table = [
             {"p": r.p, "best_a": r.best_a, "K": r.k,
@@ -518,10 +525,9 @@ def _cmd_family(args) -> int:
         _emit(payload, args, rows_key="rows")
         return 0
     if args.family == "worst-posi1":
-        c_grid = [float(t) for t in args.c_grid.split(",")] if args.c_grid else None
         rows = worst_posi1_table(
             args.p, alpha=args.alpha, n_samples=args.mc_samples,
-            seed=args.seed, c_grid=c_grid,
+            seed=args.seed, c_grid=args.c_grid or None,
         )
         table = [
             {"p": r.p, "c": r.c, "K1": r.k1,
@@ -633,10 +639,10 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("family", help="tables for the analyzed design families")
     _add_common(sub, design=False)
     sub.add_argument("family", choices=("exchangeable", "worst-posi1"))
-    sub.add_argument("--p-list", default="5,8,11")
-    sub.add_argument("--a-grid")
+    sub.add_argument("--p-list", type=_cell_list(int), default="5,8,11")
+    sub.add_argument("--a-grid", type=_cell_list(float))
     sub.add_argument("--p", type=int, default=2000)
-    sub.add_argument("--c-grid")
+    sub.add_argument("--c-grid", type=_cell_list(float))
     sub.set_defaults(handler=_cmd_family)
 
     return parser

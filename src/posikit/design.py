@@ -11,7 +11,7 @@ resolve here, loading it on first access (PEP 562).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -108,6 +108,35 @@ class DesignMatrix(_Frozen):
         return int(np.sum(svals > self.rank_tolerance * svals[0]))
 
 
+def _cells(text: str) -> list[str]:
+    """The cells of a line or a comma list: split on commas and whitespace,
+    so empty cells vanish."""
+    return text.replace(",", " ").split()
+
+
+def _text_rows(source, what: str) -> Iterator[tuple[int, list[str]]]:
+    """The 1-based line number and the cells of every line of a path or text
+    stream that is not blank and does not start with '#'.
+
+    Every text input (designs, response and mean vectors, model lists) is
+    read here: UTF-8 with an optional byte-order mark, cells as _cells splits
+    them. A path that cannot be read or decoded is a DataError naming
+    ``what``.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {what} {source!r}: {exc}") from exc
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, _cells(stripped)
+
+
 def load_design(
     source,
     header: bool = False,
@@ -116,33 +145,19 @@ def load_design(
 ) -> DesignMatrix:
     """Read a numeric table (comma- or whitespace-separated) as a design.
 
-    ``source`` may be a path or a text stream; a leading UTF-8 byte-order
-    mark is dropped. With ``header`` the first nonblank line supplies column
-    names; otherwise names are synthesized as x1..xp. With ``intercept`` a
-    constant column is prepended.
+    ``source`` may be a path or a text stream, read as _text_rows reads it.
+    With ``header`` the first line read supplies column names; otherwise
+    names are synthesized as x1..xp. With ``intercept`` a constant column is
+    prepended.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DataError(f"cannot read design {source!r}: {exc}") from exc
-    text = text.removeprefix("\ufeff")
-
     rows: list[list[float]] = []
     names: tuple[str, ...] | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = [t for t in stripped.replace(",", " ").split() if t]
+    for lineno, cells in _text_rows(source, "design"):
         if names is None and header:
-            names = tuple(tokens)
+            names = tuple(cells)
             continue
         row = []
-        for colno, tok in enumerate(tokens, start=1):
+        for colno, tok in enumerate(cells, start=1):
             try:
                 row.append(float(tok))
             except ValueError:

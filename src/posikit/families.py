@@ -35,8 +35,9 @@ from .lattice import Direction, ModelId
 def _check_exchangeable(p: int, a: float):
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not a > -1.0 / p:
-        raise ValueError(f"a must exceed -1/p = {-1.0 / p:g} for positive definiteness")
+    if not -1.0 / p < a < math.inf:
+        raise ValueError(f"a must be finite and exceed -1/p = {-1.0 / p:g} "
+                         "for positive definiteness")
 
 
 def exchangeable_design(p: int, a: float) -> CanonicalDesign:

@@ -89,10 +89,17 @@ class IntervalReport:
 
 
 def _check_response(y: np.ndarray, sigma_hat: float):
-    if not sigma_hat > 0:
-        raise ValueError("sigma_hat must be positive")
-    if not np.isfinite(y).all():
+    """sigma_hat must be positive and finite, and y finite. Every statistic
+    |l'y| / sigma_hat of a unit l is at most sqrt(d) max|y_i| / sigma_hat,
+    so that bound must be finite too: a sigma_hat too small for the response
+    (a subnormal one, say) is refused rather than turned into an infinite t."""
+    if not 0.0 < sigma_hat < math.inf:
+        raise ValueError(f"sigma_hat must be positive and finite, got {sigma_hat!r}")
+    top = float(np.abs(y).max())
+    if not math.isfinite(top):
         raise ValueError("response must be finite")
+    if not math.isfinite(math.sqrt(np.size(y)) * top / sigma_hat):
+        raise ValueError(f"sigma_hat {sigma_hat!r} is too small for the response")
 
 
 def fit_submodel(
@@ -161,7 +168,11 @@ def _check_constant_applies(k: ConstantEstimate, design: CanonicalDesign,
         raise InfeasibleError(
             "a single-predictor constant does not cover joint intervals"
         )
-    if k.universe is None or not k.universe.contains(model):
+    _check_in_universe(k.universe, model)
+
+
+def _check_in_universe(universe: ModelUniverse | None, model: ModelId):
+    if universe is None or not universe.contains(model):
         raise InfeasibleError(
             f"constant was not computed for a universe containing {model}; "
             "the simultaneous guarantee would be void"

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .design import CanonicalDesign
+from .design import CanonicalDesign, _cells, _text_rows
 from .errors import DataError, InfeasibleError
 
 # Dedup hashing grid: power of two so scaling is lossless in binary floating
@@ -250,9 +250,9 @@ class ModelUniverse:
 
         Supported terms: ``all``, ``size<=m``, ``size<m``, ``size>=m``,
         ``size>m`` (m may be an integer or ``p-K`` when p is given),
-        ``forced=i,j,...``, ``nested``, ``file=PATH`` (one model per line,
-        comma-separated 1-based indices; with p known, a member beyond p is
-        an error), ``models=i,j;k,...``.
+        ``forced=i,j,...``, ``nested``, ``file=PATH`` (one model per line)
+        and ``models=i,j;k,...``. Every member list, a file line included,
+        is read by _members: with p known, a member beyond p is an error.
         """
         universe = cls.all()
         for raw in text.split("&"):
@@ -262,21 +262,18 @@ class ModelUniverse:
             if term == "nested":
                 universe = universe & cls.nested_chain()
             elif term.startswith("forced="):
-                idx = [int(t) for t in term[len("forced="):].split(",") if t.strip()]
-                universe = universe & cls.forcing(*idx)
+                forced = _members(_cells(term[len("forced="):]), p)
+                universe = universe & cls.forcing(*forced)
             elif term.startswith("size"):
                 universe = universe & _parse_size_term(term, p)
             elif term.startswith("file="):
-                path = term[len("file="):]
-                models = _read_model_list(path, p)
+                models = _read_model_list(term[len("file="):], p)
                 universe = universe & cls.explicit(models, source=term)
             elif term.startswith("models="):
-                groups = term[len("models="):].split(";")
-                models = [ModelId(int(t) for t in g.split(",") if t.strip())
-                          for g in groups if g.strip()]
                 # No groups is the empty set, which spec_string writes for two
                 # disjoint explicit universes intersected.
-                masks = frozenset(m.mask for m in models)
+                masks = frozenset(_members(_cells(g), p).mask
+                                  for g in term[len("models="):].split(";") if g.strip())
                 universe = universe & cls(explicit_masks=masks)
             else:
                 raise ValueError(f"unrecognized universe term {term!r}")
@@ -312,27 +309,30 @@ def _parse_size_bound(text: str, p: int | None) -> int:
     return int(text)
 
 
-def _read_model_list(path: str, p: int | None = None) -> list[ModelId]:
-    """The models of a file= term. A line whose members are not integers
-    from 1 (to p, when p is given) is a DataError naming the file and line."""
-    models = []
-    bound = f"in 1..{p}" if p is not None else ">= 1"
+def _members(cells: list[str], p: int | None = None) -> ModelId:
+    """The model a member list names: the one grammar of --model, forced=,
+    each models= group and each file= line. It needs at least one member,
+    each an integer in 1..p, or >= 1 when p is not known; anything else is a
+    ValueError."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    model = ModelId(int(t) for t in line.replace(",", " ").split())
-                except ValueError:
-                    model = None
-                if model is None or (p is not None and model.members[-1] > p):
-                    raise DataError(f"model list {path!r}, line {lineno}: members must "
-                                    f"be integers {bound}, got {line!r}")
-                models.append(model)
-    except OSError as exc:
-        raise DataError(f"cannot read model list {path!r}: {exc}") from exc
+        model = ModelId(int(c) for c in cells)
+    except ValueError:
+        model = None
+    if model is None or (p is not None and model.members[-1] > p):
+        bound = f"in 1..{p}" if p is not None else ">= 1"
+        raise ValueError(f"members must be integers {bound}, got {','.join(cells)!r}")
+    return model
+
+
+def _read_model_list(path: str, p: int | None = None) -> list[ModelId]:
+    """The models of a file= term, one per line. A line that _members refuses
+    is a DataError naming the file and line."""
+    models = []
+    for lineno, cells in _text_rows(path, "model list"):
+        try:
+            models.append(_members(cells, p))
+        except ValueError as exc:
+            raise DataError(f"model list {path!r}, line {lineno}: {exc}") from None
     if not models:
         raise DataError(f"model list {path!r} is empty")
     return models

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -578,6 +579,128 @@ def test_bad_model_list_is_a_data_error_naming_file_and_line(files, capsys, tmp_
         assert captured.out == ""
         assert f"model list {str(path)!r}, line {line}: members must be integers in 1..3" \
             in captured.err
+
+
+# (member list, accepted) at p = 3; a member list means the same thing in
+# every channel that takes one.
+MEMBER_LISTS = [("1,,2", True), (" 2 , 1 ", True), ("0", False), ("-1", False),
+                ("4", False), ("1.5", False), ("a", False)]
+
+
+@pytest.mark.parametrize("members, accepted", MEMBER_LISTS)
+@pytest.mark.parametrize("channel", ["model", "forced", "models", "file"])
+def test_member_lists_get_one_verdict_in_every_channel(files, capsys, tmp_path,
+                                                       channel, members, accepted):
+    if channel == "model":
+        argv = ["intervals", "--response", files["response"], "--sigma-hat", "1.0",
+                "--k-source", "scheffe", "--model", members]
+    elif channel == "file":
+        path = tmp_path / "models.txt"
+        path.write_text(f"1\n{members}\n")
+        argv = ["bound", "--universe", f"file={path}"]
+    else:
+        argv = ["bound", "--universe", f"{channel}={members}"]
+    code = run(argv + ["--design", files["generic3"]])
+    captured = capsys.readouterr()
+    # A bad file line is a data error (exit 2); a bad argument or spec term
+    # is a usage error (exit 1).
+    assert code == (0 if accepted else 2 if channel == "file" else 1), captured.err
+    assert (captured.out != "") == accepted
+    if not accepted:
+        assert "Traceback" not in captured.err
+        assert ("members must be integers" in captured.err
+                or "references columns beyond p=3" in captured.err)
+
+
+@pytest.mark.parametrize("flag, value", [("--p-list", "5,x"), ("--a-grid", "0,,one"),
+                                         ("--c-grid", "0.1;0.2")])
+def test_family_lists_name_the_flag_of_a_bad_cell(capsys, flag, value):
+    command = "worst-posi1" if flag == "--c-grid" else "exchangeable"
+    assert run(["family", command, flag, value, "--mc-samples", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    kind = "int" if flag == "--p-list" else "float"
+    assert f"error: argument {flag}: invalid {kind} list value: {value!r}" in captured.err
+
+
+def test_family_lists_split_like_text_lines(capsys):
+    # Cells are split on commas and whitespace, as in every text input.
+    outputs = []
+    for a_grid in ("0,1", " 0 1 ", "0,,1"):
+        outputs.append(run_json(capsys, ["family", "exchangeable", "--p-list", "3",
+                                         "--a-grid", a_grid, "--mc-samples", "500"]))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def run_quietly(capsys, argv) -> tuple[int, str, str]:
+    """Run argv; fail if it raises a RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command, sigma_hat, message", [
+    ("intervals", "inf", "sigma_hat must be positive and finite, got inf"),
+    ("spar", "inf", "sigma_hat must be positive and finite, got inf"),
+    ("spar", "1e-320", "sigma_hat 1e-320 is too small for the response"),
+], ids=["intervals-inf", "spar-inf", "spar-subnormal"])
+def test_sigma_hat_must_be_finite_and_usable(files, capsys, command, sigma_hat, message):
+    # All three exited 0: intervals printed infinite bounds, spar a max_abs_t
+    # of 0.0, and the subnormal one Infinity after an overflow warning.
+    argv = [command, "--design", files["generic3"], "--response", files["response"],
+            "--sigma-hat", sigma_hat]
+    if command == "intervals":
+        argv += ["--model", "1,2", "--mc-samples", "1000"]
+    code, out, err = run_quietly(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message)
+
+
+def test_coverage_naive_validates_alpha(files, capsys):
+    # The naive K is a normal quantile of 1 - alpha/2; at alpha = -0.5 it was
+    # NaN, printed with exit 0.
+    for k_source in ("naive", "scheffe", "posi"):
+        code, out, err = run_quietly(capsys, [
+            "coverage", "--design", files["generic3"], "--k-source", k_source,
+            "--alpha", "-0.5", "--mc-samples", "1000", "--replications", "10"])
+        assert (code, out, err) == (1, "", "error: alpha must lie in (0, 1), got -0.5\n")
+
+
+def test_exchangeable_family_needs_a_finite_a(capsys):
+    # a = inf used to reach the draws and end in "direction set is empty"
+    # (exit 3) after three RuntimeWarnings.
+    code, out, err = run_quietly(capsys, ["family", "exchangeable", "--p-list", "3",
+                                          "--a-grid", "0,inf", "--mc-samples", "100"])
+    assert (code, out) == (1, "")
+    assert err == "error: a must be finite and exceed -1/p = -0.333333 for positive " \
+        "definiteness\n"
+
+
+def test_json_output_refuses_non_finite_numbers(capsys, monkeypatch):
+    # NaN and Infinity are not JSON (RFC 8259); json.dumps writes them unless
+    # told not to.
+    monkeypatch.setattr(cli, "_payload_from_estimate",
+                        lambda est, design=None: {"K": math.nan})
+    assert run(["scheffe", "--d", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Out of range float values are not JSON")
+
+
+def test_intervals_checks_the_universe_before_k(files, capsys, monkeypatch):
+    def no_constant(*args, **kwargs):
+        raise AssertionError("K computed for a model outside the universe")
+
+    monkeypatch.setattr(cli, "posi_constant", no_constant)
+    assert run(["intervals", "--design", files["generic3"], "--response",
+                files["response"], "--universe", "nested", "--model", "2,3",
+                "--sigma-hat", "1.0", "--mc-samples", "1000"]) == 3
+    assert capsys.readouterr().err == (
+        "infeasible request: constant was not computed for a universe containing "
+        "ModelId({2, 3}); the simultaneous guarantee would be void\n")
 
 
 def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch):

@@ -20,6 +20,8 @@ from posikit import (
     spar_select,
     vif,
 )
+from posikit.design import _text_rows
+from posikit.lattice import _members
 
 
 def random_design(p, n=None, seed=0):
@@ -535,6 +537,50 @@ def test_models_beyond_62_columns():
     listed = ModelUniverse.explicit([[64], [1, 64]])
     assert list(enumerate_models(cd, listed)) == [ModelId([64]), ModelId([1, 64])]
     assert direction_stream(cd, listed, dedup="up_to_sign").count == 2
+
+
+def test_text_inputs_share_one_grammar(tmp_path):
+    # A byte-order mark, comments, blank lines, and cells split on commas and
+    # whitespace, empty cells included, read the same from a path or a stream.
+    path = tmp_path / "table.txt"
+    path.write_bytes("\ufeff# note\n\n 1, 2\t3 \n4,,5 6\n".encode("utf-8"))
+    rows = [(3, ["1", "2", "3"]), (4, ["4", "5", "6"])]
+    assert list(_text_rows(str(path), "table")) == rows
+    assert list(_text_rows(io.StringIO(path.read_text(encoding="utf-8")), "table")) == rows
+    assert np.array_equal(load_design(str(path)).values, [[1, 2, 3], [4, 5, 6]])
+    assert ModelUniverse.from_spec(f"file={path}", p=6).explicit_masks == {0b111, 0b111000}
+
+
+def test_unreadable_text_is_a_data_error_naming_the_input(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1,2\n3,\xe9\n")  # not UTF-8
+    with pytest.raises(DataError, match="cannot read design .*latin1.txt'"):
+        load_design(str(path))
+    with pytest.raises(DataError, match="cannot read model list .*latin1.txt'"):
+        ModelUniverse.from_spec(f"file={path}")
+    with pytest.raises(DataError, match="cannot read design .*missing.csv'"):
+        load_design(str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.parametrize("cells, p", [
+    ([], 3), ([], None), (["0"], 3), (["-1"], None), (["4"], 3), (["1.5"], 3),
+    (["a"], None), (["1", "x"], 3)])
+def test_members_refuses_an_empty_or_bad_list(cells, p):
+    with pytest.raises(ValueError, match="members must be integers "
+                                         + (r"in 1\.\.3" if p else ">= 1")):
+        _members(cells, p)
+
+
+def test_specs_without_p_build_the_api_universes():
+    # With p unknown nothing bounds a member from above, so these universes
+    # list members beyond a later design's p, as the constructors can.
+    assert ModelUniverse.from_spec("forced=12") == ModelUniverse.forcing(12)
+    assert (ModelUniverse.from_spec("models=1,2;1,2,3;2,9&size<=2")
+            == ModelUniverse.explicit([[1, 2], [1, 2, 3], [2, 9]])
+            & ModelUniverse.of_max_size(2))
+    for spec, p in (("forced=12", 10), ("models=1,2;2,9", 8)):
+        with pytest.raises(ValueError, match=rf"members must be integers in 1\.\.{p}"):
+            ModelUniverse.from_spec(spec, p=p)
 
 
 def test_universe_from_file(tmp_path):

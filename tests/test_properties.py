@@ -520,7 +520,11 @@ def test_candidate_pair_count_matches_the_walk(case):
 ])
 def test_candidate_pair_count_cases(shape, spec, predictor, count):
     cd = gaussian_design(np.random.default_rng(0), *shape)
-    universe = ModelUniverse.from_spec(spec, p=cd.p)
+    # Parsed without p, so the universe is the one the API constructors build
+    # (the forced= rows are ModelUniverse.forcing(12) and forcing(11), the
+    # models= row ModelUniverse.explicit(...) & of_max_size(2)); with p known
+    # the spec grammar refuses members beyond p.
+    universe = ModelUniverse.from_spec(spec)
     assert _candidate_pair_count(cd, universe, predictor) == count
     assert walked_pairs(cd, universe, predictor) == count
 
@@ -1299,3 +1303,58 @@ def test_cone_test_keeps_every_group_that_reaches_the_floor(cd, seed, scale, n, 
             for s in (slack, np.zeros(n)):
                 reach = constants._cone_reach(rows, starts, zt32, norm, sigma, s, exact)
                 assert np.all(reach[g] >= 0)
+
+
+# ---------------------------------------------------------------------------
+# Pathwise validity: intervals after selection hold on the simultaneous event
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def coverage_cases(draw):
+    """A generic design with p <= 6, an error model, a selector of one of the
+    four kinds over the universe of all models, and a seed."""
+    p = draw(st.integers(1, 6))
+    cd = gaussian_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                         draw(st.integers(1, 9)), p)
+    kind = draw(st.sampled_from(["spar", "spar1", "stepwise", "best-r2"]))
+    if kind == "spar":
+        selector = "spar"
+    elif kind == "spar1":
+        selector = ("spar1", draw(st.integers(1, p)))
+    elif kind == "stepwise":
+        selector = make_stepwise_selector()
+    else:
+        selector = make_best_r2_selector(draw(st.integers(1, min(cd.d, p))))
+    return cd, ErrorModel(draw(DFS)), kind, selector, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(case=coverage_cases(), mean_scale=st.sampled_from([0.0, 1.0, 5.0]))
+def test_coverage_holds_on_the_simultaneous_event(case, mean_scale):
+    # When every direction l of the universe has |l'eps| <= K sigma_hat, every
+    # interval of every model covers its target, whatever was selected and
+    # whatever mu is. At mu = 0 spar selects the model holding the largest
+    # |l'eps| / sigma_hat, so its coverage indicator is that event exactly.
+    cd, em, kind, selector, seed = case
+    replications = 100
+    est = posi_constant(cd, alpha=0.3, error_model=em, n_samples=300, seed=seed)
+    if kind == "spar":
+        mean_scale = 0.0
+    mu = mean_scale * np.random.default_rng(seed).standard_normal(cd.d)
+    result = inference.coverage_experiment(
+        cd, None, selector, 0.3, em, est, replications, seed=seed,
+        target=inference.TargetSpec(mu))
+    eps, sigma = _rng.gaussian_block(seed, _rng.PURPOSE_COVERAGE, 0, replications,
+                                     cd.d, em.df)
+    # Scored as the selectors and the coverage check score rows: np.vecdot on
+    # C-ordered rows.
+    vectors = np.ascontiguousarray(direction_stream(cd).whole().vectors)
+    largest = np.array([np.abs(np.vecdot(vectors, e)).max() for e in eps])
+    limit = est.k * sigma
+    event = largest <= limit
+    clear = np.abs(largest - limit) > 4 * np.spacing(limit)
+    if kind == "spar":
+        assert np.array_equal(result.covered[clear], event[clear])
+    else:
+        assert result.covered[event & clear].all()
