@@ -45,8 +45,8 @@ from .constants import (
 )
 from .design import CanonicalDesign, _cells, _text_rows, canonicalize, load_design
 from .errors import DataError, InfeasibleError
-from .lattice import (ModelUniverse, _candidate_pair_count, _check_fit, _dedup_up_to_sign,
-                      _members, direction_stream)
+from .lattice import (DirectionSet, ModelUniverse, _candidate_pair_count, _check_fit,
+                      _dedup_up_to_sign, _members, direction_stream)
 
 _STREAM_WARN_P = 16
 # Measured rates for the cost warning on a 2-core Intel Xeon KVM guest with
@@ -269,36 +269,19 @@ def _csv_cell(value) -> str:
 
 
 def _cmd_k(args) -> int:
+    """k, or with --predictor (k1) the single-predictor constant."""
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
-    _warn_large_stream(design, universe, args.mc_samples)
-    est = posi_constant(
-        design,
-        universe,
-        alpha=args.alpha,
-        error_model=em,
-        n_samples=args.mc_samples,
-        seed=args.seed,
-    )
-    _emit(_payload_from_estimate(est, design), args)
-    return 0
-
-
-def _cmd_k1(args) -> int:
-    design, universe = _load_canonical(args)
-    em = _parse_df(args.df)
-    _warn_large_stream(design, universe, args.mc_samples, args.predictor)
-    est = posi1_constant(
-        design,
-        universe,
-        predictor=args.predictor,
-        alpha=args.alpha,
-        error_model=em,
-        n_samples=args.mc_samples,
-        seed=args.seed,
-    )
+    predictor = getattr(args, "predictor", None)
+    _warn_large_stream(design, universe, args.mc_samples, predictor)
+    mc = dict(alpha=args.alpha, error_model=em, n_samples=args.mc_samples, seed=args.seed)
+    if predictor is None:
+        est = posi_constant(design, universe, **mc)
+    else:
+        est = posi1_constant(design, universe, predictor, **mc)
     payload = _payload_from_estimate(est, design)
-    payload["predictor"] = args.predictor
+    if predictor is not None:
+        payload["predictor"] = predictor
     _emit(payload, args)
     return 0
 
@@ -412,8 +395,7 @@ def _cmd_spar(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    from .inference import (TargetSpec, _DirectionSelector, _spar1_directions,
-                            coverage_experiment)
+    from .inference import TargetSpec, _DirectionSelector, coverage_experiment
 
     _validate_alpha(args.alpha)  # the naive K is computed here, not by constants
     design, universe = _load_canonical(args)
@@ -424,7 +406,7 @@ def _cmd_coverage(args) -> int:
             selector = ("spar1", int(args.selector.split(":", 1)[1]))
         except ValueError:
             raise _usage_error(f"unknown --selector {args.selector!r}") from None
-        _spar1_directions(design, universe, selector[1])  # checks j before K
+        DirectionSet(design, universe, predictor=selector[1])  # checks j before K
     elif args.selector != "spar":
         raise _usage_error(f"unknown --selector {args.selector!r}")
     if args.k_source == "scheffe":
@@ -586,7 +568,7 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("k1", help="single-predictor constant")
     _add_common(sub)
     sub.add_argument("--predictor", type=int, required=True)
-    sub.set_defaults(handler=_cmd_k1)
+    sub.set_defaults(handler=_cmd_k)
 
     sub = commands.add_parser("scheffe", help="Scheffe constant (closed form)")
     _add_common(sub, mc=False)

@@ -115,7 +115,9 @@ def _validate_alpha(alpha: float):
 
 
 def conservative_quantile_index(alpha: float, n: int) -> int:
-    """1-based order-statistic index ceil((1-alpha)(n+1))."""
+    """1-based order-statistic index ceil((1-alpha)(n+1)), for alpha in
+    (0, 1) and at least n >= 1 draws."""
+    _validate_alpha(alpha)
     if n < 1:
         raise ValueError("n_samples must be >= 1")
     idx = math.ceil((1.0 - alpha) * (n + 1))
@@ -153,6 +155,13 @@ def _mc_standard_error(draws: np.ndarray, alpha: float) -> float:
     x_lo, x_hi = float(x[lo - 1]), float(x[hi - 1])
     se = (x_hi - x_lo) * math.sqrt(n * alpha * (1.0 - alpha)) / max(hi - lo, 1)
     return max(se, math.ulp(x_hi))
+
+
+def _order_statistic(draws: np.ndarray, alpha: float) -> tuple[float, float]:
+    """K, the draws' order statistic of rank conservative_quantile_index,
+    and its standard error (see _mc_standard_error)."""
+    idx = conservative_quantile_index(alpha, draws.size)
+    return float(np.partition(draws, idx - 1)[idx - 1]), _mc_standard_error(draws, alpha)
 
 
 def _fold_chunk_max(chunk: np.ndarray, zt: np.ndarray, best: np.ndarray,
@@ -631,18 +640,17 @@ def _posi_from(directions: DirectionSet, alpha: float, error_model: ErrorModel,
     caller made, which it may hold to read again (see DirectionSet._hold).
     An empty set raises InfeasibleError(empty). alpha and n_samples are
     checked before the set is read."""
-    _validate_alpha(alpha)
     draws = _screened_draws(directions, error_model, n_samples, seed,
                             _spacing_ranks(alpha, n_samples)[0])
     if draws.max() < 0:
         raise InfeasibleError(empty)
-    idx = conservative_quantile_index(alpha, n_samples)
+    k, se = _order_statistic(draws, alpha)
     return ConstantEstimate(
-        k=float(np.partition(draws, idx - 1)[idx - 1]),
+        k=k,
         alpha=alpha,
         error_model=error_model,
         mc_samples=n_samples,
-        mc_standard_error=_mc_standard_error(draws, alpha),
+        mc_standard_error=se,
         seed=seed,
         direction_count=directions.count,
         method=MONTE_CARLO,
@@ -671,12 +679,7 @@ def posi1_constant(
     max_abs_t_draws).
     """
     _check_threads(threads)
-    if universe is None:
-        universe = ModelUniverse.all()
-    if not 1 <= predictor <= design.p:
-        raise ValueError(f"predictor {predictor} out of range 1..{design.p}")
-    restricted = universe & ModelUniverse.forcing(predictor)
-    return _posi_from(DirectionSet(design, restricted, predictor=predictor), alpha,
+    return _posi_from(DirectionSet(design, universe, predictor=predictor), alpha,
                       error_model, n_samples, seed, "posi1",
                       f"no model in the universe contains predictor {predictor}")
 

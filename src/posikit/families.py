@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _rng
-from .constants import _mc_standard_error, conservative_quantile_index, posi_constant
+from .constants import _order_statistic, conservative_quantile_index, posi_constant
 from .design import SYMMETRIC, UPPER_TRIANGULAR, CanonicalDesign
 from .lattice import Direction, ModelId
 
@@ -413,13 +413,14 @@ def worst_posi1_table(
 ) -> list[WorstPosi1Row]:
     """Quantile of the fast statistic per c on the grid; draws are shared
     across grid points so the sup over c is a smooth comparison. Every c
-    must satisfy c^2 < 1/(p-1), which is checked before any draw."""
+    must satisfy c^2 < 1/(p-1); they, alpha and n_samples are checked
+    before any draw."""
     if p < 2:
         raise ValueError("p must be >= 2")
     grid = tuple(c_grid) if c_grid is not None else default_c_grid(p)
     for c in grid:
         _check_worst(p, c)
-    idx = conservative_quantile_index(alpha, n_samples)
+    conservative_quantile_index(alpha, n_samples)
     nblocks = _rng.block_count(n_samples)
     values = {c: np.empty(n_samples) for c in grid}
     for b in range(nblocks):
@@ -429,9 +430,7 @@ def worst_posi1_table(
             values[c][sl] = stat
     rows = []
     for c in grid:
-        draws = values[c]
-        k1 = float(np.partition(draws, idx - 1)[idx - 1])
-        se = _mc_standard_error(draws, alpha)
+        k1, se = _order_statistic(values[c], alpha)
         rows.append(WorstPosi1Row(p, c, k1, se, k1 / math.sqrt(p)))
     return rows
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import _rng
-from .constants import ConstantEstimate, ErrorModel, _gemv_margin
+from .constants import ConstantEstimate, ErrorModel, _gemv_margin, _validate_alpha
 from .design import CanonicalDesign
 from .errors import InfeasibleError
 from .lattice import (DirectionSet, ModelId, ModelUniverse, _full_rank_blocks,
@@ -116,13 +116,19 @@ def fit_submodel(
     for the model's pairs. Raises InfeasibleError when it does not emit them
     all (rank deficient under the rank tolerance, or more columns than d).
     """
+    return _fit(design, y, model, sigma_hat, error_model)[0]
+
+
+def _fit(design: CanonicalDesign, y: np.ndarray, model: ModelId, sigma_hat: float,
+         error_model: ErrorModel) -> tuple[FitResult, np.ndarray]:
+    """fit_submodel, with the model's unit directions (k, d)."""
     y = np.asarray(y, dtype=float)
     if y.shape != (design.d,):
         raise ValueError(f"response must be a length-{design.d} canonical vector")
     _check_response(y, sigma_hat)
     vectors, norms = _model_directions(design, model)
     return FitResult(model, np.vecdot(vectors, y) / norms, norms, float(sigma_hat),
-                     error_model)
+                     error_model), vectors
 
 
 def _target_mean(design: CanonicalDesign, target: TargetSpec) -> np.ndarray:
@@ -193,15 +199,19 @@ def posi_intervals(
     K must have been computed for ``error_model``, for a design of this
     rank d (when K records its d) and, unless it is the Scheffe constant,
     for a universe containing ``model``; otherwise the guarantee would be
-    void and InfeasibleError is raised.
+    void and InfeasibleError is raised. The model is factored once, for the
+    fit and the target alike.
     """
     _check_constant_applies(k, design, model, error_model)
-    fit = fit_submodel(design, y, model, sigma_hat, error_model)
-    beta = submodel_target(design, model, target) if target is not None else None
+    fit, vectors = _fit(design, y, model, sigma_hat, error_model)
+    beta = None
+    if target is not None:
+        beta = np.vecdot(vectors, _target_mean(design, target)) / fit.adjusted_norms
     rows = []
     for i, j in enumerate(model.members):
         est = float(fit.estimates[i])
-        half = k.k * sigma_hat / float(fit.adjusted_norms[i])
+        norm = float(fit.adjusted_norms[i])
+        half = k.k * sigma_hat / norm
         covers = None
         if beta is not None:
             covers = bool(abs(est - beta[i]) <= half)
@@ -212,7 +222,7 @@ def posi_intervals(
                 estimate=est,
                 lower=est - half,
                 upper=est + half,
-                t_observed=t_ratio(fit, j, 0.0),
+                t_observed=est / (fit.sigma_hat / norm),
                 k_used=k.k,
                 covers_target=covers,
             )
@@ -312,17 +322,6 @@ def _rows_max(vectors: np.ndarray, keys: np.ndarray, rows: np.ndarray,
     return stat, keys[rows[stats == stat]]
 
 
-def _spar1_directions(
-    design: CanonicalDesign, universe: ModelUniverse | None, predictor: int
-) -> DirectionSet:
-    if not 1 <= predictor <= design.p:
-        raise ValueError(f"predictor {predictor} out of range 1..{design.p}")
-    if universe is None:
-        universe = ModelUniverse.all()
-    restricted = universe & ModelUniverse.forcing(predictor)
-    return DirectionSet(design, restricted, predictor=predictor)
-
-
 def spar_select(
     design: CanonicalDesign,
     y: np.ndarray,
@@ -345,7 +344,7 @@ def spar1_select(
 ) -> tuple[ModelId, float]:
     """Best-adjustment selection for one primary predictor: maximizes its |t|
     over the models that contain it."""
-    chunks = _spar1_directions(design, universe, predictor).chunks(_SELECT_CHUNK)
+    chunks = DirectionSet(design, universe, predictor=predictor).chunks(_SELECT_CHUNK)
     model, _, stat = _argmax_over_directions(chunks, y, sigma_hat)
     return model, stat
 
@@ -442,7 +441,7 @@ def make_spar1_selector(
     predictor: int, universe: ModelUniverse | None = None
 ) -> Selector:
     return _DirectionSelector(
-        lambda design: _spar1_directions(design, universe, predictor)
+        lambda design: DirectionSet(design, universe, predictor=predictor)
     )
 
 
@@ -637,8 +636,9 @@ def coverage_experiment(
     selectors "spar" and ("spar1", j) are built against the given universe.
     A ConstantEstimate k must apply to every model selected, as in
     posi_intervals, else InfeasibleError is raised; a float k (say, the
-    naive normal quantile) is used as given.
+    naive normal quantile) is used as given. alpha must lie in (0, 1).
     """
+    _validate_alpha(alpha)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if universe is None:

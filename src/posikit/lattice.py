@@ -895,6 +895,10 @@ def _dedup_up_to_sign(whole: LevelBatch) -> LevelBatch:
 class DirectionSet:
     """Re-iterable set of adjusted-predictor directions for (design, universe).
 
+    With a 1-based ``predictor`` j the set holds only j's pairs (j, M), and
+    its universe is the given one restricted to the models that contain j
+    (the PoSI1 set); j must lie in 1..p.
+
     With ``dedup=None`` iteration streams directions straight out of the
     level-wise enumeration, each pair (j, M) exactly once, duplicates
     included; the Monte Carlo fold consumes this stream in chunks and holds
@@ -918,6 +922,10 @@ class DirectionSet:
             universe = ModelUniverse.all()
         if dedup not in (None, "up_to_sign"):
             raise ValueError(f"unknown dedup mode {dedup!r}")
+        if predictor is not None:
+            if not 1 <= predictor <= design.p:
+                raise ValueError(f"predictor {predictor} out of range 1..{design.p}")
+            universe = universe & ModelUniverse.forcing(predictor)
         self.design = design
         self.universe = universe
         self.dedup = dedup

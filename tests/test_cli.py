@@ -268,6 +268,21 @@ def test_family_rejects_bad_p_or_c(argv, message, capsys):
     assert captured.err == message + "\n"
 
 
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+def test_worst_posi1_family_validates_alpha(alpha, capsys):
+    # At alpha = 1 the table printed the largest draw as K1, with exit 0;
+    # at 1.5 it failed with a bare "math domain error".
+    from posikit.families import worst_posi1_table
+
+    code = run(["family", "worst-posi1", "--p", "20", "--mc-samples", "100",
+                "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: alpha must lie in (0, 1), got {float(alpha)}\n"
+    with pytest.raises(ValueError, match="^alpha must lie in"):
+        worst_posi1_table(20, alpha=float(alpha), n_samples=100)
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
 def test_seeds_outside_64_bits_exit_1(files, seed, capsys):
     # Under a 64-bit mask, -1 printed the K of 2**64 - 1 and 2**64 that of 0.
@@ -309,6 +324,8 @@ COVERAGE = ["coverage", "--replications", "20", "--mc-samples", "100", "--select
     (COVERAGE + ["spar1:x", "--k-source", "naive"], "error: unknown --selector 'spar1:x'"),
     (COVERAGE + ["spar1:"], "error: unknown --selector 'spar1:'"),
     (COVERAGE + ["spar2"], "error: unknown --selector 'spar2'"),
+    (COVERAGE + ["spar1:0", "--k-source", "naive"], "error: predictor 0 out of range 1..3"),
+    (["k1", "--predictor", "0"], "error: predictor 0 out of range 1..3"),
 ])
 def test_spar1_rejects_a_bad_predictor_or_selector(files, argv, message, capsys):
     # A usage error (exit 1), not an infeasible request over no directions.

@@ -153,8 +153,9 @@ def test_posi1_walks_once_over_the_predictors_pairs(monkeypatch):
     assert walks == [3]
     assert set(emitted) == {3}
     assert est.direction_count == len(emitted) == 2 ** 4
-    # The walker keeps to the predictor without a universe that forces it.
+    # Given only the predictor, the set forces it in its universe.
     unforced = DirectionSet(cd, predictor=3)
+    assert unforced.universe == ModelUniverse.forcing(3)
     assert {direction.predictor for direction in unforced} == {3}
     assert unforced.count == 2 ** 4
     walks.clear()

@@ -402,6 +402,36 @@ def test_intervals_covers_flag():
     assert all(row.covers_target for row in report.rows)  # y = mu: exact
 
 
+def test_intervals_factor_the_model_once(monkeypatch):
+    # The fit and the target read one factorization; each row is bitwise
+    # the one fit_submodel, submodel_target and t_ratio give.
+    import posikit.lattice
+
+    cd = random_canonical(6, seed=7)
+    rng = np.random.default_rng(3)
+    y, mu = rng.standard_normal(cd.d), rng.standard_normal(cd.d)
+    model, sigma_hat = ModelId([1, 3, 4, 6]), 0.7
+    fit = fit_submodel(cd, y, model, sigma_hat)
+    beta = submodel_target(cd, model, TargetSpec(mu))
+    calls = []
+    factor = posikit.lattice._models_pairs
+
+    def counting(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(posikit.lattice, "_models_pairs", counting)
+    est = scheffe_constant(0.05, cd.d)
+    report = posi_intervals(cd, y, sigma_hat, KNOWN, model, est, target=TargetSpec(mu))
+    assert len(calls) == 1
+    for i, (j, row) in enumerate(zip(model.members, report.rows)):
+        half = est.k * sigma_hat / fit.adjusted_norms[i]
+        assert row.estimate == fit.estimates[i]
+        assert (row.lower, row.upper) == (row.estimate - half, row.estimate + half)
+        assert row.t_observed == t_ratio(fit, j, 0.0)
+        assert row.covers_target == bool(abs(row.estimate - beta[i]) <= half)
+
+
 # ---------------------------------------------------------------------------
 # SPAR selectors
 # ---------------------------------------------------------------------------
@@ -458,12 +488,19 @@ def test_spar1_orthogonal_value_model_free():
     assert stat == pytest.approx(1.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("predictor", [0, 5, 11])
+@pytest.mark.parametrize("predictor", [0, 5, 11, -1])
 def test_spar1_rejects_a_predictor_out_of_range(predictor):
-    # A usage error, as posi1_constant reports it, not an empty direction set.
+    # A usage error from the direction set itself, not an empty set (p + 1)
+    # or one keyed by mask 0, which names no model (0).
+    from posikit import DirectionSet, posi1_constant
+
     cd = random_canonical(4, seed=2)
     y = np.ones(cd.d)
     message = f"^predictor {predictor} out of range 1..4$"
+    with pytest.raises(ValueError, match=message):
+        DirectionSet(cd, predictor=predictor)
+    with pytest.raises(ValueError, match=message):
+        posi1_constant(cd, predictor=predictor, n_samples=100)
     with pytest.raises(ValueError, match=message):
         spar1_select(cd, y, 1.0, predictor=predictor)
     with pytest.raises(ValueError, match=message):
@@ -831,6 +868,18 @@ def test_coverage_refuses_a_constant_that_does_not_apply():
                         (None, scheffe_constant(0.05, small.d))):
         res = coverage_experiment(small, universe, "spar", 0.05, KNOWN, k, 200, seed=2)
         assert res.replications == 200
+
+
+def test_coverage_validates_alpha_before_selecting():
+    # alpha was never read: coverage_experiment(..., alpha=7.0) ran.
+    cd = random_canonical(4, seed=23)
+
+    def no_selection(*args):
+        raise AssertionError("selected before checking alpha")
+
+    for alpha in (7.0, 0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="^alpha must lie in"):
+            coverage_experiment(cd, None, no_selection, alpha, KNOWN, 3.0, 10)
 
 
 @pytest.mark.parametrize("mu", [[50.0], [1.0, 2.0, 3.0]])

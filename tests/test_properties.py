@@ -646,7 +646,8 @@ def design_screen_cases(draw):
     else:
         power = draw(st.integers(-150, -20))
         y, sigma_hat = y * 10.0 ** power, sigma_hat * 10.0 ** (power + 322)
-    sets = [direction_stream(cd, universe), inference._spar1_directions(cd, universe, j)]
+    sets = [direction_stream(cd, universe), DirectionSet(cd, universe, predictor=j)]
+    assert sets[1].universe == universe & ModelUniverse.forcing(j)
     held = [make_spar_selector(universe), make_spar1_selector(j, universe)]
     return [(s.chunks, select.held, cd) for s, select in zip(sets, held)], y, sigma_hat
 
