@@ -273,7 +273,9 @@ def _cmd_k(args) -> int:
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
     predictor = getattr(args, "predictor", None)
-    _warn_large_stream(design, universe, args.mc_samples, predictor)
+    # The set checks the predictor's range, and forces it, before the warning.
+    walked = DirectionSet(design, universe, predictor=predictor).universe
+    _warn_large_stream(design, walked, args.mc_samples, predictor)
     mc = dict(alpha=args.alpha, error_model=em, n_samples=args.mc_samples, seed=args.seed)
     if predictor is None:
         est = posi_constant(design, universe, **mc)

@@ -11,7 +11,12 @@ only the model sizes whose complement sums can still rise: sizes past the
 count of positive (top tail) or non-positive (bottom tail) coordinates are
 skipped, and a rounding-safe bound on the skipped scores sends the rare
 draws where they might win back to a full scan, so every value is the full
-scan's, bit for bit.
+scan's, bit for bit. Blocks of draws are held size-major: the running sums
+are built by adding row k-1 into row k (the additions np.cumsum makes, in
+its order), only the rows up to the longer scored tail are formed, and the
+broadcast products run through np.einsum, which writes +0 where np.multiply
+writes -0. A zero's sign reaches only a result that is exactly 0, and such
+results are scored again in full.
 """
 
 from __future__ import annotations
@@ -287,6 +292,17 @@ def _fast_worst_posi1_batch(p: int, cs, z_block: np.ndarray) -> np.ndarray:
     (row k holds size k for all its draws), in tiles of at most _WORST_TILE
     elements, in buffers allocated once per call.
 
+    Layout and arithmetic. The sorted rows are copied transposed into the
+    bottom sums and row k-1 is added into row k for k = 2..p-1: these are
+    the additions np.cumsum makes along a row, in the same order, so B_k
+    and T_k carry its bits. The shift fl(alpha_k z_p) and the scores are
+    formed only for k up to the larger of the two ranges, since no tail
+    reads past it. Both broadcast products are np.einsum sums of one
+    product each: every element is one rounded product, except that
+    einsum's zero start turns a product of -0 into +0. A sign of zero can
+    reach a draw's result only when that result is exactly 0, and those
+    draws are scored again below.
+
     Bound and fallback. Past a sub-block's top range K the sums are at most
     T_K, so every unscored top candidate is at most
     _pruned_envelope(np.maximum, ..., K, T_K, z_p); past its bottom range
@@ -330,8 +346,9 @@ def _fast_worst_posi1_batch(p: int, cs, z_block: np.ndarray) -> np.ndarray:
         np.copyto(zp, sub[:, p - 1])
         sums = sub[:, : p - 1]
         sums.sort(axis=1)
-        np.cumsum(sums, axis=1, out=sums)
         np.copyto(low[1:, :n], sums.T)
+        for k in range(2, p):
+            np.add(low[k, :n], low[k - 1, :n], out=low[k, :n])
         top = high[: k_top + 1, :n]
         np.subtract(low[p - 1, :n], low[p - 1 - k_top:, :n][::-1], out=top)
         bottom = low[: k_bottom + 1, :n]
@@ -339,17 +356,18 @@ def _fast_worst_posi1_batch(p: int, cs, z_block: np.ndarray) -> np.ndarray:
         red = reduced[:n]
         acc_n = acc[:, :n]
         acc_n.fill(0.0)
+        k_end_all = max(k_top, k_bottom) + 1
         for out, rho_c, alpha_c in zip(acc_n, rho, alpha):
-            for k0 in range(0, max(k_top, k_bottom) + 1, tile):
-                k1 = min(k0 + tile, p)
+            for k0 in range(0, k_end_all, tile):
+                k1 = min(k0 + tile, k_end_all)
                 shift = base[: k1 - k0, :n]
-                np.multiply(alpha_c[k0:k1, None], zp, out=shift)
+                np.einsum("i,j->ij", alpha_c[k0:k1], zp, out=shift)
                 for tail, reduce, negate in tails:
                     k_end = min(k1, tail.shape[0])
                     if k0 >= k_end:
                         continue
                     value = work[: k_end - k0, :n]
-                    np.multiply(rho_c[k0:k_end, None], tail[k0:k_end], out=value)
+                    np.einsum("i,ij->ij", rho_c[k0:k_end], tail[k0:k_end], out=value)
                     value += shift[: k_end - k0]
                     reduce.reduce(value, axis=0, out=red)
                     if negate:

@@ -422,21 +422,19 @@ class LevelBatch:
         return np.column_stack([self.masks, self.predictors])
 
 
-def _model_plan(universe: ModelUniverse, p: int, max_size: int,
-                predictor: int | None = None):
-    """The forced members (the predictor among them) as ascending 0-based
-    indices, and the model sizes to walk: from the universe's minimum, the
-    forced count and, for a nested universe, the largest forced member, up
-    to the universe's maximum capped at max_size. No sizes when a forced
-    member lies beyond p."""
-    forced = set(universe.forced) | ({predictor} if predictor is not None else set())
+def _model_plan(universe: ModelUniverse, p: int, max_size: int):
+    """The forced members as ascending 0-based indices, and the model sizes
+    to walk: from the universe's minimum, the forced count and, for a nested
+    universe, the largest forced member, up to the universe's maximum capped
+    at max_size. No sizes when a forced member lies beyond p."""
+    forced = universe.forced
     lo = max(universe.min_size or 1, len(forced))
     if universe.nested:
         lo = max(lo, max(forced, default=1))
     hi = min(universe.max_size or p, max_size)
     if any(j > p for j in forced):
         hi = 0
-    return np.array(sorted(forced), dtype=np.intp) - 1, range(lo, hi + 1)
+    return np.array(forced, dtype=np.intp) - 1, range(lo, hi + 1)
 
 
 def _explicit_levels(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
@@ -457,16 +455,14 @@ def _explicit_levels(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
         yield rows[keep]
 
 
-def _model_blocks(universe: ModelUniverse, p: int, max_size: int,
-                  predictor: int | None = None):
+def _model_blocks(universe: ModelUniverse, p: int, max_size: int):
     """The universe's models of at most max_size columns among 1..p, as
     (B, k) arrays of ascending 0-based members: by size, then
-    lexicographically, at most _LEVEL_BLOCK rows an array. With a predictor,
-    only the models that contain it. Each array comes with the (B,) flags of
-    the rows that are models, or None when all are: the levels of an
-    explicit universe also hold the prefixes of its larger models (see
-    _explicit_blocks)."""
-    forced_idx, sizes = _model_plan(universe, p, max_size, predictor)
+    lexicographically, at most _LEVEL_BLOCK rows an array. Each array comes
+    with the (B,) flags of the rows that are models, or None when all are:
+    the levels of an explicit universe also hold the prefixes of its larger
+    models (see _explicit_blocks)."""
+    forced_idx, sizes = _model_plan(universe, p, max_size)
     if universe.explicit_masks is not None:
         yield from _explicit_blocks(universe, p, forced_idx, sizes)
         return
@@ -525,11 +521,11 @@ def _candidate_pair_count(design: CanonicalDesign, universe: ModelUniverse,
                          predictor: int | None = None) -> int:
     """Number of (j, M) pairs the enumeration considers before the rank rule
     (see _level_batches): every member of each model _model_blocks yields
-    for the design, or with a predictor one pair per model. On a design
-    whose models of at most d columns are all full rank it is the count of
-    directions plus degenerate skips. Counted, not walked."""
-    forced_idx, sizes = _model_plan(universe, design.p, min(design.d, design.p),
-                                    predictor)
+    for the design, or with a predictor (which the universe forces) one pair
+    per model. On a design whose models of at most d columns are all full
+    rank it is the count of directions plus degenerate skips. Counted, not
+    walked."""
+    forced_idx, sizes = _model_plan(universe, design.p, min(design.d, design.p))
     if universe.explicit_masks is not None:
         models = {rows.shape[1]: rows.shape[0] for rows in
                   _explicit_levels(universe, design.p, forced_idx, sizes)}
@@ -693,14 +689,12 @@ def _factors(design: CanonicalDesign, rows: np.ndarray,
 _HELD_BYTES = 64 << 20
 
 
-def _walk_factors(design: CanonicalDesign, universe: ModelUniverse,
-                  predictor: int | None = None):
+def _walk_factors(design: CanonicalDesign, universe: ModelUniverse):
     """The models of _model_blocks for the design, block by block, each
     block with its masks, its _Factors and the previous level's held factors
     (or None)."""
     held = kept = None
-    for rows, models in _model_blocks(universe, design.p, min(design.d, design.p),
-                                      predictor):
+    for rows, models in _model_blocks(universe, design.p, min(design.d, design.p)):
         k = rows.shape[1]
         if kept is None or kept.k != k:
             held = kept if kept is not None and kept.k == k - 1 else None
@@ -766,15 +760,18 @@ def _level_batches(design: CanonicalDesign, universe: ModelUniverse,
     tau * ||x_s|| against the earlier members, with tau the design's rank
     tolerance. A counted pair is emitted if its adjusted norm is above
     tau * ||x_j||, and is a degenerate skip otherwise. With a 1-based
-    ``predictor`` only that predictor's pairs are enumerated, and each
-    direction is bitwise the one the full enumeration gives.
+    ``predictor``, which the universe must force (as DirectionSet's does),
+    only that predictor's pairs are enumerated, and each direction is
+    bitwise the one the full enumeration gives.
 
     Each model of size k is its lexicographic prefix of size k - 1 plus one
     larger member, so its factors are one vectorized Gram-Schmidt step from
     the prefix's (see _extend); the previous level's factors are held up to
     _HELD_BYTES, and prefixes not held are factored by the same recurrence.
     """
-    for rows, masks, factors, held in _walk_factors(design, universe, predictor):
+    if predictor is not None and predictor not in universe.forced:
+        raise ValueError(f"the universe must force predictor {predictor}")
+    for rows, masks, factors, held in _walk_factors(design, universe):
         if predictor is None:
             at, members = None, rows.ravel()
             masks = np.repeat(masks, rows.shape[1])

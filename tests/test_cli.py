@@ -758,6 +758,19 @@ def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch)
     assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err
 
 
+@pytest.mark.parametrize("predictor", ["0", "23"])
+def test_k1_checks_the_predictor_before_the_cost_warning(capsys, tmp_path, predictor):
+    # At p = 22 the predictor's models are 2^21 pairs, over the warning
+    # threshold; an out-of-range predictor is refused before any estimate.
+    design = tmp_path / "X.csv"
+    np.savetxt(design, np.random.default_rng(0).standard_normal((26, 22)), delimiter=",")
+    assert run(["k1", "--design", str(design), "--predictor", predictor,
+                "--mc-samples", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: predictor {predictor} out of range 1..22\n"
+
+
 def test_large_stream_warning_counts_the_census(capsys, tmp_path, monkeypatch):
     # analyze's census forms count^2 inner products. A full lattice at
     # p = 13 (53 248 directions) is projected past _CENSUS_WARN_S, p = 12

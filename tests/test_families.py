@@ -396,9 +396,29 @@ def kernel_cases(draw):
     return p, cs, draw(worst_rows(p))
 
 
+def zero_rows(p: int, seed: int) -> np.ndarray:
+    """Rows whose candidates are exactly +0 or -0 at c = +-0, or whose z_p
+    is +-0: all +0, all -0, z_1..z_{p-1} of mixed-sign zeros, Gaussian,
+    ties around zero, all positive and all negative, each with z_p = +-0."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((8, p))
+    z[0] = 0.0
+    z[1] = -0.0
+    z[2] = rng.choice([0.0, -0.0], p)
+    z[5] = rng.choice([0.0, -0.0, 1.0, -1.0], p)
+    z[6] = np.abs(z[6])
+    z[7] = -np.abs(z[7])
+    z[2:, p - 1] = [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0]
+    return z
+
+
 @PROPERTY_SETTINGS
 @given(kernel_cases(), st.sampled_from([1, 3, 8, 512]),
        st.sampled_from([1, 5, 64, 1 << 16]))
+@example((2, [0.0, -0.0], zero_rows(2, 0)), 512, 1 << 16)
+@example((5, [0.0, -0.0, 0.3], zero_rows(5, 1)), 1, 1)
+@example((40, [-0.0, 0.1, 0.0], zero_rows(40, 2)), 3, 5)
+@example((40, [0.0, -default_c_grid(40)[-1]], np.zeros((4, 40))), 8, 64)
 def test_pruned_kernel_is_bitwise_the_full_scan(case, sub_block, tile):
     # Small sub-blocks and tiles exercise many sub-blocks, ragged last
     # ones and sizes split over several tiles; the bits are compared, so a
@@ -429,6 +449,45 @@ def test_pruned_kernel_is_bitwise_the_full_scan_at_p100(seed):
     z = np.concatenate([z, odd])
     grid = default_c_grid(p) + (0.0, -0.0, -default_c_grid(p)[0],
                                 -default_c_grid(p)[-1])
+    got = _fast_worst_posi1_batch(p, grid, z)
+    assert got.tobytes() == full_scan_worst_posi1_batch(p, grid, z).tobytes()
+
+
+def test_pruned_kernel_keeps_the_sign_of_zero_results_at_p100():
+    # At c = +-0 with z_p = +-0 every candidate is exactly +0 or -0, and
+    # the full scan's results carry either sign. np.einsum writes +0 where
+    # np.multiply writes -0, so the kernel is bitwise right only because it
+    # scores every exact-zero result again in full.
+    p = 100
+    z = np.concatenate([zero_rows(p, seed) for seed in range(4)])
+    grid = (0.0, -0.0, default_c_grid(p)[0], -default_c_grid(p)[0])
+    want = full_scan_worst_posi1_batch(p, grid, z)
+    zeros = np.signbit(want[want == 0.0])
+    assert zeros.any() and not zeros.all()
+    got = _fast_worst_posi1_batch(p, grid, z)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("positive", [0, 30, 49, 99])
+@pytest.mark.parametrize("tile_rows", ["wider", "exact", "narrower", "several"])
+def test_pruned_kernel_is_bitwise_whatever_tiles_the_scored_rows(
+        monkeypatch, positive, tile_rows):
+    # Every draw has `positive` strictly positive z_1..z_{p-1}, so each
+    # sub-block scores the rows k = 0..max(positive, p-1-positive). A tile
+    # holds more rows than that, exactly that many, one fewer, or 7, so the
+    # scored rows fit in one tile or spill into several, ragged ones.
+    p, sub_block = 100, 16
+    rng = np.random.default_rng(positive)
+    z = np.abs(rng.standard_normal((40, p))) + 1e-3
+    z[:, positive:p - 1] *= -1.0
+    z[:, : p - 1] = rng.permuted(z[:, : p - 1], axis=1)
+    assert np.all(np.count_nonzero(z[:, : p - 1] > 0, axis=1) == positive)
+    span = max(positive, p - 1 - positive) + 1
+    rows = {"wider": span + 13, "exact": span, "narrower": span - 1,
+            "several": 7}[tile_rows]
+    monkeypatch.setattr(families, "_WORST_SUB_BLOCK", sub_block)
+    monkeypatch.setattr(families, "_WORST_TILE", sub_block * rows)
+    grid = default_c_grid(p) + (0.0, -0.05)
     got = _fast_worst_posi1_batch(p, grid, z)
     assert got.tobytes() == full_scan_worst_posi1_batch(p, grid, z).tobytes()
 

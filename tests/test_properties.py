@@ -404,7 +404,7 @@ def test_capped_walk_is_bitwise_the_default_walk(monkeypatch):
         monkeypatch.setattr(posikit.lattice, "_LEVEL_BLOCK", block)
         for universe, predictor in [(ModelUniverse.all(), None),
                                     (ModelUniverse.from_spec("size<=6&forced=4"), None),
-                                    (ModelUniverse.all(), 3)]:
+                                    (ModelUniverse.all() & ModelUniverse.forcing(3), 3)]:
             want = list(posikit.lattice._level_batches(cd, universe, predictor))
             found.clear()
             with pytest.MonkeyPatch.context() as patch:
@@ -418,6 +418,14 @@ def test_capped_walk_is_bitwise_the_default_walk(monkeypatch):
                 for name in ("masks", "predictors", "vectors", "norms"):
                     assert np.array_equal(getattr(g, name), getattr(w, name))
                 assert g.skips == w.skips
+
+
+def test_level_batches_need_a_universe_that_forces_the_predictor():
+    cd = gaussian_design(np.random.default_rng(3), 6, 4)
+    with pytest.raises(ValueError, match="the universe must force predictor 2"):
+        next(posikit.lattice._level_batches(cd, ModelUniverse.all(), 2))
+    forced = posikit.lattice._level_batches(cd, ModelUniverse.forcing(2), 2)
+    assert sum(batch.predictors.size for batch in forced) == 2 ** 3
 
 
 def test_held_prefixes_stay_under_the_cap(monkeypatch):
@@ -493,16 +501,16 @@ def walked_pairs(cd, universe, predictor) -> int:
     predictor alone."""
     return sum((rows.shape[0] if models is None else int(models.sum()))
                * (1 if predictor is not None else rows.shape[1])
-               for rows, models in _model_blocks(universe, cd.p, min(cd.d, cd.p),
-                                                 predictor))
-
+               for rows, models in _model_blocks(universe, cd.p, min(cd.d, cd.p)))
 
 @PROPERTY_SETTINGS
 @given(count_cases())
 def test_candidate_pair_count_matches_the_walk(case):
     cd, universe, predictor, generic = case
-    count = _candidate_pair_count(cd, universe, predictor)
-    assert count == walked_pairs(cd, universe, predictor)
+    # With a predictor, the universe restricted to the models that contain it.
+    walked = DirectionSet(cd, universe, predictor=predictor).universe
+    count = _candidate_pair_count(cd, walked, predictor)
+    assert count == walked_pairs(cd, walked, predictor)
     if generic:
         # Every model of at most d columns is full rank: each pair the walk
         # considers is emitted or a degenerate skip.
@@ -524,7 +532,7 @@ def test_candidate_pair_count_cases(shape, spec, predictor, count):
     # (the forced= rows are ModelUniverse.forcing(12) and forcing(11), the
     # models= row ModelUniverse.explicit(...) & of_max_size(2)); with p known
     # the spec grammar refuses members beyond p.
-    universe = ModelUniverse.from_spec(spec)
+    universe = DirectionSet(cd, ModelUniverse.from_spec(spec), predictor=predictor).universe
     assert _candidate_pair_count(cd, universe, predictor) == count
     assert walked_pairs(cd, universe, predictor) == count
 
