@@ -319,6 +319,8 @@ def _cmd_bound(args) -> int:
         design, universe = _load_canonical(args)
         _warn_large_stream(design, universe, 0)
         count = direction_stream(design, universe).count
+        if not count:
+            raise InfeasibleError("direction set is empty")
         d = design.d
         p = design.p
     est = cap_bonferroni_bound(count, d, args.alpha)

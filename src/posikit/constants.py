@@ -753,7 +753,8 @@ def orth_constant(
 
     Known sigma solves (2 Phi(K) - 1)^d = 1 - alpha (computed by exact
     quantile inversion). Finite df solves E[(2 Phi(K sigma_hat) - 1)^d] =
-    1 - alpha, the expectation by _orth_cdf's quadrature.
+    1 - alpha, the expectation by _orth_cdf's quadrature; an alpha or df
+    that the quadrature cannot resolve is a ValueError.
     """
     from scipy import optimize, special
 
@@ -765,9 +766,17 @@ def orth_constant(
     else:
         r = error_model.df
         hi = math.sqrt(d * special.fdtri(d, r, 1.0 - alpha)) + 1.0
-        k = float(optimize.brentq(
-            lambda x: _orth_cdf(x, d, error_model) - (1.0 - alpha), 1e-8, hi,
-            xtol=1e-10))
+        try:
+            k = float(optimize.brentq(
+                lambda x: _orth_cdf(x, d, error_model) - (1.0 - alpha), 1e-8, hi,
+                xtol=1e-10))
+        except (ValueError, OverflowError):
+            # The quadrature cannot bracket K: 1 - alpha lies within its
+            # error of 1 (alpha below about 1e-12), or sigma_hat's density
+            # is too narrow to find (from about 10**6 df) or to normalize
+            # (from about 10**18 df).
+            raise ValueError(f"orth cannot resolve alpha={alpha!r} at df={r:.0f}; "
+                             "use a larger alpha, or df=inf") from None
     return ConstantEstimate(
         k=k,
         alpha=alpha,
@@ -792,7 +801,7 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
     product. Always conservative for any direction set of the given size.
     When the cap it needs lies beyond 1 - 1e-14 (about 3e5 directions at
     d = 2), Scheffe's K is smaller, and it is returned with this
-    direction_count.
+    direction_count. An alpha whose half is 0 is a ValueError.
     """
     from scipy import optimize, special
 
@@ -801,6 +810,8 @@ def cap_bonferroni_bound(direction_count: int, d: int, alpha: float) -> Constant
         raise ValueError("direction_count must be >= 1")
     if d < 2:
         raise ValueError("cap bound requires dimension d >= 2")
+    if alpha / 2.0 == 0.0:
+        raise ValueError(f"alpha {alpha!r} is too small for the cap bound: alpha/2 is 0")
     target = math.log(alpha / 2.0) - math.log(direction_count)
 
     def log_tail_gap(u: float) -> float:

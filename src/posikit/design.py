@@ -62,10 +62,14 @@ class _Frozen:
 def _check_rank_tolerance(rank_tolerance: float):
     """Both design classes take a rank tolerance only when it is finite and
     at least 0: NaN, for one, would pass a sign test and then make no model
-    rank deficient."""
+    rank deficient. It must also lie below 1: no residual is longer than its
+    column, so from 1 up every model is rank deficient (and near 1e308 the
+    limits tau ||x_j|| overflow)."""
     if not 0.0 <= rank_tolerance < np.inf:
         raise ValueError(
             f"rank_tolerance must be nonnegative and finite, got {rank_tolerance!r}")
+    if rank_tolerance >= 1.0:
+        raise ValueError(f"rank_tolerance must be below 1, got {rank_tolerance!r}")
 
 
 # ---------------------------------------------------------------------------

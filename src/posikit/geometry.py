@@ -54,8 +54,10 @@ def dual_design(design: CanonicalDesign) -> CanonicalDesign:
     """X (X'X)^{-1}: columns are the full-model coefficient vectors."""
     if design.d != design.p:
         raise InfeasibleError("dual design requires the classical case d = p")
-    gram = design.gram()
-    values = np.linalg.solve(gram, design.values.T).T
+    try:
+        values = np.linalg.solve(design.gram(), design.values.T).T
+    except np.linalg.LinAlgError:  # an exactly singular Gram matrix
+        raise InfeasibleError("dual design requires full column rank") from None
     sym = np.allclose(design.values, design.values.T, atol=1e-12)
     return CanonicalDesign(
         values=values,

@@ -5,20 +5,23 @@ predictor j yields an adjusted predictor: the residual of column j regressed
 on the other columns of M. The normalized adjusted predictors are the unit
 "directions" over which all simultaneous max-|t| computations run. This
 module owns the universe grammar that picks the models and the performance
-core that walks them: a level-wise enumeration that takes the models of one
-size in blocks of up to 4 096 and reads every member's direction off the
-dual design X_M (X_M'X_M)^-1 = R^-1 Q. A model of size k is its
-lexicographic prefix of size k - 1 plus one larger member, so its factors Q
-and R^-1 come from the prefix's by one Gram-Schmidt step with one
-re-orthogonalization, vectorized over the block; the previous level's
-factors are held up to a byte cap. Fits, adjusted_predictor and vif factor
-their models by the same steps, bit for bit. Pairs come out by model size,
-then lexicographically by members, then by predictor.
+core that walks them: the subset lattice as a prefix tree, level by level.
+Level k is made of the children of the rows kept at level k - 1, each a row
+plus one member above its largest, in blocks of up to 4 096; a row is kept
+while it can still grow into a model the universe admits, and emitted when
+it is admitted. So every row's prefix is its parent, found by position, and
+its factors Q and R^-1 come from the parent's by one Gram-Schmidt step with
+one re-orthogonalization, vectorized over the block. The parent level's
+factors are held up to a byte cap; a parent block past it is factored again
+by the same steps. Every member's direction is read off the dual design
+X_M (X_M'X_M)^-1 = R^-1 Q. Fits, adjusted_predictor and vif factor their
+models by the same steps, bit for bit. Pairs come out by model size, then
+lexicographically by members, then by predictor.
 """
 
 from __future__ import annotations
 
-import itertools
+import collections
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -296,17 +299,22 @@ def _parse_size_term(term: str, p: int | None) -> ModelUniverse:
 
 
 def _parse_size_bound(text: str, p: int | None) -> int:
+    """An integer m, or p or p-K (K an integer) when p is known; anything
+    else is a ValueError that names the bound."""
     text = text.strip()
-    if text.startswith("p"):
-        if p is None:
-            raise ValueError("size bound uses 'p' but no design dimension is known")
-        rest = text[1:].strip()
+    if text.startswith("p") and p is None:
+        raise ValueError("size bound uses 'p' but no design dimension is known")
+    rest = text[1:].strip() if text.startswith("p") else None
+    try:
+        if rest is None:
+            return int(text)
         if not rest:
             return p
         if rest.startswith("-"):
             return p - int(rest[1:])
-        raise ValueError(f"unrecognized size bound {text!r}")
-    return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"size bound must be an integer, p or p-K, got {text!r}")
 
 
 def _members(cells: list[str], p: int | None = None) -> ModelId:
@@ -422,118 +430,36 @@ class LevelBatch:
         return np.column_stack([self.masks, self.predictors])
 
 
-def _model_plan(universe: ModelUniverse, p: int, max_size: int):
-    """The forced members as ascending 0-based indices, and the model sizes
-    to walk: from the universe's minimum, the forced count and, for a nested
-    universe, the largest forced member, up to the universe's maximum capped
-    at max_size. No sizes when a forced member lies beyond p."""
-    forced = universe.forced
-    lo = max(universe.min_size or 1, len(forced))
-    if universe.nested:
-        lo = max(lo, max(forced, default=1))
-    hi = min(universe.max_size or p, max_size)
-    if any(j > p for j in forced):
-        hi = 0
-    return np.array(forced, dtype=np.intp) - 1, range(lo, hi + 1)
-
-
-def _explicit_levels(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
-                     sizes: range) -> Iterator[np.ndarray]:
-    """The explicit universe's models of each size in turn, as (B, k) arrays
-    of ascending 0-based members: those within 1..p that hold every forced
-    member and, for a nested universe, are a prefix."""
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for mask in universe.explicit_masks:
-        by_size.setdefault(mask.bit_count(), []).append(ModelId.from_mask(mask).members)
-    for k in sizes:
-        rows = np.array(by_size.get(k, []), dtype=np.intp).reshape(-1, k) - 1
-        keep = (rows < p).all(axis=1)
-        for j in forced_idx:
-            keep &= (rows == j).any(axis=1)
-        if universe.nested:
-            keep &= (rows == np.arange(k)).all(axis=1)
-        yield rows[keep]
-
-
-def _model_blocks(universe: ModelUniverse, p: int, max_size: int):
-    """The universe's models of at most max_size columns among 1..p, as
-    (B, k) arrays of ascending 0-based members: by size, then
-    lexicographically, at most _LEVEL_BLOCK rows an array. Each array comes
-    with the (B,) flags of the rows that are models, or None when all are:
-    the levels of an explicit universe also hold the prefixes of its larger
-    models (see _explicit_blocks)."""
-    forced_idx, sizes = _model_plan(universe, p, max_size)
-    if universe.explicit_masks is not None:
-        yield from _explicit_blocks(universe, p, forced_idx, sizes)
-        return
-    if universe.nested:
-        for k in sizes:
-            yield np.arange(k)[None, :], None
-        return
-    others = np.setdiff1d(np.arange(p), forced_idx).tolist()
-    for k in sizes:
-        free = k - forced_idx.size
-        if free == 0:
-            yield forced_idx[None, :], None
-            continue
-        combos = itertools.combinations(others, free)
-        while True:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, _LEVEL_BLOCK)),
-                dtype=np.intp)
-            if not flat.size:
-                break
-            rows = flat.reshape(-1, free)
-            if forced_idx.size:
-                rows = np.sort(np.hstack(
-                    [rows, np.broadcast_to(forced_idx, (rows.shape[0], forced_idx.size))]),
-                    axis=1)
-            yield rows, None
-
-
-def _explicit_blocks(universe: ModelUniverse, p: int, forced_idx: np.ndarray,
-                     sizes: range):
-    """_model_blocks of an explicit universe: every level from size 1 up to
-    the largest model's, each with the prefixes of the larger models merged
-    into its models in lexicographic order, so that every row's prefix lies
-    one level down and the walk steps each level once from the one below."""
-    levels = {rows.shape[1]: rows for rows in
-              _explicit_levels(universe, p, forced_idx, sizes) if rows.size}
-    merged = []
-    above = np.empty((0, max(levels, default=0) + 1), dtype=np.intp)
-    for k in range(above.shape[1] - 1, 0, -1):
-        models = levels.get(k, np.empty((0, k), dtype=np.intp))
-        rows = np.vstack([models, above[:, :k]])
-        flags = np.arange(rows.shape[0]) < models.shape[0]
-        # Sorted with a model ahead of the same rows as a prefix, then deduplicated.
-        order = np.lexsort((~flags, *rows.T[::-1]))
-        rows, flags = rows[order], flags[order]
-        first = np.ones(rows.shape[0], dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        above = rows[first]
-        merged.append((above, flags[first]))
-    for rows, flags in reversed(merged):
-        for start in range(0, rows.shape[0], _LEVEL_BLOCK):
-            yield rows[start:start + _LEVEL_BLOCK], flags[start:start + _LEVEL_BLOCK]
+def _listed(universe: ModelUniverse, p: int, cap: int) -> set[int] | None:
+    """The masks of the explicit universe's models among 1..p of at most cap
+    members that it admits, or None when it lists no models."""
+    if universe.explicit_masks is None:
+        return None
+    return {m for m in universe.explicit_masks
+            if m.bit_length() <= p and m.bit_count() <= cap and universe.admits(m)}
 
 
 def _candidate_pair_count(design: CanonicalDesign, universe: ModelUniverse,
                          predictor: int | None = None) -> int:
     """Number of (j, M) pairs the enumeration considers before the rank rule
-    (see _level_batches): every member of each model _model_blocks yields
-    for the design, or with a predictor (which the universe forces) one pair
+    (see _level_batches): every member of each model the walk admits for
+    the design, or with a predictor (which the universe forces) one pair
     per model. On a design whose models of at most d columns are all full
     rank it is the count of directions plus degenerate skips. Counted, not
     walked."""
-    forced_idx, sizes = _model_plan(universe, design.p, min(design.d, design.p))
-    if universe.explicit_masks is not None:
-        models = {rows.shape[1]: rows.shape[0] for rows in
-                  _explicit_levels(universe, design.p, forced_idx, sizes)}
-    elif universe.nested:
-        models = dict.fromkeys(sizes, 1)
+    p, forced = design.p, universe.forced
+    cap = min(universe.max_size or p, design.d, p)
+    listed = _listed(universe, p, cap)
+    if listed is not None:
+        models = collections.Counter(m.bit_count() for m in listed)
+    elif forced and forced[-1] > p:
+        models = {}
     else:
-        free = design.p - forced_idx.size
-        models = {k: math.comb(free, k - forced_idx.size) for k in sizes}
+        lo = max(universe.min_size or 1, len(forced))
+        if universe.nested:
+            lo = max(lo, max(forced, default=1))
+        models = {k: 1 if universe.nested else math.comb(p - len(forced), k - len(forced))
+                  for k in range(lo, cap + 1)}
     return sum(n * (1 if predictor is not None else k) for k, n in models.items())
 
 
@@ -592,8 +518,9 @@ def _extend(design: CanonicalDesign, factors: _Factors, cols: np.ndarray) -> _Fa
 
 
 class _HeldLevel:
-    """The factors of one level's blocks in walk order, kept for the next
-    level to extend while they fit a byte budget."""
+    """The factors of one level's first blocks in walk order, kept for the
+    next level to extend while they fit a byte budget: block i is held iff
+    i < len(blocks)."""
 
     def __init__(self, k: int, budget: int):
         self.k = k
@@ -606,10 +533,12 @@ class _HeldLevel:
     def keep(self, masks: np.ndarray, factors: _Factors):
         # The masks are held three times over: as kept, sorted and ordered.
         size = factors.Q.nbytes + factors.Rinv.nbytes + 3 * masks.nbytes
-        if self.nbytes + size <= self.budget:
-            self.blocks.append(factors)
-            self._masks.append(masks)
-            self.nbytes += size
+        if self.nbytes + size > self.budget:
+            self.budget = -1  # no later block is held either
+            return
+        self.blocks.append(factors)
+        self._masks.append(masks)
+        self.nbytes += size
 
     def find(self, masks: np.ndarray) -> np.ndarray:
         """Each model's index among the held ones (in walk order), or -1."""
@@ -672,40 +601,102 @@ def _prefix_factors(design: CanonicalDesign, rows: np.ndarray,
     return out
 
 
-def _factors(design: CanonicalDesign, rows: np.ndarray,
-             held: _HeldLevel | None = None) -> _Factors:
+def _factors(design: CanonicalDesign, rows: np.ndarray) -> _Factors:
     """_Factors of the models in rows (B, k), ascending 0-based members: each
-    is its prefix's factors (held, or found the same way) extended by its
-    last member, so a model's factors are the same bits along every path."""
-    return _extend(design, _prefix_factors(design, rows[:, :-1], held), rows[:, -1])
+    is its prefix's factors, found the same way, extended by its last member,
+    so a model's factors are the same bits along every path."""
+    return _extend(design, _prefix_factors(design, rows[:, :-1]), rows[:, -1])
 
 
 # Byte budget for the factors the walk holds at once: the previous level's,
-# which the current level's models extend, and the current level's, kept for
+# which the current level's rows extend, and the current level's, kept for
 # the next. A model of k members takes (k d + k^2) 8 bytes and its mask 24.
-# Models whose prefixes are not held get them by the recurrence. The two
+# Parent blocks not held are factored again by the recurrence. The two
 # largest adjacent levels of the full lattice take 0.7 MB at p = d = 11,
-# 41 MB at p = d = 16 and 0.9 GB at p = d = 20.
+# 41 MB at p = d = 16 and 0.9 GB at p = d = 20. The rows and masks of the
+# two levels, which the next level grows from, are held in full outside the
+# budget: k + 1 words a row against the k d + k^2 of its factors.
 _HELD_BYTES = 64 << 20
 
 
 def _walk_factors(design: CanonicalDesign, universe: ModelUniverse):
-    """The models of _model_blocks for the design, block by block, each
-    block with its masks, its _Factors and the previous level's held factors
-    (or None)."""
-    held = kept = None
-    for rows, models in _model_blocks(universe, design.p, min(design.d, design.p)):
-        k = rows.shape[1]
-        if kept is None or kept.k != k:
-            held = kept if kept is not None and kept.k == k - 1 else None
-            kept = _HeldLevel(k, _HELD_BYTES - (held.nbytes if held is not None else 0))
-        masks = _row_masks(rows, design.p)
-        factors = _factors(design, rows, held)
-        kept.keep(masks, factors)
-        if models is None:
-            yield rows, masks, factors, held
-        elif models.any():
-            yield rows[models], masks[models], factors.take(models), held
+    """The universe's models of at most d columns among 1..p, walked as a
+    prefix tree, block by block: each block with its masks, its _Factors and
+    the previous level's held factors.
+
+    Level k is made of the children of the rows kept at level k - 1: each
+    row S plus one member above max S, parent block by parent block in
+    lexicographic order, at most _LEVEL_BLOCK rows a block. So a level comes
+    out lexicographically, and each row's prefix is its parent, found by
+    position. A row is kept while it can still grow into an admitted model:
+    |S| is within the size cap; every forced member below max S is in S and
+    those above it still fit; the members above max S can still bring S to
+    the minimum size; S is {1..k} for a nested universe and the prefix of an
+    admitted listed model for an explicit one. Kept rows are factored and
+    held for the next level up to _HELD_BYTES (a parent block not held is
+    factored again by the recurrence of _factors); those the universe admits
+    are yielded."""
+    p = design.p
+    cap = min(universe.max_size or p, design.d, p)
+    least = universe.min_size or 1
+    forced = np.array(universe.forced, dtype=np.intp) - 1
+    if forced.size and forced[-1] >= p:
+        return
+    listed = _listed(universe, p, cap)
+    prefixes = None if listed is None else {
+        m & ((2 << i) - 1) for m in listed for i in range(m.bit_length()) if m >> i & 1}
+
+    def among(masks: np.ndarray, found: set[int]) -> np.ndarray:
+        return np.fromiter(map(found.__contains__, masks.tolist()), bool, masks.size)
+
+    def children(k: int, parents: np.ndarray, parent_masks: np.ndarray):
+        """The kept children of a parent block at level k: each one's parent
+        index, new member and mask, and whether the universe admits it."""
+        last = parents[:, -1] if k > 1 else np.array([-1])
+        counts = p - 1 - last
+        at = np.repeat(np.arange(counts.size), counts)
+        # Parent i's children take the members last_i + 1, ..., p - 1 in turn.
+        member = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        masks = parent_masks[at] | _row_masks(member[:, None], p)
+        keep = k + p - 1 - member >= least
+        admitted = np.full(member.size, k >= least)
+        if forced.size:
+            below = np.searchsorted(forced, member, side="right")  # forced members <= member
+            keep &= ((np.searchsorted(forced, member)
+                      == np.searchsorted(forced, last[at], side="right"))
+                     & (k + forced.size - below <= cap))
+            admitted &= below == forced.size
+        if universe.nested:
+            keep &= member == k - 1
+        if listed is not None:
+            keep &= among(masks, prefixes)
+        at, member, masks, admitted = at[keep], member[keep], masks[keep], admitted[keep]
+        if listed is not None:
+            admitted &= among(masks, listed)
+        return at, member, masks, admitted
+
+    root = np.empty((1, 0), dtype=np.intp)
+    held, level = _HeldLevel(0, 0), [(root, _row_masks(root, p))]
+    for k in range(1, cap + 1):
+        holding, next_level = _HeldLevel(k, _HELD_BYTES - held.nbytes), []
+        for i, (parents, parent_masks) in enumerate(level):
+            at, member, masks, admitted = children(k, parents, parent_masks)
+            if at.size:
+                prefix = (held.blocks[i] if i < len(held.blocks)
+                          else _prefix_factors(design, parents))
+            for start in range(0, at.size, _LEVEL_BLOCK):
+                part = slice(start, start + _LEVEL_BLOCK)
+                rows = np.column_stack([parents[at[part]], member[part]])
+                factors = _extend(design, prefix.take(at[part]), member[part])
+                if k < cap:
+                    holding.keep(masks[part], factors)
+                    next_level.append((rows, masks[part]))
+                ok = admitted[part]
+                if ok.all():
+                    yield rows, masks[part], factors, held
+                elif ok.any():
+                    yield rows[ok], masks[part][ok], factors.take(ok), held
+        held, level = holding, next_level
 
 
 def _pairs(design: CanonicalDesign, rows: np.ndarray, factors: _Factors,
@@ -764,10 +755,13 @@ def _level_batches(design: CanonicalDesign, universe: ModelUniverse,
     only that predictor's pairs are enumerated, and each direction is
     bitwise the one the full enumeration gives.
 
-    Each model of size k is its lexicographic prefix of size k - 1 plus one
-    larger member, so its factors are one vectorized Gram-Schmidt step from
-    the prefix's (see _extend); the previous level's factors are held up to
-    _HELD_BYTES, and prefixes not held are factored by the same recurrence.
+    The models come from the prefix tree of _walk_factors: each is the
+    child of its lexicographic prefix of size k - 1, so its factors are one
+    vectorized Gram-Schmidt step from its parent's (see _extend), found by
+    position. The parent level's factors are held up to _HELD_BYTES, and a
+    parent block past it is factored again by the same recurrence; the
+    factors of M \\ {j} for a pair refactored past M's reach are looked up
+    among the held ones by mask.
     """
     if predictor is not None and predictor not in universe.forced:
         raise ValueError(f"the universe must force predictor {predictor}")

@@ -1,12 +1,18 @@
+import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from posikit import (
     CanonicalDesign,
@@ -140,6 +146,34 @@ def test_bound_command(capsys):
     assert payload["asymptotic_rate_constant"] == pytest.approx(
         math.sqrt(1 - 5120 ** (-2 / 10)), abs=1e-9
     )
+
+
+def test_bound_on_an_empty_direction_set_is_infeasible(files, capsys):
+    # No model of at least 7 columns among 3: exit 3, as k does. It exited 1
+    # with "direction_count must be >= 1".
+    universe = ["--design", files["generic3"], "--universe", "size>=7"]
+    assert run(["bound", *universe]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "infeasible request: direction set is empty\n")
+    assert run(["k", "--mc-samples", "100", *universe]) == 3
+    # A count given by the user is still validated as an argument.
+    assert run(["bound", "--direction-count", "0", "--d", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: direction_count must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("spec", ["size<=p-", "size<=x", "size>=", "size<p-x", "size>1.5",
+                                  "size<=p+1"])
+def test_a_bad_size_bound_is_named(files, capsys, spec):
+    # These exited 1 with int()'s "invalid literal for int() with base 10",
+    # and p+1 with "unrecognized size bound"; one message now names them all.
+    assert run(["bound", "--design", files["generic3"], "--universe", spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bound = spec.lstrip("size<>=")
+    assert captured.err == (
+        f"error: size bound must be an integer, p or p-K, got {bound!r}\n")
 
 
 def test_bound_falls_back_to_scheffe_beyond_the_cap_bracket(capsys):
@@ -900,3 +934,177 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# The output contract under fuzzed argv
+# ---------------------------------------------------------------------------
+
+# Example counts scale with the active hypothesis profile against
+# hypothesis's default: 1 in tier-1, 10 under the deep profile (conftest.py).
+DEPTH = settings.default.max_examples // settings.get_profile("default").max_examples
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The files the fuzzer names as @name: a 10 x 5 Gaussian design (p is
+    at most 6, with --intercept), one with an exactly collinear column, a
+    3 x 5 one (p > d), responses of the
+    right and wrong lengths or with a NaN, model lists, and empty,
+    byte-order-mark, non-numeric and missing files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(29)
+    X, y = rng.standard_normal((10, 5)), rng.standard_normal((10, 1))
+    arrays = {"design": X, "collinear": np.column_stack([X[:, :4], X[:, 0] + X[:, 1]]),
+              "wide": X[:3], "y": y, "short": y[:9], "ynan": np.vstack([[np.nan], y[1:]])}
+    paths = {}
+    for name, values in arrays.items():
+        paths[name] = root / f"{name}.csv"
+        np.savetxt(paths[name], values, delimiter=",")
+    for name, text in {"models": "1,2\n3\n2,4,5\n", "badmodels": "1,9\n", "empty": "",
+                       "words": "a,b\nc,d\n"}.items():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_text(text)
+    for name, source in (("bom", "design"), ("ybom", "y")):
+        paths[name] = root / f"{name}.csv"
+        paths[name].write_text("\ufeff" + paths[source].read_text(), encoding="utf-8")
+    paths["missing"] = root / "missing.csv"
+    return {name: str(path) for name, path in paths.items()}
+
+
+EDGE_NUMBERS = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e-320",
+                "", "x", "1.5", "99999999999999999999")
+# Values of the counts that set the work done: none is large.
+EDGE_COUNTS = ("0", "-1", "1", "nan", "inf", "", "x", "1.5", "1e3")
+OMITTED = None
+
+
+def option(flag, valid, edge=(), required=False):
+    """A flag (None for a positional), its valid values and its edge values.
+    A value of None leaves the flag out; True gives a switch."""
+    return flag, valid, edge, required
+
+
+COMMON = (option("--alpha", ("0.05", "0.5", "0.2"), ("1", "0.999") + EDGE_NUMBERS),
+          option("--df", ("inf", "Infinity", "1", "5", "20"), EDGE_NUMBERS),
+          option("--threads", ("auto", "1", "2"), ("0", "-1", "x", "")),
+          option("--output", ("json",), ("xml", "")))
+DESIGN = (option("--design", ("@design", "@collinear", "@wide", "@bom", "@y"),
+                 ("@empty", "@words", "@missing", "@ynan", OMITTED), required=True),
+          option("--header", (True,)), option("--intercept", (True,)),
+          option("--rank-tolerance", ("1e-10", "1e-3"), EDGE_NUMBERS),
+          option("--universe", ("all", "size<=2", "size>=p-1", "forced=1", "nested",
+                                "nested&forced=3", "size<=2&forced=1,2", "models=1,2;3",
+                                "file=@models"),
+                 ("size>=7", "size<=p-", "size<=x", "size<0", "forced=9", "forced=0",
+                  "forced=", "models=", "models=1,9", "file=@badmodels", "file=@empty",
+                  "file=@missing", "file=@design", "junk", "", "&&")))
+MC = (option("--mc-samples", ("50", "120", "200"), EDGE_COUNTS, required=True),
+      option("--seed", ("0", "1", "7"),
+             ("-1", str(2**64 - 1), str(2**64)) + EDGE_NUMBERS))
+RESPONSE = (option("--response", ("@y", "@ybom"),
+                   ("@short", "@ynan", "@design", "@empty", "@words", "@missing", OMITTED),
+                   required=True),
+            option("--sigma-hat", ("1", "0.5", "2"), EDGE_NUMBERS + (OMITTED,),
+                   required=True))
+MU = option("--mu", ("@y",), ("@short", "@ynan", "@empty", "@words", "@missing"))
+PREDICTORS, EDGE_PREDICTORS = ("1", "3", "5"), ("7",) + EDGE_NUMBERS
+DIMENSION = option("--d", ("1", "6", "11"), EDGE_NUMBERS + (OMITTED,))
+COMMANDS = (
+    ("k", COMMON + DESIGN + MC),
+    ("k1", COMMON + DESIGN + MC + (option("--predictor", PREDICTORS,
+                                          EDGE_PREDICTORS + (OMITTED,), required=True),)),
+    ("scheffe", COMMON + DESIGN + (DIMENSION,)),
+    ("orth", COMMON + DESIGN + (DIMENSION,)),
+    ("bound", COMMON + DESIGN + (DIMENSION, option("--direction-count",
+                                                   ("1", "5120", "1000000"),
+                                                   EDGE_NUMBERS))),
+    ("intervals", COMMON + DESIGN + MC + RESPONSE + (
+        MU, option("--k-source", ("posi", "scheffe"), ("naive", "x")),
+        option("--model", ("1", "1,2", "2,4,5", "1,,2", "1,2,3,4,5"),
+               ("", "0", "7", "-1", "x", "1.5", "99999999999999999999", OMITTED),
+               required=True))),
+    ("spar", COMMON + DESIGN + RESPONSE + (option("--predictor", PREDICTORS,
+                                                  EDGE_PREDICTORS),)),
+    ("coverage", COMMON + DESIGN + MC + (
+        MU, option("--k-source", ("posi", "scheffe", "naive"), ("x",)),
+        option("--replications", ("2", "7", "20"), EDGE_COUNTS, required=True),
+        option("--selector", ("spar", "spar1:1", "spar1:5"),
+               ("spar1:0", "spar1:7", "spar1:", "spar1:x", "spar1:-1", "bogus", "")))),
+    ("analyze", COMMON + DESIGN + (option("--form", ("upper_triangular", "symmetric"),
+                                          ("x",)),)),
+    ("family", (option(None, ("exchangeable",), ("bogus",), required=True),) + COMMON + MC + (
+        option("--p-list", ("3", "2,5", "6", "2,,6"),
+               ("1", "0", "-1", "", "x", "nan", "1.5"), required=True),
+        option("--a-grid", ("0,0.5", "0,,0.5", "0.3"),
+               ("0.99", "1", "-1", "-0.1", "1e-300", "5e-324", "nan", "inf", "-inf", "",
+                "x")))),
+    ("family", (option(None, ("worst-posi1",), ("bogus",), required=True),) + COMMON + MC + (
+        option("--p", ("2", "5", "20"), ("1", "0", "-1", "", "x", "1.5"), required=True),
+        option("--c-grid", ("0.1", "0,0.05", "-0.0"),
+               ("2", "-0.5", "1e-300", "5e-324", "nan", "inf", "-inf", "", "x")))),
+)
+
+
+@st.composite
+def argvs(draw):
+    """One subcommand's argv: each optional flag present or not, and every
+    value valid but those of at most two flags, which take edge values."""
+    name, options = draw(st.sampled_from(COMMANDS))
+    edges = draw(st.sets(st.sampled_from(range(len(options))), max_size=2))
+    argv = [name]
+    for i, (flag, valid, edge, required) in enumerate(options):
+        if not (required or draw(st.booleans())):
+            continue
+        value = draw(st.sampled_from(edge if i in edges and edge else valid))
+        if value is OMITTED:
+            continue
+        argv.append(value if flag is None else flag if value is True else f"{flag}={value}")
+    return argv
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=150 * DEPTH, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+# Each exited 1: a walk with no direction ("direction_count must be >= 1"),
+# and int()'s bare message for a size bound.
+@example(argv=["bound", "--design=@design", "--universe=size>=7"])
+@example(argv=["k", "--design=@design", "--universe=size<=p-", "--mc-samples=50"])
+@example(argv=["bound", "--design=@design", "--universe=size<=x"])
+# Found by this test: an overflow warning, a traceback, three bare messages.
+@example(argv=["k", "--design=@design", "--rank-tolerance=1e308", "--mc-samples=50"])
+@example(argv=["orth", "--d=3", "--df=99999999999999999999"])
+@example(argv=["orth", "--d=3", "--df=5", "--alpha=1e-320"])
+@example(argv=["bound", "--design=@design", "--alpha=5e-324"])
+@example(argv=["analyze", "--design=@collinear", "--rank-tolerance=0"])
+def test_fuzzed_argv_keeps_the_output_contract(fuzz_files, argv):
+    """Every subcommand, on edge values: an exit code in 0..3 and no
+    traceback; strict JSON on stdout at exit 0 and nothing otherwise; no
+    RuntimeWarning; no bare Python message; and an empty walk is an
+    infeasible request, not a bad count."""
+    argv = [re.sub(r"@(\w+)", lambda m: fuzz_files[m.group(1)], token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0:
+        strict_json(out)
+    else:
+        assert out == "", err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for bare in ("invalid literal for", "could not convert", "math domain error",
+                 "Singular matrix", "must have different signs"):
+        assert bare not in err
+    if "direction_count must be >= 1" in err:
+        assert any(token.startswith("--direction-count") for token in argv)

@@ -765,6 +765,22 @@ def test_orth_finite_df_exceeds_known_sigma():
         assert orth_constant(0.05, d, ErrorModel.with_df(6)).k > orth_constant(0.05, d).k
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("alpha, r", [(1e-320, 5), (1e-17, 1), (0.05, 10**6), (0.05, 10**20)])
+def test_orth_refuses_what_its_quadrature_cannot_resolve(alpha, r):
+    # These failed with scipy's bracket or NaN message, or (at 10**20 df)
+    # escaped as OverflowError.
+    with pytest.raises(ValueError, match=f"^orth cannot resolve alpha={alpha!r} at df={r}; "):
+        orth_constant(alpha, 3, ErrorModel.with_df(r))
+
+
+def test_cap_bound_refuses_an_alpha_whose_half_is_zero():
+    # It failed with "math domain error"; the smallest normal alpha works.
+    with pytest.raises(ValueError, match="alpha 5e-324 is too small for the cap bound"):
+        cap_bonferroni_bound(10, 3, 5e-324)
+    assert math.isfinite(cap_bonferroni_bound(10, 3, 2.2250738585072014e-308).k)
+
+
 def test_orth_finite_df_against_mc():
     em = ErrorModel.with_df(5)
     cd = CanonicalDesign.from_canonical(np.eye(4))

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,18 @@ def test_rank_tolerance_must_be_finite_and_nonnegative(tolerance):
         load_design(io.StringIO("1,2\n3,4\n"), rank_tolerance=tolerance)
     cd = CanonicalDesign.from_canonical(np.column_stack([a, b, a]), rank_tolerance=0.0)
     assert cd.rank_tolerance == 0.0
+
+
+@pytest.mark.parametrize("tolerance", [1.0, 1.5, 1e308])
+def test_rank_tolerance_must_be_below_one(tolerance):
+    # No residual is longer than its column, so from 1 every model is rank
+    # deficient; at 1e308 the limits overflowed with a RuntimeWarning.
+    message = "^" + re.escape(f"rank_tolerance must be below 1, got {tolerance!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        load_design(io.StringIO("1,2\n3,4\n"), rank_tolerance=tolerance)
+    with pytest.raises(ValueError, match=message):
+        CanonicalDesign.from_canonical(np.eye(2), rank_tolerance=tolerance)
+    assert CanonicalDesign.from_canonical(np.eye(2), rank_tolerance=0.5).rank_tolerance == 0.5
 
 
 # ---------------------------------------------------------------------------

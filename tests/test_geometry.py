@@ -64,6 +64,15 @@ def test_dual_requires_classical_case():
         dual_design(CanonicalDesign.from_canonical(X))
 
 
+def test_dual_of_an_exactly_singular_design_is_infeasible():
+    # Full rank under a zero rank tolerance, but with an exactly singular
+    # Gram matrix: this failed with numpy's bare "Singular matrix".
+    X = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    cd = CanonicalDesign.from_canonical(X, rank_tolerance=0.0)
+    with pytest.raises(InfeasibleError, match="^dual design requires full column rank$"):
+        dual_design(cd)
+
+
 # ---------------------------------------------------------------------------
 # verify_duality
 # ---------------------------------------------------------------------------

@@ -663,20 +663,20 @@ def test_named_selectors_walk_once_per_design(monkeypatch):
     import posikit.lattice
 
     factorized = []
-    factors = posikit.lattice._factors
+    extend = posikit.lattice._extend
 
-    def counting(design, rows, held=None):
+    def counting(design, factors, cols):
         factorized.append(design)
-        return factors(design, rows, held)
+        return extend(design, factors, cols)
 
-    monkeypatch.setattr(posikit.lattice, "_factors", counting)
+    monkeypatch.setattr(posikit.lattice, "_extend", counting)
     rng = np.random.default_rng(18)
     pair = [random_canonical(5, seed=18), random_canonical(5, seed=19)]
-    # One walk factors each block of same-size models once, and each set of
-    # prefixes it does not hold once per size: five blocks for spar; five
-    # for spar1, plus {1}, {2} for {1, 3}, {2, 3} and {1, 2} and {1} for
-    # {1, 2, 3}; for best-R^2, the block of size 2 and its prefixes of size 1.
-    for select, blocks in ((make_spar_selector(), 5), (make_spar1_selector(3), 8),
+    # One walk extends each block of the prefix tree once: five levels of
+    # one block each for spar, and for spar1 (whose tree at p = 5 forcing 3
+    # keeps the rows that can still take 3); for best-R^2, the blocks of
+    # size 1 and 2.
+    for select, blocks in ((make_spar_selector(), 5), (make_spar1_selector(3), 5),
                            (make_best_r2_selector(2), 2)):
         for cd in pair:
             factorized.clear()

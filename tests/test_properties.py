@@ -55,12 +55,14 @@ from posikit import (
 import posikit.lattice
 from posikit import _rng, constants, inference
 from posikit.design import DEFAULT_RANK_TOLERANCE
-from posikit.lattice import (_candidate_pair_count, _model_blocks, _model_directions,
-                             _models_directions, _models_pairs)
+from posikit.lattice import (_candidate_pair_count, _model_directions, _models_directions,
+                             _models_pairs)
 from posikit.inference import _argmax_over_directions, _check_response
 
+# 1 in tier-1, 10 under the deep profile (see conftest.py).
+DEPTH = settings.default.max_examples // settings.get_profile("default").max_examples
 PROPERTY_SETTINGS = settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=60 * DEPTH, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
@@ -388,36 +390,100 @@ def test_factors_are_the_same_bits_along_every_path(cd):
                 assert want[mask, row[t] + 1][1] == pair[1]
 
 
+def rank_deficient_design(seed: int, n: int, p: int) -> CanonicalDesign:
+    """A Gaussian design with exact deficiencies: x4 = 2 x2, x8 = x1 + x6
+    and x_p = -x3."""
+    X = np.random.default_rng(seed).standard_normal((n, p))
+    X[:, 3], X[:, 7], X[:, p - 1] = 2.0 * X[:, 1], X[:, 0] + X[:, 5], -X[:, 2]
+    return canonicalize(DesignMatrix(X, tuple(f"x{j}" for j in range(1, p + 1))))
+
+
 def test_capped_walk_is_bitwise_the_default_walk(monkeypatch):
-    """A byte cap on the held prefixes that leaves some levels, or some
-    blocks of a level, to the recurrence changes no bit of any batch."""
-    cd = gaussian_design(np.random.default_rng(10), 14, 10)
-    found = []
-    find = posikit.lattice._HeldLevel.find
+    """A byte cap on the held factors that leaves some levels, or some
+    blocks of a level, to the recurrence changes no bit of any batch. Under
+    the default cap no parent block falls back to the recurrence."""
+    generic = gaussian_design(np.random.default_rng(10), 14, 10)
+    deficient = rank_deficient_design(10, 14, 10)
+    kept, fallbacks, depth = [], [], [0]
+    keep = posikit.lattice._HeldLevel.keep
+    prefix_factors = posikit.lattice._prefix_factors
 
-    def recording(self, masks):
-        found.append(find(self, masks))
-        return found[-1]
+    def recording_keep(self, masks, factors):
+        keep(self, masks, factors)
+        kept.append((self.k, factors.Q.nbytes + factors.Rinv.nbytes + 3 * masks.nbytes,
+                     self.budget >= 0))
 
-    monkeypatch.setattr(posikit.lattice._HeldLevel, "find", recording)
+    def recording_prefix_factors(design, rows, held=None):
+        # A walk's own call for a parent block it does not hold; the M \ {j}
+        # refactorizations of _pairs pass the held level.
+        if not depth[0] and held is None and rows.shape[1]:
+            fallbacks.append(rows.shape[0])
+        depth[0] += 1
+        try:
+            return prefix_factors(design, rows, held)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(posikit.lattice._HeldLevel, "keep", recording_keep)
+    monkeypatch.setattr(posikit.lattice, "_prefix_factors", recording_prefix_factors)
+    explicit = ModelUniverse.from_spec("models=1,2,3;1,2,5,9;2,4,6,8,10;1,2,3,4,5,6;7")
+    cases = [(cd, universe, predictor) for cd in (generic, deficient)
+             for universe, predictor in [
+                 (ModelUniverse.all(), None),
+                 (ModelUniverse.from_spec("size<=6&forced=4"), None),
+                 (ModelUniverse.all() & ModelUniverse.forcing(3), 3),
+                 (ModelUniverse.forcing(10), 10),
+                 (ModelUniverse.from_spec("size>=p-2", p=10), None),
+                 (ModelUniverse.nested_chain(), None),
+                 (explicit, None)]]
     for block in (posikit.lattice._LEVEL_BLOCK, 40):
         monkeypatch.setattr(posikit.lattice, "_LEVEL_BLOCK", block)
-        for universe, predictor in [(ModelUniverse.all(), None),
-                                    (ModelUniverse.from_spec("size<=6&forced=4"), None),
-                                    (ModelUniverse.all() & ModelUniverse.forcing(3), 3)]:
+        for cd, universe, predictor in cases:
+            kept.clear(), fallbacks.clear()
             want = list(posikit.lattice._level_batches(cd, universe, predictor))
-            found.clear()
+            assert not fallbacks and all(held for _, _, held in kept)
+            # Half the bytes of the largest level that has a level above it.
+            levels = {}
+            for k, size, _ in kept:
+                levels[k] = levels.get(k, 0) + size
+            cap = max(levels[k] for k in levels if k + 1 in levels) // 2
+            kept.clear()
             with pytest.MonkeyPatch.context() as patch:
-                # Level 5 of the full lattice alone takes 151 kB.
-                patch.setattr(posikit.lattice, "_HELD_BYTES", 60_000)
+                patch.setattr(posikit.lattice, "_HELD_BYTES", cap)
                 got = list(posikit.lattice._level_batches(cd, universe, predictor))
-            found_at = np.concatenate(found)
-            assert (found_at >= 0).any() and (found_at < 0).any()
+            held = [held for _, _, held in kept]
+            assert fallbacks and any(held) and not all(held), (universe, block)
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 for name in ("masks", "predictors", "vectors", "norms"):
                     assert np.array_equal(getattr(g, name), getattr(w, name))
                 assert g.skips == w.skips
+
+
+def test_walk_extends_each_block_once(monkeypatch):
+    """Under the default cap every row's prefix is its held parent: the walk
+    makes one _extend call per block, on a design whose models of at most d
+    columns are all full rank (so no pair is refactored). forcing(10) with
+    its predictor walks the ten levels of the p = 10 lattice as ten blocks;
+    a walk that looked each row's prefix up by mask and factored the missing
+    ones again made 55 calls."""
+    cd = gaussian_design(np.random.default_rng(10), 14, 10)
+    extends = []
+    extend = posikit.lattice._extend
+    monkeypatch.setattr(posikit.lattice, "_extend",
+                        lambda *args: extends.append(1) or extend(*args))
+    for universe, predictor, count in [
+            (ModelUniverse.forcing(10), 10, 10),
+            (ModelUniverse.forcing(3), 3, 10),
+            (ModelUniverse.all(), None, 10),
+            (ModelUniverse.from_spec("size<=3&forced=2,7"), None, 3),
+            (ModelUniverse.from_spec("size>=p-2", p=10), None, 10),
+            (ModelUniverse.nested_chain(), None, 10),
+            (ModelUniverse.from_spec("models=1,2,3;1,2,5,9;2,4,6,8,10"), None, 5)]:
+        extends.clear()
+        for _ in posikit.lattice._level_batches(cd, universe, predictor):
+            pass
+        assert len(extends) == count, universe
 
 
 def test_level_batches_need_a_universe_that_forces_the_predictor():
@@ -430,8 +496,12 @@ def test_level_batches_need_a_universe_that_forces_the_predictor():
 
 def test_held_prefixes_stay_under_the_cap(monkeypatch):
     """Between batches, a walk holds at most the cap in traced memory over a
-    walk that holds no prefixes; at p = 12 whole levels would take more."""
+    walk that holds no prefixes; at p = 12 whole levels would take more. The
+    blocks are of 64 models, so a level spans many of them: a walk that holds
+    none factors one parent block at a time, as a capped walk does past its
+    cap."""
     cd = gaussian_design(np.random.default_rng(12), 16, 12)
+    monkeypatch.setattr(posikit.lattice, "_LEVEL_BLOCK", 64)
 
     def traced(cap):
         monkeypatch.setattr(posikit.lattice, "_HELD_BYTES", cap)
@@ -497,11 +567,10 @@ def count_cases(draw):
 
 
 def walked_pairs(cd, universe, predictor) -> int:
-    """The pairs of the models _model_blocks yields: every member, or the
+    """The pairs of the rows the prefix tree admits: every member, or the
     predictor alone."""
-    return sum((rows.shape[0] if models is None else int(models.sum()))
-               * (1 if predictor is not None else rows.shape[1])
-               for rows, models in _model_blocks(universe, cd.p, min(cd.d, cd.p)))
+    return sum(rows.shape[0] * (1 if predictor is not None else rows.shape[1])
+               for rows, *_ in posikit.lattice._walk_factors(cd, universe))
 
 @PROPERTY_SETTINGS
 @given(count_cases())
@@ -703,7 +772,7 @@ def near_tie_screen_cases(draw):
 
 # More examples than elsewhere: a rounding tie that a weaker screen would
 # miss turns up in only some of the drawn cases.
-@settings(PROPERTY_SETTINGS, max_examples=200)
+@settings(PROPERTY_SETTINGS, max_examples=200 * DEPTH)
 @given(design_screen_cases() | near_tie_screen_cases(),
        st.sampled_from([1, 2, 3, 7, 512]))
 def test_screened_argmax_is_the_full_scan(case, chunk):
@@ -831,7 +900,7 @@ def stepwise_oracle(cd, admits, y, sigma_hat, exact, t_enter=2.0) -> set:
 # Exact ties and exactly degenerate candidates are rare among the cases: at
 # 60 examples a selector that broke ties the wrong way, or skipped no
 # degenerate candidate, often passed.
-@settings(PROPERTY_SETTINGS, max_examples=400)
+@settings(PROPERTY_SETTINGS, max_examples=400 * DEPTH)
 @given(batched_selection_cases())
 def test_batched_selectors_match_lstsq_oracle(case):
     cd, universe, admits, y, sigma_hat, exact, size = case
@@ -956,7 +1025,7 @@ def reference_step(cd, universe, entered):
     return cols, residuals, norms, basis
 
 
-@settings(PROPERTY_SETTINGS, max_examples=200)
+@settings(PROPERTY_SETTINGS, max_examples=200 * DEPTH)
 @given(stepwise_tree_cases())
 def test_stepwise_tree_selects_as_the_reference(case):
     universe, t_enter, calls, budget = case
@@ -1022,7 +1091,7 @@ def refit_cases(draw):
     return cd, draw_universe(draw, cd.p)[1] if draw(st.booleans()) else None
 
 
-@settings(PROPERTY_SETTINGS, max_examples=150)
+@settings(PROPERTY_SETTINGS, max_examples=150 * DEPTH)
 @given(refit_cases())
 def test_held_refits_are_the_models_directions(case):
     # Every model of a held set whose pairs are whole gives bitwise the walk's
@@ -1338,7 +1407,7 @@ def coverage_cases(draw):
     return cd, ErrorModel(draw(DFS)), kind, selector, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(PROPERTY_SETTINGS, max_examples=40)
+@settings(PROPERTY_SETTINGS, max_examples=40 * DEPTH)
 @given(case=coverage_cases(), mean_scale=st.sampled_from([0.0, 1.0, 5.0]))
 def test_coverage_holds_on_the_simultaneous_event(case, mean_scale):
     # When every direction l of the universe has |l'eps| <= K sigma_hat, every
