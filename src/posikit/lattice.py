@@ -12,8 +12,9 @@ while it can still grow into a model the universe admits, and emitted when
 it is admitted. So every row's prefix is its parent, found by position, and
 its factors Q and R^-1 come from the parent's by one Gram-Schmidt step with
 one re-orthogonalization, vectorized over the block. The parent level's
-factors are held up to a byte cap; a parent block past it is factored again
-by the same steps. Every member's direction is read off the dual design
+factors and rows are held up to a byte cap; a parent block past it is
+factored again by the same steps, and a level not held in full is grown
+again from the root. Every member's direction is read off the dual design
 X_M (X_M'X_M)^-1 = R^-1 Q. Fits, adjusted_predictor and vif factor their
 models by the same steps, bit for bit. Pairs come out by model size, then
 lexicographically by members, then by predictor.
@@ -22,7 +23,9 @@ lexicographically by members, then by predictor.
 from __future__ import annotations
 
 import collections
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -430,13 +433,24 @@ class LevelBatch:
         return np.column_stack([self.masks, self.predictors])
 
 
-def _listed(universe: ModelUniverse, p: int, cap: int) -> set[int] | None:
-    """The masks of the explicit universe's models among 1..p of at most cap
-    members that it admits, or None when it lists no models."""
+def _model_sizes(universe: ModelUniverse, p: int, d: int) -> range:
+    """The sizes of the universe's models among 1..p of at most d columns:
+    from its minimum, its forced count and, for a nested universe, its
+    largest forced member, up to its maximum capped at d and p. Empty when a
+    forced member lies beyond p."""
+    forced = universe.forced
+    lo = max(universe.min_size or 1, len(forced), forced[-1] if universe.nested and forced else 1)
+    hi = min(universe.max_size or p, d, p) if not forced or forced[-1] <= p else 0
+    return range(lo, hi + 1)
+
+
+def _listed(universe: ModelUniverse, p: int, sizes: range) -> set[int] | None:
+    """The masks of the explicit universe's models among 1..p of these sizes
+    that it admits, or None when it lists no models."""
     if universe.explicit_masks is None:
         return None
     return {m for m in universe.explicit_masks
-            if m.bit_length() <= p and m.bit_count() <= cap and universe.admits(m)}
+            if m.bit_length() <= p and m.bit_count() in sizes and universe.admits(m)}
 
 
 def _candidate_pair_count(design: CanonicalDesign, universe: ModelUniverse,
@@ -447,19 +461,10 @@ def _candidate_pair_count(design: CanonicalDesign, universe: ModelUniverse,
     per model. On a design whose models of at most d columns are all full
     rank it is the count of directions plus degenerate skips. Counted, not
     walked."""
-    p, forced = design.p, universe.forced
-    cap = min(universe.max_size or p, design.d, p)
-    listed = _listed(universe, p, cap)
-    if listed is not None:
-        models = collections.Counter(m.bit_count() for m in listed)
-    elif forced and forced[-1] > p:
-        models = {}
-    else:
-        lo = max(universe.min_size or 1, len(forced))
-        if universe.nested:
-            lo = max(lo, max(forced, default=1))
-        models = {k: 1 if universe.nested else math.comb(p - len(forced), k - len(forced))
-                  for k in range(lo, cap + 1)}
+    sizes = _model_sizes(universe, design.p, design.d)
+    p, forced, listed = design.p, len(universe.forced), _listed(universe, design.p, sizes)
+    models = (collections.Counter(m.bit_count() for m in listed) if listed is not None else
+              {k: 1 if universe.nested else math.comb(p - forced, k - forced) for k in sizes})
     return sum(n * (1 if predictor is not None else k) for k, n in models.items())
 
 
@@ -518,32 +523,35 @@ def _extend(design: CanonicalDesign, factors: _Factors, cols: np.ndarray) -> _Fa
 
 
 class _HeldLevel:
-    """The factors of one level's first blocks in walk order, kept for the
-    next level to extend while they fit a byte budget: block i is held iff
-    i < len(blocks)."""
+    """The blocks of one level in walk order, kept for the next level to grow
+    from while they fit a byte budget: the factors, rows and masks of the
+    first blocks. Block i is held iff i < len(blocks), and every block is
+    iff the budget is not spent (>= 0)."""
 
     def __init__(self, k: int, budget: int):
         self.k = k
         self.budget = budget
         self.nbytes = 0
         self.blocks: list[_Factors] = []
-        self._masks: list[np.ndarray] = []
+        self.rows: list[tuple[np.ndarray, np.ndarray]] = []
         self._index = self._starts = None
 
-    def keep(self, masks: np.ndarray, factors: _Factors):
+    def keep(self, rows: np.ndarray, masks: np.ndarray, factors: _Factors):
         # The masks are held three times over: as kept, sorted and ordered.
-        size = factors.Q.nbytes + factors.Rinv.nbytes + 3 * masks.nbytes
+        size = rows.nbytes + factors.Q.nbytes + factors.Rinv.nbytes + 3 * masks.nbytes
+        if masks.dtype == object:
+            size += sum(map(sys.getsizeof, masks.tolist()))
         if self.nbytes + size > self.budget:
             self.budget = -1  # no later block is held either
             return
         self.blocks.append(factors)
-        self._masks.append(masks)
+        self.rows.append((rows, masks))
         self.nbytes += size
 
     def find(self, masks: np.ndarray) -> np.ndarray:
         """Each model's index among the held ones (in walk order), or -1."""
         if self._index is None:
-            held = np.concatenate(self._masks) if self._masks else np.empty(0, np.int64)
+            held = np.concatenate([m for _, m in self.rows] or [np.empty(0, np.int64)])
             order = np.argsort(held)
             self._index = held[order], order
             self._starts = np.cumsum([0] + [f.reach.size for f in self.blocks])
@@ -608,14 +616,15 @@ def _factors(design: CanonicalDesign, rows: np.ndarray) -> _Factors:
     return _extend(design, _prefix_factors(design, rows[:, :-1]), rows[:, -1])
 
 
-# Byte budget for the factors the walk holds at once: the previous level's,
-# which the current level's rows extend, and the current level's, kept for
-# the next. A model of k members takes (k d + k^2) 8 bytes and its mask 24.
-# Parent blocks not held are factored again by the recurrence. The two
+# Byte budget for what the walk holds at once: the factors, rows and masks
+# of the previous level's first blocks, which the current level's rows
+# extend, and of the current level's, kept for the next. A model of k
+# members takes (k d + k^2) 8 bytes, its row 8 k and its mask 24 (and its
+# int past p = 62). A parent block whose factors are not held is factored
+# again by the recurrence, and the rows of a level not held in full are
+# grown again, block by block, from the root. The factors of the two
 # largest adjacent levels of the full lattice take 0.7 MB at p = d = 11,
-# 41 MB at p = d = 16 and 0.9 GB at p = d = 20. The rows and masks of the
-# two levels, which the next level grows from, are held in full outside the
-# budget: k + 1 words a row against the k d + k^2 of its factors.
+# 41 MB at p = d = 16 and 0.9 GB at p = d = 20.
 _HELD_BYTES = 64 << 20
 
 
@@ -632,17 +641,16 @@ def _walk_factors(design: CanonicalDesign, universe: ModelUniverse):
     |S| is within the size cap; every forced member below max S is in S and
     those above it still fit; the members above max S can still bring S to
     the minimum size; S is {1..k} for a nested universe and the prefix of an
-    admitted listed model for an explicit one. Kept rows are factored and
-    held for the next level up to _HELD_BYTES (a parent block not held is
-    factored again by the recurrence of _factors); those the universe admits
-    are yielded."""
+    admitted listed model for an explicit one. Nothing is walked when no
+    model size is admitted (see _model_sizes). Kept rows are factored and
+    held for the next level up to _HELD_BYTES (see _HeldLevel); those the
+    universe admits are yielded."""
     p = design.p
-    cap = min(universe.max_size or p, design.d, p)
-    least = universe.min_size or 1
-    forced = np.array(universe.forced, dtype=np.intp) - 1
-    if forced.size and forced[-1] >= p:
+    sizes = _model_sizes(universe, p, design.d)
+    if not sizes:
         return
-    listed = _listed(universe, p, cap)
+    forced = np.array(universe.forced, dtype=np.intp) - 1
+    listed = _listed(universe, p, sizes)
     prefixes = None if listed is None else {
         m & ((2 << i) - 1) for m in listed for i in range(m.bit_length()) if m >> i & 1}
 
@@ -651,20 +659,20 @@ def _walk_factors(design: CanonicalDesign, universe: ModelUniverse):
 
     def children(k: int, parents: np.ndarray, parent_masks: np.ndarray):
         """The kept children of a parent block at level k: each one's parent
-        index, new member and mask, and whether the universe admits it."""
+        index, row and mask, and whether the universe admits it."""
         last = parents[:, -1] if k > 1 else np.array([-1])
         counts = p - 1 - last
         at = np.repeat(np.arange(counts.size), counts)
         # Parent i's children take the members last_i + 1, ..., p - 1 in turn.
         member = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
         masks = parent_masks[at] | _row_masks(member[:, None], p)
-        keep = k + p - 1 - member >= least
-        admitted = np.full(member.size, k >= least)
+        keep = k + p - 1 - member >= sizes.start
+        admitted = np.full(member.size, k >= sizes.start)
         if forced.size:
             below = np.searchsorted(forced, member, side="right")  # forced members <= member
             keep &= ((np.searchsorted(forced, member)
                       == np.searchsorted(forced, last[at], side="right"))
-                     & (k + forced.size - below <= cap))
+                     & (k + forced.size - below <= sizes[-1]))
             admitted &= below == forced.size
         if universe.nested:
             keep &= member == k - 1
@@ -673,30 +681,39 @@ def _walk_factors(design: CanonicalDesign, universe: ModelUniverse):
         at, member, masks, admitted = at[keep], member[keep], masks[keep], admitted[keep]
         if listed is not None:
             admitted &= among(masks, listed)
-        return at, member, masks, admitted
+        return at, np.column_stack([parents[at], member]), masks, admitted
 
-    root = np.empty((1, 0), dtype=np.intp)
-    held, level = _HeldLevel(0, 0), [(root, _row_masks(root, p))]
-    for k in range(1, cap + 1):
-        holding, next_level = _HeldLevel(k, _HELD_BYTES - held.nbytes), []
-        for i, (parents, parent_masks) in enumerate(level):
-            at, member, masks, admitted = children(k, parents, parent_masks)
-            if at.size:
-                prefix = (held.blocks[i] if i < len(held.blocks)
-                          else _prefix_factors(design, parents))
+    def grow(k: int, below):
+        """Level k's blocks, grown from below(), level k - 1's blocks in
+        order: each block's rows, masks, parent indices and admitted flags,
+        and its parent block's index."""
+        for i, (parents, parent_masks, *_) in enumerate(below()):
+            at, rows, masks, admitted = children(k, parents, parent_masks)
             for start in range(0, at.size, _LEVEL_BLOCK):
                 part = slice(start, start + _LEVEL_BLOCK)
-                rows = np.column_stack([parents[at[part]], member[part]])
-                factors = _extend(design, prefix.take(at[part]), member[part])
-                if k < cap:
-                    holding.keep(masks[part], factors)
-                    next_level.append((rows, masks[part]))
-                ok = admitted[part]
-                if ok.all():
-                    yield rows, masks[part], factors, held
-                elif ok.any():
-                    yield rows[ok], masks[part][ok], factors.take(ok), held
-        held, level = holding, next_level
+                yield rows[part], masks[part], at[part], admitted[part], i
+
+    root = np.empty((1, 0), dtype=np.intp)
+    # below() gives the blocks of the level before: its held rows, or else
+    # the chain that grows every level again from the root.
+    below = chain = [(root, _row_masks(root, p))].__iter__
+    held = _HeldLevel(0, 0)
+    for k in range(1, sizes.stop):
+        holding = _HeldLevel(k, _HELD_BYTES - held.nbytes)
+        for rows, masks, at, admitted, i in grow(k, below):
+            # A block whose parent block is not held is factored by the
+            # recurrence, each distinct prefix once.
+            factors = (_extend(design, held.blocks[i].take(at), rows[:, -1])
+                       if i < len(held.blocks) else _factors(design, rows))
+            if k < sizes[-1]:
+                holding.keep(rows, masks, factors)
+            if admitted.all():
+                yield rows, masks, factors, held
+            elif admitted.any():
+                yield rows[admitted], masks[admitted], factors.take(admitted), held
+        chain = functools.partial(grow, k, chain)
+        below = chain if holding.budget < 0 else holding.rows.__iter__
+        held = holding
 
 
 def _pairs(design: CanonicalDesign, rows: np.ndarray, factors: _Factors,

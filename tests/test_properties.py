@@ -408,14 +408,15 @@ def test_capped_walk_is_bitwise_the_default_walk(monkeypatch):
     keep = posikit.lattice._HeldLevel.keep
     prefix_factors = posikit.lattice._prefix_factors
 
-    def recording_keep(self, masks, factors):
-        keep(self, masks, factors)
-        kept.append((self.k, factors.Q.nbytes + factors.Rinv.nbytes + 3 * masks.nbytes,
-                     self.budget >= 0))
+    def recording_keep(self, rows, masks, factors):
+        blocks = len(self.blocks)
+        keep(self, rows, masks, factors)
+        kept.append((self.k, rows.nbytes + factors.Q.nbytes + factors.Rinv.nbytes
+                     + 3 * masks.nbytes, len(self.blocks) > blocks))
 
     def recording_prefix_factors(design, rows, held=None):
-        # A walk's own call for a parent block it does not hold; the M \ {j}
-        # refactorizations of _pairs pass the held level.
+        # The recurrence's call for a block whose parent block the walk does
+        # not hold; the M \ {j} refactorizations of _pairs pass the held level.
         if not depth[0] and held is None and rows.shape[1]:
             fallbacks.append(rows.shape[0])
         depth[0] += 1
@@ -433,7 +434,8 @@ def test_capped_walk_is_bitwise_the_default_walk(monkeypatch):
                  (ModelUniverse.from_spec("size<=6&forced=4"), None),
                  (ModelUniverse.all() & ModelUniverse.forcing(3), 3),
                  (ModelUniverse.forcing(10), 10),
-                 (ModelUniverse.from_spec("size>=p-2", p=10), None),
+                 # size>=p-2 on the generic design; the deficient one has d = 7.
+                 (ModelUniverse.of_min_size(cd.d - 2), None),
                  (ModelUniverse.nested_chain(), None),
                  (explicit, None)]]
     for block in (posikit.lattice._LEVEL_BLOCK, 40):
@@ -466,13 +468,18 @@ def test_walk_extends_each_block_once(monkeypatch):
     columns are all full rank (so no pair is refactored). forcing(10) with
     its predictor walks the ten levels of the p = 10 lattice as ten blocks;
     a walk that looked each row's prefix up by mask and factored the missing
-    ones again made 55 calls."""
+    ones again made 55 calls. A universe whose minimum size is above its
+    size cap walks nothing."""
     cd = gaussian_design(np.random.default_rng(10), 14, 10)
+    wide = gaussian_design(np.random.default_rng(10), 6, 10)  # d = 6 < p
     extends = []
     extend = posikit.lattice._extend
     monkeypatch.setattr(posikit.lattice, "_extend",
                         lambda *args: extends.append(1) or extend(*args))
     for universe, predictor, count in [
+            (ModelUniverse.from_spec("size>=8&size<=3"), None, 0),
+            (ModelUniverse.from_spec("size<=3&forced=1,2,3,4"), 2, 0),
+            (ModelUniverse.from_spec("nested&forced=9&size<=5"), None, 0),
             (ModelUniverse.forcing(10), 10, 10),
             (ModelUniverse.forcing(3), 3, 10),
             (ModelUniverse.all(), None, 10),
@@ -484,6 +491,11 @@ def test_walk_extends_each_block_once(monkeypatch):
         for _ in posikit.lattice._level_batches(cd, universe, predictor):
             pass
         assert len(extends) == count, universe
+    for spec in ("size>=7", "forced=1,2,3,4,5,6,7"):
+        extends.clear()
+        for _ in posikit.lattice._level_batches(wide, ModelUniverse.from_spec(spec)):
+            pass
+        assert not extends, spec
 
 
 def test_level_batches_need_a_universe_that_forces_the_predictor():
@@ -571,6 +583,26 @@ def walked_pairs(cd, universe, predictor) -> int:
     predictor alone."""
     return sum(rows.shape[0] * (1 if predictor is not None else rows.shape[1])
                for rows, *_ in posikit.lattice._walk_factors(cd, universe))
+
+@PROPERTY_SETTINGS
+@given(count_cases())
+def test_walk_keeps_only_prefixes_of_admitted_models(case):
+    """Every row the walk keeps for the next level is a model it admits or
+    the prefix of one."""
+    cd, universe, _, _ = case
+    kept, models = set(), set()
+    keep = posikit.lattice._HeldLevel.keep
+
+    def recording_keep(self, rows, *args):
+        kept.update(map(tuple, rows.tolist()))
+        keep(self, rows, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(posikit.lattice._HeldLevel, "keep", recording_keep)
+        for rows, *_ in posikit.lattice._walk_factors(cd, universe):
+            models.update(map(tuple, rows.tolist()))
+    assert kept <= {model[:i] for model in models for i in range(1, len(model) + 1)}
+
 
 @PROPERTY_SETTINGS
 @given(count_cases())
