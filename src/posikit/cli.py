@@ -351,6 +351,7 @@ def _cmd_intervals(args) -> int:
         est = scheffe_constant(args.alpha, design.d, em)
     else:
         _check_in_universe(universe, model)
+        _warn_large_stream(design, universe, args.mc_samples)
         est = posi_constant(
             design, universe, alpha=args.alpha, error_model=em,
             n_samples=args.mc_samples, seed=args.seed,
@@ -413,6 +414,8 @@ def _cmd_coverage(args) -> int:
         DirectionSet(design, universe, predictor=selector[1])  # checks j before K
     elif args.selector != "spar":
         raise _usage_error(f"unknown --selector {args.selector!r}")
+    if args.k_source == "posi":
+        _warn_large_stream(design, universe, args.mc_samples)
     if args.k_source == "scheffe":
         est: ConstantEstimate | float = scheffe_constant(args.alpha, design.d, em)
     elif args.k_source == "naive":
@@ -443,7 +446,7 @@ def _cmd_coverage(args) -> int:
     k_value = est.k if isinstance(est, ConstantEstimate) else est
     payload = _base_payload(
         k=k_value, alpha=args.alpha, em=em,
-        mc_samples=args.mc_samples if isinstance(est, ConstantEstimate) else 0,
+        mc_samples=est.mc_samples if isinstance(est, ConstantEstimate) else 0,
         mc_se=(est.mc_standard_error if isinstance(est, ConstantEstimate) else 0.0),
         seed=args.seed, d=design.d, p=design.p,
         direction_count=(est.direction_count if isinstance(est, ConstantEstimate) else None),

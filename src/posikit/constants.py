@@ -105,6 +105,8 @@ class ConstantEstimate:
     def __post_init__(self):
         if not self.k > 0:
             raise ValueError("constant must be positive")
+        if not math.isfinite(self.k):
+            raise ValueError(f"K is infinite at alpha={self.alpha}; use a larger alpha")
         if (self.mc_standard_error == 0.0) != (self.method != MONTE_CARLO):
             raise ValueError("standard error must be zero exactly for non-MC methods")
 

@@ -20,8 +20,8 @@ from . import _rng
 from .constants import ConstantEstimate, ErrorModel, _gemv_margin, _validate_alpha
 from .design import CanonicalDesign
 from .errors import InfeasibleError
-from .lattice import (DirectionSet, ModelId, ModelUniverse, _full_rank_blocks,
-                      _model_directions, _models_directions, direction_stream)
+from .lattice import (DirectionSet, ModelId, ModelUniverse, _check_fit, _full_rank_blocks,
+                      _model_directions, direction_stream)
 
 
 @dataclass(frozen=True)
@@ -384,29 +384,32 @@ class _DirectionSelector:
 
 def _held_block(directions: DirectionSet) -> tuple[list, tuple | None]:
     """The set as one held block of _normed (none when the set is empty),
-    and, when the block holds every pair of its models, its rows indexed by
-    mask for _held_refits: their stable argsort by mask, and the sorted
-    masks. The vectors are held in Fortran order: their product with y is
-    then a column-major gemv, which at d = 10 takes half the time of the
-    row-major one, a dot product per row."""
+    and, when the block holds every pair of its models, its _mask_index for
+    _held_refits. The vectors are held in Fortran order: their product with
+    y is then a column-major gemv, which at d = 10 takes half the time of
+    the row-major one, a dot product per row."""
     blocks = [(np.asfortranarray(vectors), keys, bound)
               for vectors, keys, bound in _normed(directions.chunks())]
     if not blocks or directions.predictor is not None:
         return blocks, None
-    masks = blocks[0][1][:, 0]
+    return blocks, _mask_index(blocks[0][1][:, 0])
+
+
+def _mask_index(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' stable argsort by mask, and the sorted masks."""
     order = np.argsort(masks, kind="stable")
-    return blocks, (order, masks[order])
+    return order, masks[order]
 
 
 def _held_refits(vectors: np.ndarray, index: tuple[np.ndarray, np.ndarray],
                  models: Iterable[ModelId]) -> dict[int, np.ndarray]:
     """Unit directions (k, d) of each distinct model's members, by mask, read
-    from a held block of every pair the enumeration emits for its models,
-    with its mask index (see _held_block). A model's rows are found by
-    binary search, in block order. They are the enumeration's, so they are
-    bitwise _models_directions' by its contract; so is the InfeasibleError
-    for the first model, by size and then members, that the enumeration
-    does not emit whole."""
+    from a block that holds, in enumeration order, every pair the
+    enumeration emits for the models, with the block's _mask_index. A
+    model's rows are found by binary search, in block order. They are the
+    enumeration's, so they are bitwise _model_directions' by its contract;
+    so is the InfeasibleError for the first model, by size and then
+    members, that the block does not hold whole."""
     order, masks = index
     models = sorted(set(models), key=lambda m: (m.size, m.members))
     wanted = np.array([model.mask for model in models], dtype=masks.dtype)
@@ -424,13 +427,17 @@ def _held_refits(vectors: np.ndarray, index: tuple[np.ndarray, np.ndarray],
 def _refit_directions(select: Selector, design: CanonicalDesign,
                       models: list[ModelId]) -> dict[int, np.ndarray]:
     """Unit directions (k, d) of each distinct selected model's members, by
-    mask: from the selector's held block when it holds whole models, else
-    from one walk of the models' explicit universe."""
+    mask, read by _held_refits: from the selector's held block when it holds
+    whole models, else from the direction stream of the models' explicit
+    universe, after _check_fit of each model in turn."""
     if isinstance(select, _DirectionSelector):
         blocks, index = select.held(design)
         if index is not None:
             return _held_refits(blocks[0][0], index, models)
-    return {mask: v for mask, (v, _) in _models_directions(design, models).items()}
+    for model in models:
+        _check_fit(design, model)
+    whole = direction_stream(design, ModelUniverse.explicit(models)).whole()
+    return _held_refits(whole.vectors, _mask_index(whole.masks), models)
 
 
 def make_spar_selector(universe: ModelUniverse | None = None) -> Selector:

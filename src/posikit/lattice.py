@@ -817,24 +817,6 @@ def _model_directions(design: CanonicalDesign,
     return vectors, norms
 
 
-def _models_directions(design: CanonicalDesign, models: Iterable[ModelId]
-                       ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """_model_directions of each distinct model, by mask, from one walk of
-    the explicit universe of the models."""
-    models = list(models)
-    for model in models:
-        _check_fit(design, model)
-    out = {}
-    for rows, masks, factors, held in _walk_factors(design, ModelUniverse.explicit(models)):
-        _, emitted, norms, vectors = (a.reshape(*rows.shape, *a.shape[1:]) for a in
-                                      _pairs(design, rows, factors, held))
-        for mask, ok, v, n in zip(masks.tolist(), emitted.all(axis=1), vectors, norms):
-            if not ok:
-                raise InfeasibleError(f"submodel {ModelId.from_mask(mask)} is rank deficient")
-            out[mask] = (v, n)
-    return out
-
-
 def _check_fit(design: CanonicalDesign, model: ModelId):
     if model.members[-1] > design.p:
         raise ValueError(f"model {model} references columns beyond p={design.p}")

@@ -792,6 +792,54 @@ def test_large_stream_warning_uses_measured_rates(capsys, tmp_path, monkeypatch)
     assert f"~{total:.0f}s (~{walk_s:.0f}s enumeration + ~{fold_s:.0f}s" in err
 
 
+def test_intervals_and_coverage_warn_on_a_large_stream(capsys, tmp_path, monkeypatch):
+    # With --k-source posi both fold over the universe as k does: at p = 17,
+    # 17 * 2^16 pairs, over the threshold. The constants are stubbed out, so
+    # no walk runs. What they refuse before K is refused before the warning.
+    def no_constant(*args, **kwargs):
+        raise InfeasibleError("stub")
+
+    monkeypatch.setattr(cli, "posi_constant", no_constant)
+    monkeypatch.setattr(cli, "_posi_from", no_constant)
+    p, n_samples = 17, 1000
+    design, response = tmp_path / "I17.csv", tmp_path / "y.txt"
+    np.savetxt(design, np.eye(p), delimiter=",")
+    np.savetxt(response, np.ones(p))
+    common = ["--design", str(design), "--mc-samples", str(n_samples)]
+    intervals = ["intervals", "--response", str(response), "--sigma-hat", "1.0"]
+    pairs = p * 2 ** (p - 1)
+    walk_s = pairs * cli._WALK_S_PER_DIRECTION
+    fold_s = pairs * n_samples * cli._FOLD_S_PER_DIR_DRAW
+    for argv in (intervals + ["--model", "1,2"],
+                 ["coverage", "--replications", "10"],
+                 ["coverage", "--selector", "spar1:2", "--replications", "10"]):
+        assert run(argv + common) == 3
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert f"p=17 with this universe streams about {pairs} directions; " \
+            f"projected time ~{walk_s + fold_s:.0f}s" in err
+    for argv in (intervals + ["--model", "1,18"],
+                 ["coverage", "--selector", "spar1:18", "--replications", "10"]):
+        assert run(argv + common) == 1
+        assert "warning" not in capsys.readouterr().err
+    assert run(intervals + ["--model", "1,2", "--k-source", "scheffe"] + common) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_coverage_reports_the_draws_it_made(files, capsys):
+    # A closed-form or naive K draws nothing; with --k-source scheffe the
+    # report gave --mc-samples (100 000 by default), where intervals gave 0.
+    base = ["--design", files["generic3"], "--mc-samples", "1000"]
+    for k_source, draws in (("scheffe", 0), ("naive", 0), ("posi", 1000)):
+        payload = run_json(capsys, ["coverage", "--k-source", k_source,
+                                    "--replications", "10"] + base)
+        assert payload["mc_samples"] == draws
+    payload = run_json(capsys, ["intervals", "--response", files["response"],
+                                "--sigma-hat", "1.0", "--model", "1,2",
+                                "--k-source", "scheffe"] + base)
+    assert payload["mc_samples"] == 0
+
+
 @pytest.mark.parametrize("predictor", ["0", "23"])
 def test_k1_checks_the_predictor_before_the_cost_warning(capsys, tmp_path, predictor):
     # At p = 22 the predictor's models are 2^21 pairs, over the warning
@@ -1084,6 +1132,9 @@ def strict_json(text):
 @example(argv=["orth", "--d=3", "--df=5", "--alpha=1e-320"])
 @example(argv=["bound", "--design=@design", "--alpha=5e-324"])
 @example(argv=["analyze", "--design=@collinear", "--rank-tolerance=0"])
+# An infinite K reached the JSON backstop, whose message names no input.
+@example(argv=["scheffe", "--alpha=1e-320", "--d=1", "--df=20"])
+@example(argv=["orth", "--alpha=5e-324", "--d=3"])
 def test_fuzzed_argv_keeps_the_output_contract(fuzz_files, argv):
     """Every subcommand, on edge values: an exit code in 0..3 and no
     traceback; strict JSON on stdout at exit 0 and nothing otherwise; no
@@ -1104,7 +1155,7 @@ def test_fuzzed_argv_keeps_the_output_contract(fuzz_files, argv):
         assert out == "", err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     for bare in ("invalid literal for", "could not convert", "math domain error",
-                 "Singular matrix", "must have different signs"):
+                 "Singular matrix", "must have different signs", "Out of range float"):
         assert bare not in err
     if "direction_count must be >= 1" in err:
         assert any(token.startswith("--direction-count") for token in argv)

@@ -688,6 +688,27 @@ def test_k_is_conservative_on_the_rank2_oracle(df):
     assert 0.8 <= np.median([e.mc_standard_error for e in ests]) / sd_k <= 1.25
 
 
+@pytest.mark.parametrize("df", [math.inf, 5])
+@pytest.mark.parametrize("oracle", ["identity", "rank2"])
+def test_spar_coverage_is_binomial_on_the_oracles(oracle, df):
+    # At mu = 0 spar's coverage indicator is the simultaneous event max_l
+    # |l'eps| / sigma_hat <= K, so over R replications the coverage is a
+    # Binomial(R, F(K)) count over R, with F the exact law of the oracle. A
+    # K that is too large passes a one-sided test; this one is two-sided.
+    em = ErrorModel(df)
+    identity = oracle == "identity"
+    cd = CanonicalDesign.from_canonical(
+        np.eye(4) if identity else np.random.default_rng(25).standard_normal((2, 5)))
+    est = posi_constant(cd, error_model=em, n_samples=2_000)
+    if identity:
+        f = constants._orth_cdf(est.k, 4, em)
+    else:
+        f = float(rank2_cdf(np.array([est.k]), direction_stream(cd).matrix(), em)[0])
+    r = 4_000
+    res = coverage_experiment(cd, None, "spar", 0.05, em, est, r, seed=1)
+    assert abs(res.coverage - f) <= 4 * math.sqrt(f * (1 - f) / r)
+
+
 def test_spacing_standard_error_stays_positive_on_ties():
     # Every draw equal: the spacing is zero, and the standard error is one
     # ulp of the draws. A single draw has no spacing at all.
@@ -779,6 +800,15 @@ def test_cap_bound_refuses_an_alpha_whose_half_is_zero():
     with pytest.raises(ValueError, match="alpha 5e-324 is too small for the cap bound"):
         cap_bonferroni_bound(10, 3, 5e-324)
     assert math.isfinite(cap_bonferroni_bound(10, 3, 2.2250738585072014e-308).k)
+
+
+def test_an_infinite_k_is_refused_with_its_alpha():
+    # The quantile of 1 - alpha is infinite in floating point; the CLI failed
+    # with json's "Out of range float values", which names no input.
+    with pytest.raises(ValueError, match=r"^K is infinite at alpha=1e-320; use a larger alpha"):
+        scheffe_constant(1e-320, 1, ErrorModel.with_df(20))
+    with pytest.raises(ValueError, match=r"^K is infinite at alpha=5e-324; "):
+        orth_constant(5e-324, 3)
 
 
 def test_orth_finite_df_against_mc():

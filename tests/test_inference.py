@@ -632,12 +632,13 @@ def test_spar_selector_follows_the_design_it_is_given():
 
 @pytest.mark.parametrize("p", [6, 64])
 def test_held_refits_find_each_model_by_mask(p):
-    # The held block's mask index finds each model's rows bitwise as one
-    # walk of the models gives them, with int64 masks and, at p >= 63, object
-    # masks; a model the walk skips as rank deficient is refused as the walk
-    # refuses it.
-    from posikit.inference import _held_block, _held_refits
-    from posikit.lattice import _models_directions
+    # The held block's mask index, and that of the models' own stream for a
+    # selector that holds no block, find each model's rows bitwise as the
+    # model's own factorization gives them, with int64 masks and, at
+    # p >= 63, object masks; a model the enumeration skips as rank deficient
+    # is refused as that factorization refuses it.
+    from posikit.inference import _held_block, _held_refits, _refit_directions
+    from posikit.lattice import _model_directions
 
     values = np.random.default_rng(5).standard_normal((5, p))
     values[:, p - 2] = values[:, 0]  # columns 1 and p - 1 are equal
@@ -647,16 +648,18 @@ def test_held_refits_find_each_model_by_mask(p):
     u = ModelUniverse.explicit([m.members for m in whole + [bad]])
     blocks, index = _held_block(direction_stream(cd, u)._hold())
     assert index[1].dtype == (object if p >= 63 else np.int64)
-    got = _held_refits(blocks[0][0], index, whole[::-1] + whole)
-    want = _models_directions(cd, whole)
-    assert got.keys() == want.keys()
-    for mask, (v, _) in want.items():
-        assert got[mask].tobytes() == v.tobytes()
-    with pytest.raises(InfeasibleError) as walked:
-        _models_directions(cd, whole + [bad])
-    with pytest.raises(InfeasibleError, match="is rank deficient") as held:
-        _held_refits(blocks[0][0], index, whole + [bad])
-    assert str(held.value) == str(walked.value)
+    refits = (lambda models: _held_refits(blocks[0][0], index, models),
+              lambda models: _refit_directions(None, cd, models))
+    with pytest.raises(InfeasibleError) as alone:
+        _model_directions(cd, bad)
+    for refit in refits:
+        got = refit(whole[::-1] + whole)
+        assert got.keys() == {m.mask for m in whole}
+        for model in whole:
+            assert got[model.mask].tobytes() == _model_directions(cd, model)[0].tobytes()
+        with pytest.raises(InfeasibleError, match="is rank deficient") as refused:
+            refit(whole + [bad])
+        assert str(refused.value) == str(alone.value)
 
 
 def test_named_selectors_walk_once_per_design(monkeypatch):

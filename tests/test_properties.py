@@ -55,8 +55,7 @@ from posikit import (
 import posikit.lattice
 from posikit import _rng, constants, inference
 from posikit.design import DEFAULT_RANK_TOLERANCE
-from posikit.lattice import (_candidate_pair_count, _model_directions, _models_directions,
-                             _models_pairs)
+from posikit.lattice import _candidate_pair_count, _model_directions, _models_pairs
 from posikit.inference import _argmax_over_directions, _check_response
 
 # 1 in tier-1, 10 under the deep profile (see conftest.py).
@@ -1126,8 +1125,9 @@ def refit_cases(draw):
 @settings(PROPERTY_SETTINGS, max_examples=150 * DEPTH)
 @given(refit_cases())
 def test_held_refits_are_the_models_directions(case):
-    # Every model of a held set whose pairs are whole gives bitwise the walk's
-    # directions, and the first model that is not gives the walk's error.
+    # Every model of a held set whose pairs are whole gives bitwise its own
+    # factorization's directions, and the first model, by size and then
+    # members, that is not gives that factorization's error.
     cd, universe = case
     blocks, index = inference._held_block(direction_stream(cd, universe)._hold())
     if not blocks:
@@ -1135,15 +1135,19 @@ def test_held_refits_are_the_models_directions(case):
     vectors, keys, _ = blocks[0]
     models = [ModelId.from_mask(m) for m in dict.fromkeys(keys[:, 0].tolist())]
     models = models[::-1] + models  # repeated, and out of order
-    want = result_or_error(lambda: {mask: v for mask, (v, _) in
-                                    _models_directions(cd, models).items()})
-    got = result_or_error(lambda: inference._held_refits(vectors, index, models))
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert got.keys() == want.keys()
-        for mask, v in want.items():
-            assert got[mask].tobytes() == v.tobytes()
+    want = result_or_error(lambda: {
+        model.mask: _model_directions(cd, model)[0]
+        for model in sorted(set(models), key=lambda m: (m.size, m.members))})
+    held = result_or_error(lambda: inference._held_refits(vectors, index, models))
+    # A selector that holds no block refits through the models' own stream.
+    streamed = result_or_error(lambda: inference._refit_directions(None, cd, models))
+    for got in (held, streamed):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.keys() == want.keys()
+            for mask, v in want.items():
+                assert got[mask].tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1423,12 +1427,13 @@ def test_cone_test_keeps_every_group_that_reaches_the_floor(cd, seed, scale, n, 
 @st.composite
 def coverage_cases(draw):
     """A generic design with p <= 6, an error model, a selector of one of the
-    four kinds over the universe of all models, and a seed."""
+    five kinds over the universe of all models, and a seed. The adversary's
+    selector is built by the test, which knows mu."""
     p = draw(st.integers(1, 6))
     cd = gaussian_design(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
                          draw(st.integers(1, 9)), p)
-    kind = draw(st.sampled_from(["spar", "spar1", "stepwise", "best-r2"]))
-    if kind == "spar":
+    kind = draw(st.sampled_from(["spar", "spar1", "stepwise", "best-r2", "adversary"]))
+    if kind in ("spar", "adversary"):
         selector = "spar"
     elif kind == "spar1":
         selector = ("spar1", draw(st.integers(1, p)))
@@ -1445,13 +1450,17 @@ def test_coverage_holds_on_the_simultaneous_event(case, mean_scale):
     # When every direction l of the universe has |l'eps| <= K sigma_hat, every
     # interval of every model covers its target, whatever was selected and
     # whatever mu is. At mu = 0 spar selects the model holding the largest
-    # |l'eps| / sigma_hat, so its coverage indicator is that event exactly.
+    # |l'eps| / sigma_hat, so its coverage indicator is that event exactly;
+    # so is that of the adversary, spar on y - mu, for any mu.
     cd, em, kind, selector, seed = case
     replications = 100
     est = posi_constant(cd, alpha=0.3, error_model=em, n_samples=300, seed=seed)
     if kind == "spar":
         mean_scale = 0.0
     mu = mean_scale * np.random.default_rng(seed).standard_normal(cd.d)
+    if kind == "adversary":
+        spar = make_spar_selector()
+        selector = lambda design, y, sigma_hat: spar(design, y - mu, sigma_hat)
     result = inference.coverage_experiment(
         cd, None, selector, 0.3, em, est, replications, seed=seed,
         target=inference.TargetSpec(mu))
@@ -1464,7 +1473,7 @@ def test_coverage_holds_on_the_simultaneous_event(case, mean_scale):
     limit = est.k * sigma
     event = largest <= limit
     clear = np.abs(largest - limit) > 4 * np.spacing(limit)
-    if kind == "spar":
+    if kind in ("spar", "adversary"):
         assert np.array_equal(result.covered[clear], event[clear])
     else:
         assert result.covered[event & clear].all()
