@@ -16,6 +16,12 @@ call at call time.
 ``build_parser`` returns a new parser on every call. ``python -m posikit``
 runs ``main``.
 
+Each handler returns its command's payload, and ``run`` writes it: JSON,
+CSV (the payload's table of rows, or one row of its scalars) or text. k,
+k1, intervals and coverage take their constant from ``_constant``, after
+the checks that refuse a request before any K is computed. Result rows
+are the fields of their dataclasses, in declaration order.
+
 Each handler imports the modules it runs when it runs: ``inference`` in
 intervals, spar and coverage, ``geometry`` in analyze and ``families`` in
 family. So k, k1, scheffe, orth and bound load none of the three.
@@ -24,8 +30,10 @@ family. So k, k1, scheffe, orth and bound load none of the three.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -227,25 +235,23 @@ def _payload_from_estimate(est: ConstantEstimate, design=None) -> dict:
     )
 
 
-def _emit(payload: dict, args, rows_key: str | None = None):
-    fmt = args.output
+def _emit(payload: dict, fmt: str):
+    """Write a command's payload to stdout as JSON, CSV or text."""
     if fmt == "json":
         # NaN and Infinity are not JSON (RFC 8259): such a payload is an
         # error (exit 1), and nothing reaches stdout.
         print(json.dumps(payload, sort_keys=True, allow_nan=False))
         return
     if fmt == "csv":
-        rows = payload.get(rows_key) if rows_key else None
-        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
-            cols = list(rows[0].keys())
-            print(",".join(cols))
-            for row in rows:
-                print(",".join(_csv_cell(row[c]) for c in cols))
-        else:
-            scalars = {k: v for k, v in payload.items()
-                       if not isinstance(v, (list, dict))}
-            print(",".join(scalars.keys()))
-            print(",".join(_csv_cell(v) for v in scalars.values()))
+        # The table is the payload's one list of rows; without one, its
+        # scalars make a table of one row.
+        tables = [v for v in payload.values()
+                  if isinstance(v, list) and v and isinstance(v[0], dict)]
+        rows = tables[0] if tables else [
+            {k: v for k, v in payload.items() if not isinstance(v, (list, dict))}]
+        print(",".join(rows[0]))
+        for row in rows:
+            print(",".join(_csv_cell(value) for value in row.values()))
         return
     for key in sorted(payload):
         value = payload[key]
@@ -263,40 +269,71 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# ---------------------------------------------------------------------------
-# Command handlers
-# ---------------------------------------------------------------------------
+# Result fields whose JSON names differ from their dataclass names.
+_JSON_NAMES = {"k": "K", "k1": "K1", "k_used": "K_used"}
 
 
-def _cmd_k(args) -> int:
-    """k, or with --predictor (k1) the single-predictor constant."""
-    design, universe = _load_canonical(args)
-    em = _parse_df(args.df)
-    predictor = getattr(args, "predictor", None)
+def _rows(results) -> list[dict]:
+    """Each result dataclass as a row: its fields in declaration order."""
+    return [{_JSON_NAMES.get(f.name, f.name): getattr(r, f.name)
+             for f in dataclasses.fields(r)} for r in results]
+
+
+def _constant(args, design: CanonicalDesign, universe: ModelUniverse,
+              em: ErrorModel, predictor: int | None = None,
+              held: DirectionSet | None = None) -> ConstantEstimate | float:
+    """The K that --k-source asks for (posi when the command has no such
+    flag): Scheffe's constant; the naive normal or t quantile, as a float;
+    or the Monte Carlo constant from --alpha, --mc-samples and --seed, over
+    the held set when the caller holds one, else posi_constant, or
+    posi1_constant with a predictor. The Monte Carlo constant checks the
+    predictor's range and prints the cost warning first."""
+    source = getattr(args, "k_source", "posi")
+    if source == "scheffe":
+        return scheffe_constant(args.alpha, design.d, em)
+    if source == "naive":
+        from scipy import special
+
+        q = 1 - args.alpha / 2
+        k = float(special.ndtri(q) if em.sigma_known else special.stdtrit(em.df, q))
+        if math.isinf(k):
+            raise ValueError(f"K is infinite at alpha={args.alpha}; use a larger alpha")
+        return k
     # The set checks the predictor's range, and forces it, before the warning.
     walked = DirectionSet(design, universe, predictor=predictor).universe
     _warn_large_stream(design, walked, args.mc_samples, predictor)
     mc = dict(alpha=args.alpha, error_model=em, n_samples=args.mc_samples, seed=args.seed)
+    if held is not None:
+        return _posi_from(held, **mc)
     if predictor is None:
-        est = posi_constant(design, universe, **mc)
-    else:
-        est = posi1_constant(design, universe, predictor, **mc)
-    payload = _payload_from_estimate(est, design)
+        return posi_constant(design, universe, **mc)
+    return posi1_constant(design, universe, predictor, **mc)
+
+
+# ---------------------------------------------------------------------------
+# Command handlers: each returns its payload, which run writes.
+# ---------------------------------------------------------------------------
+
+
+def _cmd_k(args) -> dict:
+    """k, or with --predictor (k1) the single-predictor constant."""
+    design, universe = _load_canonical(args)
+    em = _parse_df(args.df)
+    predictor = getattr(args, "predictor", None)
+    payload = _payload_from_estimate(
+        _constant(args, design, universe, em, predictor), design)
     if predictor is not None:
         payload["predictor"] = predictor
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_closed_form(args) -> int:
+def _cmd_closed_form(args) -> dict:
     em = _parse_df(args.df)
     d = _dimension_for(args)
     constant = scheffe_constant if args.command == "scheffe" else orth_constant
-    est = constant(args.alpha, d, em)
-    payload = _payload_from_estimate(est)
+    payload = _payload_from_estimate(constant(args.alpha, d, em))
     payload["d"] = d
-    _emit(payload, args)
-    return 0
+    return payload
 
 
 def _dimension_for(args) -> int:
@@ -308,7 +345,7 @@ def _dimension_for(args) -> int:
     raise _usage_error("provide --d or --design")
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> dict:
     if args.direction_count is not None:
         count = args.direction_count
         d = args.d
@@ -323,20 +360,14 @@ def _cmd_bound(args) -> int:
             raise InfeasibleError("direction set is empty")
         d = design.d
         p = design.p
-    est = cap_bonferroni_bound(count, d, args.alpha)
-    payload = _payload_from_estimate(est)
-    payload["d"] = d
-    payload["p"] = p
+    payload = _payload_from_estimate(cap_bonferroni_bound(count, d, args.alpha))
     a_hat = count ** (1.0 / d)
-    payload["cardinality_rate"] = a_hat
-    payload["asymptotic_rate_constant"] = (
-        asymptotic_cap_constant(a_hat) if a_hat > 1.0 else None
-    )
-    _emit(payload, args)
-    return 0
+    payload.update(d=d, p=p, cardinality_rate=a_hat, asymptotic_rate_constant=(
+        asymptotic_cap_constant(a_hat) if a_hat > 1.0 else None))
+    return payload
 
 
-def _cmd_intervals(args) -> int:
+def _cmd_intervals(args) -> dict:
     from .inference import TargetSpec, _check_in_universe, _check_response, posi_intervals
 
     design, universe = _load_canonical(args)
@@ -347,38 +378,18 @@ def _cmd_intervals(args) -> int:
     # computed, with their messages.
     _check_fit(design, model)
     _check_response(y, args.sigma_hat)
-    if args.k_source == "scheffe":
-        est = scheffe_constant(args.alpha, design.d, em)
-    else:
+    if args.k_source == "posi":
         _check_in_universe(universe, model)
-        _warn_large_stream(design, universe, args.mc_samples)
-        est = posi_constant(
-            design, universe, alpha=args.alpha, error_model=em,
-            n_samples=args.mc_samples, seed=args.seed,
-        )
+    est = _constant(args, design, universe, em)
     target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     report = posi_intervals(design, y, args.sigma_hat, em, model, est, target)
     payload = _payload_from_estimate(est, design)
-    payload["model"] = list(model.members)
-    payload["sigma_hat"] = args.sigma_hat
-    payload["intervals"] = [
-        {
-            "predictor": row.predictor,
-            "name": row.name,
-            "estimate": row.estimate,
-            "lower": row.lower,
-            "upper": row.upper,
-            "t_observed": row.t_observed,
-            "K_used": row.k_used,
-            "covers_target": row.covers_target,
-        }
-        for row in report.rows
-    ]
-    _emit(payload, args, rows_key="intervals")
-    return 0
+    payload.update(model=list(model.members), sigma_hat=args.sigma_hat,
+                   intervals=_rows(report.rows))
+    return payload
 
 
-def _cmd_spar(args) -> int:
+def _cmd_spar(args) -> dict:
     from .inference import spar1_select, spar_select
 
     design, universe = _load_canonical(args)
@@ -387,22 +398,16 @@ def _cmd_spar(args) -> int:
         model, stat = spar1_select(design, y, args.sigma_hat, universe, args.predictor)
     else:
         model, stat = spar_select(design, y, args.sigma_hat, universe)
-    payload = _base_payload(
-        alpha=None, em=None, seed=None, d=design.d, p=design.p,
-        universe=universe.spec_string(),
-    )
-    payload["selected_model"] = list(model.members)
-    payload["max_abs_t"] = stat
-    payload["sigma_hat"] = args.sigma_hat
-    payload["predictor"] = args.predictor
-    _emit(payload, args)
-    return 0
+    payload = _base_payload(d=design.d, p=design.p, universe=universe.spec_string())
+    payload.update(selected_model=list(model.members), max_abs_t=stat,
+                   sigma_hat=args.sigma_hat, predictor=args.predictor)
+    return payload
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args) -> dict:
     from .inference import TargetSpec, _DirectionSelector, coverage_experiment
 
-    _validate_alpha(args.alpha)  # the naive K is computed here, not by constants
+    _validate_alpha(args.alpha)  # the naive K does not come from constants
     design, universe = _load_canonical(args)
     em = _parse_df(args.df)
     selector = "spar"
@@ -414,54 +419,35 @@ def _cmd_coverage(args) -> int:
         DirectionSet(design, universe, predictor=selector[1])  # checks j before K
     elif args.selector != "spar":
         raise _usage_error(f"unknown --selector {args.selector!r}")
-    if args.k_source == "posi":
-        _warn_large_stream(design, universe, args.mc_samples)
-    if args.k_source == "scheffe":
-        est: ConstantEstimate | float = scheffe_constant(args.alpha, design.d, em)
-    elif args.k_source == "naive":
-        from scipy import special
-
-        est = float(
-            special.ndtri(1 - args.alpha / 2)
-            if em.sigma_known
-            else special.stdtrit(em.df, 1 - args.alpha / 2)
-        )
-    elif selector == "spar":
+    held = None
+    if selector == "spar" and args.k_source == "posi":
         # The spar selector holds the whole set anyway: K is folded from the
         # held set, so one walk of the universe serves K, the selections and
         # their refits.
-        directions = direction_stream(design, universe)._hold()
-        est = _posi_from(directions, args.alpha, em, args.mc_samples, args.seed)
-        selector = _DirectionSelector(lambda _: directions)
-    else:
-        est = posi_constant(
-            design, universe, alpha=args.alpha, error_model=em,
-            n_samples=args.mc_samples, seed=args.seed,
-        )
+        held = direction_stream(design, universe)._hold()
+        selector = _DirectionSelector(lambda _: held)
+    est = _constant(args, design, universe, em, held=held)
     target = TargetSpec(_load_vector(args.mu, design, "mu")) if args.mu else None
     result = coverage_experiment(
         design, universe, selector, args.alpha, em, est,
         replications=args.replications, seed=args.seed, target=target,
     )
-    k_value = est.k if isinstance(est, ConstantEstimate) else est
+    mc = isinstance(est, ConstantEstimate)
     payload = _base_payload(
-        k=k_value, alpha=args.alpha, em=em,
-        mc_samples=est.mc_samples if isinstance(est, ConstantEstimate) else 0,
-        mc_se=(est.mc_standard_error if isinstance(est, ConstantEstimate) else 0.0),
+        k=est.k if mc else est, alpha=args.alpha, em=em,
+        mc_samples=est.mc_samples if mc else 0,
+        mc_se=est.mc_standard_error if mc else 0.0,
         seed=args.seed, d=design.d, p=design.p,
-        direction_count=(est.direction_count if isinstance(est, ConstantEstimate) else None),
+        direction_count=est.direction_count if mc else None,
         universe=universe.spec_string(),
     )
-    payload["k_source"] = args.k_source
-    payload["selector"] = args.selector
-    payload["replications"] = args.replications
-    payload["coverage"] = result.coverage
-    payload["binomial_se"] = result.binomial_se
-    _emit(payload, args)
-    return 0
+    payload.update(k_source=args.k_source, selector=args.selector,
+                   replications=args.replications, coverage=result.coverage,
+                   binomial_se=result.binomial_se)
+    return payload
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     from .geometry import orthogonality_census, verify_duality
 
     design, universe = _load_canonical(args)
@@ -488,51 +474,26 @@ def _cmd_analyze(args) -> int:
         }
     else:
         payload["duality"] = None
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> dict:
     from .families import exchangeable_ratio_table, worst_posi1_table
 
-    em = ErrorModel.known_sigma()
-    if args.family == "exchangeable":
-        rows = exchangeable_ratio_table(
-            args.p_list, alpha=args.alpha, n_samples=args.mc_samples,
-            seed=args.seed, a_grid=args.a_grid or None,
-        )
-        table = [
-            {"p": r.p, "best_a": r.best_a, "K": r.k,
-             "mc_standard_error": r.mc_standard_error, "ratio": r.ratio}
-            for r in rows
-        ]
-        payload = _base_payload(alpha=args.alpha, em=em,
-                                mc_samples=args.mc_samples, seed=args.seed)
-        payload["family"] = "exchangeable"
-        payload["rows"] = table
-        payload["ratio_denominator"] = "sqrt(2 log p)"
-        _emit(payload, args, rows_key="rows")
-        return 0
-    if args.family == "worst-posi1":
-        rows = worst_posi1_table(
-            args.p, alpha=args.alpha, n_samples=args.mc_samples,
-            seed=args.seed, c_grid=args.c_grid or None,
-        )
-        table = [
-            {"p": r.p, "c": r.c, "K1": r.k1,
-             "mc_standard_error": r.mc_standard_error, "ratio": r.ratio}
-            for r in rows
-        ]
-        payload = _base_payload(alpha=args.alpha, em=em,
-                                mc_samples=args.mc_samples, seed=args.seed,
-                                p=args.p)
-        payload["family"] = "worst-posi1"
-        payload["rows"] = table
+    mc = dict(alpha=args.alpha, n_samples=args.mc_samples, seed=args.seed)
+    worst = args.family == "worst-posi1"
+    if worst:
+        rows = worst_posi1_table(args.p, c_grid=args.c_grid or None, **mc)
+    else:
+        rows = exchangeable_ratio_table(args.p_list, a_grid=args.a_grid or None, **mc)
+    payload = _base_payload(alpha=args.alpha, em=ErrorModel.known_sigma(),
+                            mc_samples=args.mc_samples, seed=args.seed,
+                            p=args.p if worst else None)
+    payload.update(family=args.family, rows=_rows(rows))
+    if worst:
         payload["sup_ratio"] = max(r.ratio for r in rows)
-        payload["ratio_denominator"] = "sqrt(p)"
-        _emit(payload, args, rows_key="rows")
-        return 0
-    raise _usage_error(f"unknown family {args.family!r}")
+    payload["ratio_denominator"] = "sqrt(p)" if worst else "sqrt(2 log p)"
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +606,8 @@ def _parser() -> _Parser:
 def run(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.handler(args)
+        _emit(args.handler(args), args.output)
+        return 0
     except _UsageError:
         return 1
     except DataError as exc:

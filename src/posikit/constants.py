@@ -67,9 +67,8 @@ class ErrorModel:
     df: float = math.inf
 
     def __post_init__(self):
-        if math.isinf(self.df):
-            return
-        if self.df < 1 or self.df != int(self.df):
+        # Only +inf or an integer >= 1; NaN and -inf fail the first test.
+        if self.df != math.inf and not (self.df >= 1 and self.df == int(self.df)):
             raise ValueError("df must be a positive integer or infinity")
 
     @property

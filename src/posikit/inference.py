@@ -409,19 +409,22 @@ def _held_refits(vectors: np.ndarray, index: tuple[np.ndarray, np.ndarray],
     model's rows are found by binary search, in block order. They are the
     enumeration's, so they are bitwise _model_directions' by its contract;
     so is the InfeasibleError for the first model, by size and then
-    members, that the block does not hold whole."""
+    members, that the block does not hold whole. Every model's rows are
+    gathered at once, and each model's directions are a slice of them."""
     order, masks = index
-    models = sorted(set(models), key=lambda m: (m.size, m.members))
+    models = list(dict.fromkeys(models))
     wanted = np.array([model.mask for model in models], dtype=masks.dtype)
-    starts = np.searchsorted(masks, wanted).tolist()
-    stops = np.searchsorted(masks, wanted, side="right").tolist()
-    out = {}
-    for model, lo, hi in zip(models, starts, stops):
-        rows = order[lo:hi]
-        if rows.size != model.size:
-            raise InfeasibleError(f"submodel {model} is rank deficient")
-        out[model.mask] = vectors[rows]
-    return out
+    starts = np.searchsorted(masks, wanted)
+    sizes = np.array([model.size for model in models], dtype=np.intp)
+    short = np.flatnonzero(np.searchsorted(masks, wanted, side="right") - starts != sizes)
+    if short.size:
+        first = min((models[i] for i in short), key=lambda m: (m.size, m.members))
+        raise InfeasibleError(f"submodel {first} is rank deficient")
+    # One gather of every model's rows: the i-th row of a model is order[start + i].
+    ends = np.cumsum(sizes)
+    block = vectors[order[np.repeat(starts - ends + sizes, sizes) + np.arange(sizes.sum())]]
+    return {model.mask: block[end - model.size:end]
+            for model, end in zip(models, ends.tolist())}
 
 
 def _refit_directions(select: Selector, design: CanonicalDesign,
@@ -643,11 +646,15 @@ def coverage_experiment(
     selectors "spar" and ("spar1", j) are built against the given universe.
     A ConstantEstimate k must apply to every model selected, as in
     posi_intervals, else InfeasibleError is raised; a float k (say, the
-    naive normal quantile) is used as given. alpha must lie in (0, 1).
+    naive normal quantile) is used as given, and must be positive and
+    finite. alpha must lie in (0, 1).
     """
     _validate_alpha(alpha)
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    k_value = k.k if isinstance(k, ConstantEstimate) else float(k)
+    if not 0.0 < k_value < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k_value}")
     if universe is None:
         universe = ModelUniverse.all()
     if selector == "spar":
@@ -659,7 +666,6 @@ def coverage_experiment(
     else:
         select = selector
 
-    k_value = k.k if isinstance(k, ConstantEstimate) else float(k)
     mu = _target_mean(design, target) if target is not None else np.zeros(design.d)
 
     covered: list[bool] = []

@@ -505,10 +505,11 @@ def test_run_builds_its_parser_once(files, capsys, monkeypatch):
             code = run(argv)
             reused = capsys.readouterr()
             # The same call parsed by a parser of its own, which exits 1 on a
-            # usage error.
+            # usage error; its handler's payload is written as run writes it.
             try:
                 args = builder().parse_args(argv)
-                fresh_code = args.handler(args)
+                cli._emit(args.handler(args), args.output)
+                fresh_code = 0
             except SystemExit as exc:
                 fresh_code = exc.code
             fresh = capsys.readouterr()
@@ -566,6 +567,39 @@ def test_text_output(files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "K:" in out
+
+
+# Each table command, the name of its rows in the payload and its columns:
+# the fields of its result dataclass, in declaration order.
+TABLES = {
+    "intervals": (["intervals", "--design", "@generic3", "--response", "@response",
+                   "--sigma-hat", "1", "--model", "1,3", "--mu", "@mu",
+                   "--mc-samples", "1000"], "intervals",
+                  ["predictor", "name", "estimate", "lower", "upper", "t_observed",
+                   "K_used", "covers_target"]),
+    "worst-posi1": (["family", "worst-posi1", "--p", "6", "--c-grid", "0.1,0.2",
+                     "--mc-samples", "500"], "rows",
+                    ["p", "c", "K1", "mc_standard_error", "ratio"]),
+    "exchangeable": (["family", "exchangeable", "--p-list", "3,4", "--a-grid", "0,0.5",
+                      "--mc-samples", "500"], "rows",
+                     ["p", "best_a", "K", "mc_standard_error", "ratio"]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_tables_in_csv_and_text(files, capsys, table):
+    argv, key, columns = TABLES[table]
+    argv = [files[token[1:]] if token.startswith("@") else token for token in argv]
+    rows = run_json(capsys, argv)[key]
+    first = {column: rows[0][column] for column in columns}
+    assert run(argv + ["--output", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(columns)
+    assert len(lines) == len(rows) + 1
+    assert lines[1] == ",".join("" if v is None else str(v) for v in first.values())
+    assert run(argv + ["--output", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index(f"{key}:") + 1] == f"  {first}"
 
 
 @pytest.mark.parametrize("command", ["orth", "scheffe"])
@@ -718,6 +752,24 @@ def test_coverage_naive_validates_alpha(files, capsys):
             "coverage", "--design", files["generic3"], "--k-source", k_source,
             "--alpha", "-0.5", "--mc-samples", "1000", "--replications", "10"])
         assert (code, out, err) == (1, "", "error: alpha must lie in (0, 1), got -0.5\n")
+
+
+@pytest.mark.parametrize("alpha, df", [("1e-17", "inf"), ("5e-324", "5")])
+def test_coverage_naive_refuses_an_infinite_k(files, capsys, monkeypatch, alpha, df):
+    # The normal or t quantile of 1 - alpha/2 is +inf: every replication ran,
+    # and then the command exited 1 with json's "Out of range float values
+    # are not JSON compliant".
+    import posikit.inference
+
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("replicated with an infinite K")
+
+    monkeypatch.setattr(posikit.inference, "coverage_experiment", no_experiment)
+    code, out, err = run_quietly(capsys, [
+        "coverage", "--design", files["generic3"], "--k-source", "naive",
+        "--alpha", alpha, "--df", df, "--replications", "50"])
+    assert (code, out) == (1, "")
+    assert err == f"error: K is infinite at alpha={float(alpha)}; use a larger alpha\n"
 
 
 def test_exchangeable_family_needs_a_finite_a(capsys):
@@ -1135,6 +1187,11 @@ def strict_json(text):
 # An infinite K reached the JSON backstop, whose message names no input.
 @example(argv=["scheffe", "--alpha=1e-320", "--d=1", "--df=20"])
 @example(argv=["orth", "--alpha=5e-324", "--d=3"])
+# The naive K was +inf: every replication ran before the JSON backstop.
+@example(argv=["coverage", "--design=@design", "--k-source=naive", "--alpha=1e-17",
+               "--replications=50"])
+@example(argv=["coverage", "--design=@design", "--k-source=naive", "--alpha=5e-324",
+               "--df=5", "--replications=50"])
 def test_fuzzed_argv_keeps_the_output_contract(fuzz_files, argv):
     """Every subcommand, on edge values: an exit code in 0..3 and no
     traceback; strict JSON on stdout at exit 0 and nothing otherwise; no

@@ -741,6 +741,15 @@ def test_scheffe_monotone_in_d():
     assert all(a < b for a, b in zip(ks, ks[1:]))
 
 
+@pytest.mark.parametrize("df", [-math.inf, math.nan, 0, -1, 2.5])
+def test_error_model_takes_a_positive_integer_or_infinity(df):
+    # -inf was taken as known sigma, and NaN failed with Python's "cannot
+    # convert float NaN to integer".
+    with pytest.raises(ValueError, match="^df must be a positive integer or infinity$"):
+        ErrorModel(df)
+    assert ErrorModel(math.inf).sigma_known and not ErrorModel(3).sigma_known
+
+
 def test_scheffe_finite_df():
     em = ErrorModel.with_df(7)
     assert scheffe_constant(0.05, 3, em).k == pytest.approx(

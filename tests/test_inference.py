@@ -885,6 +885,18 @@ def test_coverage_validates_alpha_before_selecting():
             coverage_experiment(cd, None, no_selection, alpha, KNOWN, 3.0, 10)
 
 
+@pytest.mark.parametrize("k", [math.nan, -1.0, 0.0, math.inf])
+def test_coverage_refuses_a_float_k_that_is_not_positive_and_finite(k):
+    # Each ran: NaN, -1 and 0 gave coverage 0.0, and inf gave 1.0.
+    cd = random_canonical(4, seed=23)
+
+    def no_selection(*args):
+        raise AssertionError("selected with an unusable K")
+
+    with pytest.raises(ValueError, match=f"^k must be positive and finite, got {k}$"):
+        coverage_experiment(cd, None, no_selection, 0.05, KNOWN, k, 10)
+
+
 @pytest.mark.parametrize("mu", [[50.0], [1.0, 2.0, 3.0]])
 def test_coverage_rejects_a_target_of_the_wrong_length(mu):
     # A length-1 mean was broadcast to every coordinate, and a length-3 one
